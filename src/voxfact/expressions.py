@@ -342,6 +342,13 @@ def _apply_outer(factor, z_factors):
 def _eval_arity2(preset, states, factors, window) -> ProductVector:
     a, b = states
     f1, f2 = factors
+    if isinstance(f1, DeltaJet) and isinstance(f2, CircleMoment) \
+            and point_in_circle(f1.point, f2.center, f2.radius) < 0:
+        # With the delta inside the moment's contour, the residue at w = z
+        # puts the moment's pole at z; a delta at the centre would take its
+        # jet there.  Pair the moment as the outer factor instead: the
+        # states commute, all three presets being purely even.
+        a, b, f1, f2 = b, a, f2, f1
     out = ProductVector(window)
     for da in a.degrees():
         ah = a.project(da)

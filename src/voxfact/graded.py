@@ -79,6 +79,14 @@ class GradedVector:
     def vacuum(cls):
         return cls.basis(VACUUM)
 
+    @classmethod
+    def from_nonzero(cls, terms: dict):
+        """Wrap a dict whose coefficients are all nonzero, skipping the
+        cleaning pass.  The dict is taken over, not copied."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "terms", terms)
+        return v
+
     # -- linear structure ---------------------------------------------
 
     def __add__(self, other):

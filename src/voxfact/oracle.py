@@ -64,18 +64,3 @@ def _oracle_impl(preset, a, n, b):
             acc = acc + oracle_mode_mono(preset, rest, n + s, mono).scale(cf)
         out = out + acc.scale(coeff)
     return out
-
-
-def oracle_mode(preset: VAPreset, a: GradedVector, n: int, b: GradedVector) -> GradedVector:
-    out = GradedVector.zero()
-    for am, ac in a.terms.items():
-        for bm, bc in b.terms.items():
-            piece = oracle_mode_mono(preset, am, n, bm)
-            if piece:
-                out = out + piece.scale(ac * bc)
-    return out
-
-
-def clear_cache():
-    from .presets import clear_caches
-    clear_caches()

@@ -9,9 +9,25 @@ Three vacuum modules are provided:
   [x_m, y_n] = [x,y]_{m+n} + m kappa(x,y) delta_{m+n,0} and kappa the
   level-scaled trace form (kappa(h,h) = 2 level, kappa(e,f) = level).
 
-States live on the PBW basis of `graded.GradedVector`.  Mode actions are
-computed on basis monomials with exact coefficients and cached; linear
-extension then works for exact or complex coefficients alike.
+States live on the PBW basis of `graded.GradedVector`.  Every structure
+constant of the three presets is rational, so the mode engine works on
+plain rationals.  Its memo tables, per preset in `VAPreset._memos`, map a
+key to a dict {mono: int | Fraction} of nonzero coefficients:
+
+* ``gen``: (gen, n, mono) -> the oscillator mode gen_n applied to mono;
+* ``tr``: mono -> T mono;
+* ``sm``: (a, n, b) -> the state mode a_(n) b on basis monomials.
+
+A coefficient is a Fraction only where c or the level makes it
+non-integral; an integral one is stored as int.  The recursion fills these
+tables in place and never builds a `QQi` or a `GradedVector`.  `QQi`
+enters only in the public functions (`gen_mode_mono`, `gen_mode_apply`,
+`translate`, `translate_power`, `state_mode_mono`,
+`state_mode_apply_mono_left`, `state_mode`), which lift a table, or a
+linear combination of tables, into one `GradedVector` per call: exact
+coefficients give `QQi`, and a term with any complex contribution is
+complex, exactly as `GradedVector.scale` and `+` would give.
+`clear_caches` empties every table.
 
 `state_mode` peels the leading PBW factor of the acting state through the
 standard iterate expansion
@@ -64,26 +80,29 @@ class VAPreset:
         return 2 if self.kind == "virasoro" else 1
 
     def commutator(self, x: str, nx: int, y: str, ny: int):
-        """[x_nx, y_ny] as (list of (gen, mode, int coeff), central scalar)."""
+        """[x_nx, y_ny] as (list of (gen, mode, int coeff), central scalar);
+        the central scalar is an int, or a Fraction when c or the level
+        makes it non-integral."""
         if self.kind == "heisenberg":
-            central = QQi(nx) if nx + ny == 0 else QQi(0)
+            central = nx if nx + ny == 0 else 0
             return (), central
         if self.kind == "virasoro":
             gens = ((("L", nx + ny, nx - ny),) if nx != ny else ())
-            central = (QQi(Fraction(self.c) * (nx ** 3 - nx) / 12)
-                       if nx + ny == 0 else QQi(0))
+            central = (_rational(self.c * (nx ** 3 - nx) / 12)
+                       if nx + ny == 0 else 0)
             return gens, central
         lie = _SL2_BRACKET[(x, y)]
         gens = tuple((g, nx + ny, coeff) for g, coeff in lie)
         kap = _SL2_KAPPA[(x, y)] * self.level
-        central = QQi(nx * kap) if nx + ny == 0 else QQi(0)
+        central = _rational(nx * kap) if nx + ny == 0 else 0
         return gens, central
-
-    def vacuum_state(self) -> GradedVector:
-        return GradedVector.vacuum()
 
     def key(self):
         return (self.kind, self.c, self.level)
+
+
+def _rational(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
 
 
 _memo_root: dict = {}
@@ -179,88 +198,199 @@ def basis_upto(preset: VAPreset, max_degree: int):
 
 
 # ---------------------------------------------------------------------------
+# memo tables on plain rationals
+
+
+def _acc(out: dict, table: dict, s) -> None:
+    """out += s * table in place, for a nonzero rational s.  Zero sums are
+    dropped and integral Fractions are stored as int."""
+    for mono, c in table.items():
+        v = out.get(mono, 0) + c * s
+        if v:
+            if type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+            out[mono] = v
+        else:
+            del out[mono]
+
+
+def _gen(preset, gen, n, mono) -> dict:
+    memo = preset._memos["gen"]
+    key = (gen, n, mono)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _gen_mode_mono_impl(preset, gen, n, mono)
+    return out
+
+
+def _sm(preset, a, n, b) -> dict:
+    memo = preset._memos["sm"]
+    key = (a, n, b)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _state_mode_impl(preset, a, n, b)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the public boundary: QQi / complex coefficients in GradedVectors
+
+
+def _exact_parts(s):
+    """(re, im) of an exact coefficient, or None for a numeric one."""
+    if type(s) is tuple:
+        return s
+    if isinstance(s, QQi):
+        return _rational(s.re), _rational(s.im)
+    if isinstance(s, (int, Fraction)):
+        return s, 0
+    return None
+
+
+def _product(x, y):
+    """x * y as an (re, im) pair when both are exact, else as x * y."""
+    px, py = _exact_parts(x), _exact_parts(y)
+    if px is None or py is None:
+        return x * y
+    return px[0] * py[0] - px[1] * py[1], px[0] * py[1] + px[1] * py[0]
+
+
+def _combine(pieces) -> dict:
+    """Sum of s * table over the (s, table) pairs, in order.
+
+    Follows the coefficient rule of `GradedVector.scale` and `+` term by
+    term: a term stays exact, held as an (re, im) pair, until a numeric
+    contribution arrives, and is a complex from then on.  A term whose sum
+    is zero is dropped and may start afresh.
+    """
+    acc = {}
+    for s, table in pieces:
+        parts = _exact_parts(s)
+        if parts is None:
+            for mono, c in table.items():
+                x = complex(c) * s
+                if not x:
+                    continue
+                old = acc.get(mono, 0)
+                if type(old) is tuple:
+                    old = complex(float(old[0]), float(old[1]))
+                v = old + x
+                if v:
+                    acc[mono] = v
+                else:
+                    del acc[mono]
+            continue
+        sr, si = parts
+        if not (sr or si):
+            continue
+        for mono, c in table.items():
+            old = acc.get(mono)
+            if old is None:
+                acc[mono] = (c * sr, c * si)
+            elif type(old) is tuple:
+                r, i = old[0] + c * sr, old[1] + c * si
+                if r or i:
+                    acc[mono] = (r, i)
+                else:
+                    del acc[mono]
+            else:
+                v = old + complex(float(c * sr), float(c * si))
+                if v:
+                    acc[mono] = v
+                else:
+                    del acc[mono]
+    return acc
+
+
+def _vector(acc: dict) -> GradedVector:
+    return GradedVector.from_nonzero(
+        {mono: QQi(v[0], v[1]) if type(v) is tuple else v
+         for mono, v in acc.items()})
+
+
+def _exact_vector(table: dict) -> GradedVector:
+    return GradedVector.from_nonzero({mono: QQi(c) for mono, c in table.items()})
+
+
+# ---------------------------------------------------------------------------
 # oscillator mode action
 
 
 def gen_mode_mono(preset: VAPreset, gen: str, n: int, mono: Mono) -> GradedVector:
     """Apply the oscillator mode gen_n to a canonical basis monomial."""
-    memo = preset._memos["gen"]
-    key = (gen, n, mono)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = _gen_mode_mono_impl(preset, gen, n, mono, memo)
-    memo[key] = out
-    return out
+    return _exact_vector(_gen(preset, gen, n, mono))
 
 
-def _gen_mode_mono_impl(preset, gen, n, mono, memo):
+def _gen_mode_mono_impl(preset, gen, n, mono):
     if preset.kind == "heisenberg" and n == 0:
         # a_0 is central and kills the vacuum
-        return GradedVector.zero()
+        return {}
     if not mono:
         if n <= -preset.creation_floor(gen):
-            return GradedVector.basis(((gen, -n),))
-        return GradedVector.zero()
+            return {((gen, -n),): 1}
+        return {}
     g0, m0 = mono[0]
     rest = mono[1:]
     if n < 0 and (-n > m0 or (-n == m0
                               and preset.gen_index(gen) <= preset.gen_index(g0))):
-        return GradedVector.basis(((gen, -n),) + mono)
+        return {((gen, -n),) + mono: 1}
     # not in place: commute past the first factor
-    out = gen_mode_apply(preset, g0, -m0, gen_mode_mono(preset, gen, n, rest))
+    out = {}
+    for mono2, c in _gen(preset, gen, n, rest).items():
+        _acc(out, _gen(preset, g0, -m0, mono2), c)
     gens, central = preset.commutator(gen, n, g0, -m0)
-    rest_vec = GradedVector.basis(rest)
     if central:
-        out = out + rest_vec.scale(central)
+        _acc(out, {rest: central}, 1)
     for g2, n2, coeff in gens:
         if coeff:
-            out = out + gen_mode_mono(preset, g2, n2, rest).scale(coeff)
+            _acc(out, _gen(preset, g2, n2, rest), coeff)
     return out
 
 
 def gen_mode_apply(preset: VAPreset, gen: str, n: int, v: GradedVector) -> GradedVector:
     """Linear extension of `gen_mode_mono` to arbitrary vectors."""
-    out = GradedVector.zero()
-    for mono, coeff in v.terms.items():
-        out = out + gen_mode_mono(preset, gen, n, mono).scale(coeff)
-    return out
+    return _vector(_combine((coeff, _gen(preset, gen, n, mono))
+                            for mono, coeff in v.terms.items()))
 
 
 # ---------------------------------------------------------------------------
 # translation operator
 
 
-def translate_mono(preset: VAPreset, mono: Mono) -> GradedVector:
+def translate_mono(preset: VAPreset, mono: Mono) -> dict:
     """T = L_{-1} on a basis monomial, by the derivation rule
-    [T, x_{-m}] = (m - w + 1) x_{-m-1} for a weight-w current."""
+    [T, x_{-m}] = (m - w + 1) x_{-m-1} for a weight-w current.
+
+    Returns the memo table entry {mono: int | Fraction}; do not mutate it.
+    """
     memo = preset._memos["tr"]
-    hit = memo.get(mono)
-    if hit is not None:
-        return hit
-    if not mono:
-        out = GradedVector.zero()
-    else:
+    out = memo.get(mono)
+    if out is not None:
+        return out
+    out = {}
+    if mono:
         g0, m0 = mono[0]
         rest = mono[1:]
-        w = preset.weight(g0)
-        out = GradedVector.basis(((g0, m0 + 1),) + rest).scale(m0 - w + 1)
-        out = out + gen_mode_apply(preset, g0, -m0, translate_mono(preset, rest))
+        # m0 >= w for every creation factor, so this coefficient is >= 1
+        out[((g0, m0 + 1),) + rest] = m0 - preset.weight(g0) + 1
+        for mono2, c in translate_mono(preset, rest).items():
+            _acc(out, _gen(preset, g0, -m0, mono2), c)
     memo[mono] = out
     return out
 
 
 def translate(preset: VAPreset, v: GradedVector) -> GradedVector:
-    out = GradedVector.zero()
-    for mono, coeff in v.terms.items():
-        out = out + translate_mono(preset, mono).scale(coeff)
-    return out
+    return translate_power(preset, v, 1)
 
 
 def translate_power(preset: VAPreset, v: GradedVector, j: int) -> GradedVector:
+    if j <= 0:
+        return v
+    terms = v.terms
     for _ in range(j):
-        v = translate(preset, v)
-    return v
+        terms = _combine((coeff, translate_mono(preset, mono))
+                         for mono, coeff in terms.items())
+    return _vector(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -269,36 +399,30 @@ def translate_power(preset: VAPreset, v: GradedVector, j: int) -> GradedVector:
 
 def state_mode_mono(preset: VAPreset, a: Mono, n: int, b: Mono) -> GradedVector:
     """The n-th vertex operator mode of basis state a applied to basis state b."""
-    memo = preset._memos["sm"]
-    key = (a, n, b)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = _state_mode_impl(preset, a, n, b)
-    memo[key] = out
-    return out
+    return _exact_vector(_sm(preset, a, n, b))
 
 
 def _state_mode_impl(preset, a, n, b):
     if not a:
-        return GradedVector.basis(b) if n == -1 else GradedVector.zero()
+        return {b: 1} if n == -1 else {}
     x, m = a[0]
     rest = a[1:]
     w = preset.weight(x)
     p = -m + w - 1
     deg_rest = mono_degree(rest)
     deg_b = mono_degree(b)
-    out = GradedVector.zero()
+    out = {}
     # sum_i (-1)^i C(p,i) u_(p-i) (rest_(n+i) b); rest_(k) b vanishes for
     # k > deg rest + deg b - 1 by the grading bound
     for i in range(0, max(0, deg_rest + deg_b - n)):
-        inner = state_mode_mono(preset, rest, n + i, b)
+        inner = _sm(preset, rest, n + i, b)
         if inner:
             coeff = (1 if i % 2 == 0 else -1) * binom(p, i)
             if coeff:
                 # u_(j) is the oscillator mode x_{j-w+1}
-                out = out + gen_mode_apply(preset, x, (p - i) - w + 1,
-                                           inner).scale(coeff)
+                k = (p - i) - w + 1
+                for mono, c in inner.items():
+                    _acc(out, _gen(preset, x, k, mono), c * coeff)
     # -(-1)^p sum_i (-1)^i C(p,i) rest_(p+n-i) (u_(i) b); u_(i) b vanishes
     # once the oscillator index i-w+1 exceeds deg b
     sign_p = 1 if p % 2 == 0 else -1
@@ -306,32 +430,25 @@ def _state_mode_impl(preset, a, n, b):
         coeff = binom(p, i)
         if not coeff:
             continue
-        ub = gen_mode_mono(preset, x, i - w + 1, b)
+        ub = _gen(preset, x, i - w + 1, b)
         if not ub:
             continue
-        inner = state_mode_apply_mono_left(preset, rest, p + n - i, ub)
-        if inner:
-            sgn = -sign_p * (1 if i % 2 == 0 else -1)
-            out = out + inner.scale(sgn * coeff)
+        coeff *= -sign_p * (1 if i % 2 == 0 else -1)
+        for mono, c in ub.items():
+            _acc(out, _sm(preset, rest, p + n - i, mono), c * coeff)
     return out
 
 
 def state_mode_apply_mono_left(preset, a: Mono, n: int, v: GradedVector) -> GradedVector:
-    out = GradedVector.zero()
-    for mono, coeff in v.terms.items():
-        out = out + state_mode_mono(preset, a, n, mono).scale(coeff)
-    return out
+    return _vector(_combine((coeff, _sm(preset, a, n, mono))
+                            for mono, coeff in v.terms.items()))
 
 
 def state_mode(preset: VAPreset, a: GradedVector, n: int, b: GradedVector) -> GradedVector:
     """Bilinear extension: a_(n) b for arbitrary vectors a, b."""
-    out = GradedVector.zero()
-    for am, ac in a.terms.items():
-        for bm, bc in b.terms.items():
-            piece = state_mode_mono(preset, am, n, bm)
-            if piece:
-                out = out + piece.scale(ac * bc)
-    return out
+    return _vector(_combine((_product(ac, bc), _sm(preset, am, n, bm))
+                            for am, ac in a.terms.items()
+                            for bm, bc in b.terms.items()))
 
 
 def pole_bound(preset: VAPreset, a: GradedVector, b: GradedVector) -> int:

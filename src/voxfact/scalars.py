@@ -209,15 +209,14 @@ def scalar_pow(base, e: int):
 
 @lru_cache(maxsize=None)
 def binom(t: int, i: int) -> int:
-    """Generalized binomial C(t, i) for integer t (possibly negative), i >= 0."""
+    """Generalized binomial C(t, i) = t (t-1) ... (t-i+1) / i! for integer t
+    (possibly negative); 0 for i < 0."""
     if i < 0:
         return 0
-    num = 1
-    for l in range(i):
-        num *= t - l
-    val = Fraction(num, math.factorial(i))
-    assert val.denominator == 1
-    return val.numerator
+    if t >= 0:
+        return math.comb(t, i)
+    # upper negation: C(t, i) = (-1)^i C(i - t - 1, i)
+    return math.comb(i - t - 1, i) * (-1 if i % 2 else 1)
 
 
 @dataclass(frozen=True)

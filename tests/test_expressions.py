@@ -9,7 +9,8 @@ from voxfact.expressions import (Expression, affine_act, evaluate_expression,
 from voxfact.functionals import CircleMoment, DeltaJet
 from voxfact.geometry import Annulus, Disc
 from voxfact.graded import GradedVector
-from voxfact.mu import two_point_value
+from voxfact.mu import mu_one_point, two_point_value
+from voxfact.presets import basis_upto, preset_from_name, state_mode
 from voxfact.scalars import DegreeWindow, QQi
 
 
@@ -145,6 +146,29 @@ def test_eval_exact_vs_numeric_pair(boson, window6):
         scale = max(exact.component(k).norm_inf(), 1.0)
         assert approx.component(k).distance(
             exact.component(k).to_complex()) / scale < 1e-8, k
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "virasoro", "affine_sl2"])
+def test_moment_around_delta_evaluates_exactly(name):
+    """moment(q, r, n) (x) a times delta_q (x) b is mu(a_(n) b, q), also for
+    a negative exponent, whose pole sits at the delta point."""
+    preset = preset_from_name(name)
+    window = DegreeWindow(0, 4)
+    q, r = QQi(Fraction(1, 2), Fraction(-3, 4)), Fraction(3, 4)
+    low = basis_upto(preset, 2)[1:]
+    a = GradedVector.basis(low[0]).scale(QQi(2, -1))
+    b = GradedVector.basis(low[-1]) + GradedVector.basis(low[0]).scale(
+        QQi(Fraction(1, 3)))
+    for n in range(-3, 2):
+        x = Expression.single(Annulus(q, r / 2, 2 * r),
+                              [CircleMoment(q, r, n)], [a])
+        y = Expression.single(Disc(q, r / 2), [DeltaJet(q, 0)], [b])
+        got = evaluate_expression(multiply(x, y, Disc(q, 2 * r)), preset,
+                                  window)
+        want = mu_one_point(preset, state_mode(preset, a, n, b), q, window)
+        for k in window.degrees():
+            assert got.component(k) == want.component(k), (n, k)
+            assert got.component(k).is_exact(), (n, k)
 
 
 def test_eval_annulus_moment_vanishing(boson, window6):

@@ -9,12 +9,15 @@ independent machine oracle for everything beyond these one-bracket cases.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxfact.graded import GradedVector, mono_degree
 from voxfact.oracle import oracle_mode_mono
-from voxfact.presets import (basis, basis_upto, gen_mode_apply, pole_bound,
-                             preset_from_name, state_mode, state_mode_mono,
-                             translate)
+from voxfact.presets import (basis, basis_upto, clear_caches, gen_mode_apply,
+                             gen_mode_mono, pole_bound, preset_from_name,
+                             state_mode, state_mode_apply_mono_left,
+                             state_mode_mono, translate)
 from voxfact.scalars import QQi
 
 VAC = GradedVector.vacuum()
@@ -152,3 +155,109 @@ def test_pole_bound_values(boson, vir):
 def test_gen_mode_annihilates_vacuum(boson):
     for n in range(0, 4):
         assert not gen_mode_apply(boson, "a", n, VAC)
+
+
+def test_clear_caches_empties_every_table():
+    # each cold benchmark op relies on this, and the oracle's memo must not
+    # grow the process from one round to the next
+    made = [preset_from_name(n) for n in ("heisenberg", "virasoro",
+                                          "affine_sl2")]
+    for p in made:
+        am, bm = basis(p, 2)[0], basis(p, 2)[-1]
+        state_mode(p, GradedVector.basis(am), 0, GradedVector.basis(bm))
+        translate(p, GradedVector.basis(bm))
+        oracle_mode_mono(p, am, -1, bm)
+        for name in ("gen", "tr", "sm", "basis", "oracle"):
+            assert p._memos[name], (p.kind, name)
+    clear_caches()
+    for p in made:
+        assert not any(p._memos.values()), p.kind
+
+
+# --- the public boundary against the plain linear extension -----------------
+
+_PRESETS = {n: preset_from_name(n) for n in ("heisenberg", "virasoro",
+                                             "affine_sl2")}
+_rat = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_nonzero = _rat.filter(bool)
+_exact = st.builds(QQi, _rat, _nonzero) | st.builds(QQi, _nonzero)  # non-real, real
+_numeric = st.builds(complex, st.integers(-4, 4),
+                     st.floats(-4, 4, allow_nan=False)) | st.builds(
+    complex, st.floats(-4, 4, allow_nan=False),
+    st.floats(-4, 4, allow_nan=False))
+_KINDS = {"exact": (_exact,), "complex": (_numeric,),
+          "mixed": (_exact, _numeric)}
+
+
+@st.composite
+def _vectors(draw, preset, kind, first):
+    # The vacuum and a generator x always take part, so that at n = -1 the
+    # pairs (|0>, x) and (x, |0>) land on the same term.  A mixed vector
+    # gives them coefficients of opposite kinds, the vacuum's chosen by
+    # `first`; the other terms draw either kind.
+    gen = draw(st.sampled_from(preset.generators))
+    monos = [(), ((gen, preset.creation_floor(gen)),)] + draw(
+        st.lists(st.sampled_from(basis_upto(preset, 3)), max_size=4))
+    kinds = _KINDS[kind]
+    return GradedVector({m: draw(kinds[(first + i) % len(kinds)]
+                                 if i < 2 else st.one_of(*kinds))
+                         for i, m in enumerate(dict.fromkeys(monos))})
+
+
+def _extend(pieces):
+    """The linear extension as a loop of GradedVector.scale and +."""
+    out = GradedVector.zero()
+    for vec, coeff in pieces:
+        if vec:
+            out = out + vec.scale(coeff)
+    return out
+
+
+def _same_terms(got, want):
+    assert got.terms.keys() == want.terms.keys()
+    for mono, c in want.terms.items():
+        assert type(got.terms[mono]) is type(c), (mono, got.terms[mono], c)
+        assert got.terms[mono] == c, (mono, got.terms[mono], c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_PRESETS)),
+       st.sampled_from(sorted(_KINDS)), st.integers(-2, 1), st.booleans())
+def test_boundary_matches_linear_extension(data, name, kind, n, first):
+    # a mixed pair (a, b) has opposite kinds on its vacuum terms, so at
+    # n = -1 the generator term of a_(n) b always sums an exact and a
+    # complex contribution, in the order `first` picks
+    p = _PRESETS[name]
+    a = data.draw(_vectors(p, kind, first))
+    b = data.draw(_vectors(p, kind, not first))
+    am = data.draw(st.sampled_from(basis_upto(p, 3)))
+    gen = data.draw(st.sampled_from(p.generators))
+    for m in {n, -1}:
+        _same_terms(state_mode(p, a, m, b),
+                    _extend((state_mode_mono(p, x, m, y), ac * bc)
+                            for x, ac in a.terms.items()
+                            for y, bc in b.terms.items()))
+    _same_terms(state_mode_apply_mono_left(p, am, n, b),
+                _extend((state_mode_mono(p, am, n, y), bc)
+                        for y, bc in b.terms.items()))
+    _same_terms(gen_mode_apply(p, gen, n, b),
+                _extend((gen_mode_mono(p, gen, n, y), bc)
+                        for y, bc in b.terms.items()))
+    _same_terms(translate(p, b),
+                _extend((translate(p, GradedVector.basis(y)), bc)
+                        for y, bc in b.terms.items()))
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_boundary_mixed_term_in_both_orders(boson, first):
+    # the a(-1) term of a_(-1) b sums an exact non-real contribution and a
+    # complex one; `first` picks which comes first
+    x, z = QQi(Fraction(1, 3), 2), 0.25 - 1.5j
+    ca, cb = (z, x) if first else (x, z)
+    g = B("a(-1)")
+    a, b = VAC.scale(ca) + g.scale(cb), VAC.scale(cb) + g.scale(ca)
+    got = state_mode(boson, a, -1, b)
+    _same_terms(got, _extend((state_mode_mono(boson, am, -1, bm), ac * bc)
+                             for am, ac in a.terms.items()
+                             for bm, bc in b.terms.items()))
+    assert type(got.terms[((("a", 1),))]) is complex

@@ -1,4 +1,5 @@
 """Exact scalar arithmetic and the exact/approx coercion rule."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,13 @@ def test_binom_values():
     assert binom(-3, 2) == 6
     assert binom(2, 5) == 0
     assert binom(4, 0) == 1
+    assert binom(3, -1) == 0 and binom(-3, -2) == 0
+    # negative t against the falling factorial t (t-1) ... (t-i+1) / i!
+    for t in range(-12, 0):
+        for i in range(0, 12):
+            falling = math.prod(t - l for l in range(i))
+            assert binom(t, i) * math.factorial(i) == falling, (t, i)
+            assert type(binom(t, i)) is int
 
 
 def test_degree_window():
