@@ -135,9 +135,6 @@ def _emit(args, text):
         print(text)
 
 
-_MONO_RE = None
-
-
 def _load_state(text):
     """A state is either a GradedVector JSON object or a compact monomial
     string like 'a(-2)a(-1)' ('' or '|0>' for the vacuum), coefficient 1."""

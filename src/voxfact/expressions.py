@@ -7,28 +7,32 @@ An expression on an open carrier U is a finite sum of terms
 one analytic factor and one state per coordinate, identified under
 simultaneous permutation of coordinates (terms are kept in a canonical
 sorted form).  Evaluation pairs the functional with the multi-point
-multiplication map of the states; an exact residue route covers arities
-up to two, a nested-quadrature route covers the rest.
+multiplication map of the states.  Up to arity two the route is exact:
+the residue calculus pairs each factor with the powers of the points in
+the closed forms, and `mu.one_point_sum` and `mu.two_point_sum` sum the
+paired terms.  Other terms, and exact terms whose expansion domain does
+not fit, go through nested trapezoid quadrature
+(`functionals.apply_factor_numeric`) over the numeric route `mu_numeric`.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (ExpansionDomainMismatch, NotASubset, NotDisjoint,
                      VoxfactError)
 from .functionals import (AtomicFunctional, CircleMoment, DeltaJet,
-                          Functional, pushforward_factor, sqrt_of_modulus)
+                          affine_point, apply_factor_numeric, factor_from_obj,
+                          pushforward_factor, scale_radius, sqrt_of_modulus)
 from .geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
                        cmp_sqrt, cmp_sqrt_sum, is_disjoint, is_subset,
                        union_of)
 from .graded import GradedVector, ProductVector
-from .mu import mu_numeric, two_point_terms
-from .presets import VAPreset, translate_power
+from .mu import mu_numeric, one_point_sum, two_point_sum
+from .presets import VAPreset
 from .residues import VAR, moment_sym, point_in_circle, sym_jet
-from .scalars import DegreeWindow, QQi, is_exact
+from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
+                      is_exact, same_point)
 
 
 @dataclass(frozen=True)
@@ -91,28 +95,22 @@ class Expression:
 
     def to_obj(self):
         return {"carrier": self.carrier.to_obj(),
-                "terms": [{"coeff": _c_obj(t.coeff),
+                "terms": [{"coeff": coeff_to_obj(t.coeff),
                            "factors": [f.to_obj() for f in t.atom.factors],
                            "states": [s.to_obj() for s in t.states]}
                           for t in self.terms]}
 
     @classmethod
     def from_obj(cls, obj):
-        from .functionals import _coeff_from_obj, factor_from_obj
         carrier = OpenSet.from_obj(obj["carrier"])
         terms = []
         for e in obj["terms"]:
-            terms.append(Term(_coeff_from_obj(e["coeff"]),
+            terms.append(Term(coeff_from_obj(e["coeff"]),
                               AtomicFunctional(tuple(factor_from_obj(f)
                                                      for f in e["factors"])),
                               tuple(GradedVector.from_obj(s)
                                     for s in e["states"])))
         return cls(carrier, terms)
-
-
-def _c_obj(c):
-    from .functionals import _coeff_obj
-    return _coeff_obj(c)
 
 
 def _factor_key(f):
@@ -165,18 +163,12 @@ def _validate_term(carrier, t: Term):
 
 def _supports_separated(f, g):
     if isinstance(f, DeltaJet) and isinstance(g, DeltaJet):
-        return not _pts_eq(f.point, g.point)
+        return not same_point(f.point, g.point)
     if isinstance(f, DeltaJet) and isinstance(g, CircleMoment):
         return point_in_circle(f.point, g.center, g.radius) != 0
     if isinstance(f, CircleMoment) and isinstance(g, DeltaJet):
         return point_in_circle(g.point, f.center, f.radius) != 0
     return _circles_separated(f.center, f.radius, g.center, g.radius)
-
-
-def _pts_eq(p, q):
-    if isinstance(p, QQi) and isinstance(q, QQi):
-        return p == q
-    return complex(p) == complex(q)
 
 
 def _circles_separated(c1, r1, c2, r2):
@@ -252,23 +244,12 @@ def _map_set(u: OpenSet, lam, shift):
         return u
     mod = sqrt_of_modulus(lam)
     if isinstance(u, Disc):
-        return Disc(_aff_pt(lam, u.center, shift), _scale_rad(u.radius, mod))
+        return Disc(affine_point(lam, u.center, shift),
+                    scale_radius(u.radius, mod))
     if isinstance(u, Annulus):
-        return Annulus(_aff_pt(lam, u.center, shift),
-                       _scale_rad(u.inner, mod), _scale_rad(u.outer, mod))
+        return Annulus(affine_point(lam, u.center, shift),
+                       scale_radius(u.inner, mod), scale_radius(u.outer, mod))
     return UnionSet(tuple(_map_set(m, lam, shift) for m in u.members))
-
-
-def _aff_pt(lam, p, shift):
-    if isinstance(lam, QQi) and isinstance(p, QQi) and isinstance(shift, QQi):
-        return lam * p + shift
-    return complex(lam) * complex(p) + complex(shift)
-
-
-def _scale_rad(r, mod):
-    if isinstance(r, Fraction) and isinstance(mod, Fraction):
-        return r * mod
-    return float(r) * float(mod)
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +286,9 @@ def _eval_term_exact(preset, t: Term, window) -> ProductVector:
 
 
 def _eval_arity1(preset, a, factor, window) -> ProductVector:
-    out = ProductVector(window)
-    for d in a.degrees():
-        ah = a.project(d)
-        for k in window.degrees():
-            tpow = k - d
-            if tpow < 0:
-                continue
-            vec = translate_power(preset, ah, tpow).scale(
-                QQi(Fraction(1, math.factorial(tpow))))
-            if not vec:
-                continue
-            zero = QQi(0)
-            factors = {zero: tpow} if tpow else {}
-            scalar = _apply_outer(factor, factors)
-            if scalar is not None and scalar:
-                out.set_component(k, out.component(k) + vec.scale(scalar))
-    return out
+    # the factor paired with z^j, the j-th term of the flow exp(zT) a
+    return one_point_sum(preset, a, window,
+                         lambda j: _apply_outer(factor, {QQi(0): j} if j else {}))
 
 
 def _apply_outer(factor, z_factors):
@@ -349,20 +316,8 @@ def _eval_arity2(preset, states, factors, window) -> ProductVector:
         # jet there.  Pair the moment as the outer factor instead: the
         # states commute, all three presets being purely even.
         a, b, f1, f2 = b, a, f2, f1
-    out = ProductVector(window)
-    for da in a.degrees():
-        ah = a.project(da)
-        for db in b.degrees():
-            bh = b.project(db)
-            for k in window.degrees():
-                acc = GradedVector.zero()
-                for vec, j, e in two_point_terms(preset, ah, bh, k):
-                    scalar = _pair_bivariate(f1, f2, j, e)
-                    if scalar:
-                        acc = acc + vec.scale(scalar)
-                if acc:
-                    out.set_component(k, out.component(k) + acc)
-    return out
+    return two_point_sum(preset, a, b, window,
+                         lambda j, e: _pair_bivariate(f1, f2, j, e))
 
 
 def _pair_bivariate(f1, f2, j: int, e: int):
@@ -423,18 +378,8 @@ def _eval_term_numeric(preset, t: Term, window, tol, quad_n) -> ProductVector:
     def rec(idx, bound):
         if idx == len(t.atom.factors):
             return mu_numeric(preset, states, bound, window, tol=tol)
-        f = t.atom.factors[idx]
-        if isinstance(f, DeltaJet) and f.order == 0:
-            return rec(idx + 1, bound + [complex(f.point)])
-        if isinstance(f, DeltaJet):
-            center, radius, n = complex(f.point), jet_radius(idx), -f.order - 1
-        else:
-            center, radius, n = complex(f.center), float(f.radius), f.exponent
-        acc = None
-        for s in range(quad_n):
-            z = center + radius * cmath.exp(2j * cmath.pi * (s + 0.37) / quad_n)
-            val = rec(idx + 1, bound + [z]).scale((z - center) ** (n + 1))
-            acc = val if acc is None else acc + val
-        return acc.scale(1.0 / quad_n)
+        return apply_factor_numeric(t.atom.factors[idx],
+                                    lambda z: rec(idx + 1, bound + [z]),
+                                    quad_n, jet_radius(idx))
 
     return rec(0, [])

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-from .scalars import QQi, as_complex, is_exact, parse_qqi, scalar_pow
+from .scalars import (QQi, coeff_from_obj, coeff_to_obj, is_exact, parse_qqi,
+                      scalar_pow)
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class Functional:
 
     def to_obj(self):
         return {"arity": self.arity,
-                "atoms": [{"coeff": _coeff_obj(c),
+                "atoms": [{"coeff": coeff_to_obj(c),
                            "factors": [f.to_obj() for f in a.factors]}
                           for c, a in self.atoms]}
 
@@ -124,25 +125,10 @@ class Functional:
     def from_obj(cls, obj):
         atoms = []
         for entry in obj["atoms"]:
-            coeff = _coeff_from_obj(entry["coeff"])
+            coeff = coeff_from_obj(entry["coeff"])
             factors = tuple(factor_from_obj(f) for f in entry["factors"])
             atoms.append((coeff, AtomicFunctional(factors)))
         return cls(int(obj["arity"]), tuple(atoms))
-
-
-def _coeff_obj(c):
-    if is_exact(c):
-        q = c if isinstance(c, QQi) else QQi(c)
-        return {"re": str(q.re), "im": str(q.im)}
-    z = as_complex(c)
-    return {"re": repr(z.real), "im": repr(z.imag)}
-
-
-def _coeff_from_obj(obj):
-    re_s, im_s = str(obj["re"]), str(obj["im"])
-    if any(ch in re_s + im_s for ch in ".e") and "/" not in re_s + im_s:
-        return complex(float(re_s), float(im_s))
-    return QQi(Fraction(re_s), Fraction(im_s))
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +159,26 @@ def sqrt_of_modulus(lam):
 def pushforward_factor(factor, lam, shift):
     """Pushforward along g(z) = lam z + shift; returns (scale, factor)."""
     if isinstance(factor, DeltaJet):
-        newp = _aff(lam, factor.point, shift)
+        newp = affine_point(lam, factor.point, shift)
         return scalar_pow(lam, factor.order), DeltaJet(newp, factor.order)
-    mod = sqrt_of_modulus(lam)
-    newc = _aff(lam, factor.center, shift)
-    newr = (factor.radius * mod if isinstance(factor.radius, Fraction)
-            and isinstance(mod, Fraction) else float(factor.radius) * float(mod))
+    newc = affine_point(lam, factor.center, shift)
+    newr = scale_radius(factor.radius, sqrt_of_modulus(lam))
     return scalar_pow(lam, -factor.exponent - 1), CircleMoment(newc, newr,
                                                                factor.exponent)
 
 
-def _aff(lam, p, shift):
+def affine_point(lam, p, shift):
+    """lam p + shift, exact when all three are QQi."""
     if isinstance(lam, QQi) and isinstance(p, QQi) and isinstance(shift, QQi):
         return lam * p + shift
     return complex(lam) * complex(p) + complex(shift)
+
+
+def scale_radius(r, mod):
+    """r mod, exact when both are Fractions."""
+    if isinstance(r, Fraction) and isinstance(mod, Fraction):
+        return r * mod
+    return float(r) * float(mod)
 
 
 def pushforward_affine(f: Functional, lam, shift) -> Functional:
@@ -210,9 +202,15 @@ def pushforward_affine(f: Functional, lam, shift) -> Functional:
 
 
 def circle_nodes(center, radius, n: int):
+    """n equally spaced trapezoid nodes on |z - center| = radius.
+
+    The nodes are turned by 0.37 of a step off the real axis through the
+    centre: on real data a node there can share its modulus with another
+    insertion point, which the radial route refuses (`EqualModuli`).
+    """
     c = complex(center)
     r = float(radius)
-    return [c + r * cmath.exp(2j * cmath.pi * s / n) for s in range(n)]
+    return [c + r * cmath.exp(2j * cmath.pi * (s + 0.37) / n) for s in range(n)]
 
 
 def quadrature_moment(fn, center, radius, exponent: int, n: int):

@@ -23,10 +23,6 @@ def _abs2(p) -> Fraction:
     return z.real * z.real + z.imag * z.imag  # float fallback
 
 
-def _is_exact_point(p):
-    return isinstance(p, QQi)
-
-
 def _diff(p, q):
     if isinstance(p, QQi) and isinstance(q, QQi):
         return p - q

@@ -11,8 +11,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .scalars import (DegreeWindow, QQi, as_complex, format_qqi, is_exact,
-                      scalar_zero)
+from .scalars import (DegreeWindow, QQi, as_complex, coeff_from_obj,
+                      coeff_to_obj, format_qqi, is_exact, scalar_zero)
 
 Mono = tuple  # tuple[tuple[str, int], ...]
 
@@ -183,30 +183,16 @@ class GradedVector:
     def to_obj(self):
         out = []
         for mono in sorted(self.terms, key=_mono_sort_key):
-            c = self.terms[mono]
-            if is_exact(c):
-                q = QQi(c) if not isinstance(c, QQi) else c
-                entry = {"mono": [mono_token(f) for f in mono],
-                         "re": str(q.re), "im": str(q.im)}
-            else:
-                z = as_complex(c)
-                entry = {"mono": [mono_token(f) for f in mono],
-                         "re": repr(z.real), "im": repr(z.imag)}
-            out.append(entry)
+            out.append({"mono": [mono_token(f) for f in mono],
+                        **coeff_to_obj(self.terms[mono])})
         return {"terms": out}
 
     @classmethod
     def from_obj(cls, obj) -> "GradedVector":
-        terms = {}
+        terms = []
         for entry in obj["terms"]:
-            mono = tuple(parse_token(t) for t in entry["mono"])
-            re_s, im_s = entry["re"], entry["im"]
-            if "/" in re_s or "/" in im_s or ("." not in re_s and "." not in im_s
-                                              and "e" not in re_s and "e" not in im_s):
-                coeff = QQi(re_s, im_s)
-            else:
-                coeff = complex(float(re_s), float(im_s))
-            terms[mono] = terms.get(mono, 0) + coeff
+            terms.append((tuple(parse_token(t) for t in entry["mono"]),
+                          coeff_from_obj(entry)))
         return cls(terms)
 
     def to_json(self, **kw) -> str:

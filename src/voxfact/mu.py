@@ -4,10 +4,15 @@ The m-point map sends states a_1 .. a_m at pairwise distinct points
 z_1 .. z_m to the product-space vector obtained by applying the vertex
 operators in radial order to the vacuum.  Two computational routes:
 
-* an exact route for one and two insertion points, built degreewise from
-  state modes and the translation operator;
+* closed forms for one and two insertion points, the flow exp(zT) a and
+  the two-point map e^{wT} Y(a, z-w) b.  Two assemblers build them over a
+  degree window with a caller-supplied scalar per term: `one_point_sum`
+  and `two_point_sum`.  With powers of the points as scalars they give
+  `mu_one_point` and `two_point_value`; `expressions` passes the pairings
+  of jets and moments instead;
 * a numeric route for any arity, with intermediate degrees summed
-  adaptively under a geometric tail estimate.
+  adaptively under a geometric tail estimate.  Its innermost state flows
+  through `mu_one_point`.
 """
 from __future__ import annotations
 
@@ -16,10 +21,10 @@ from fractions import Fraction
 
 from .errors import DomainViolation, EqualModuli, NonConvergent
 from .graded import GradedVector, ProductVector
-from .presets import (VAPreset, state_mode, state_mode_apply_mono_left,
-                      translate, translate_power)
+from .presets import VAPreset, state_mode, translate
 from .report import CheckReport
-from .scalars import DegreeWindow, QQi, as_complex, is_exact, scalar_pow
+from .scalars import (DegreeWindow, QQi, as_complex, is_exact, same_point,
+                      scalar_pow, scalar_zero)
 
 
 def default_dmax(window: DegreeWindow) -> int:
@@ -27,106 +32,78 @@ def default_dmax(window: DegreeWindow) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact routes (one and two insertion points)
+# closed forms (one and two insertion points)
+
+
+def one_point_sum(preset: VAPreset, a: GradedVector, window: DegreeWindow,
+                  scalar) -> ProductVector:
+    """sum_j scalar(j) T^j a / j!, windowed.
+
+    T^j a / j! of a homogeneous part of degree d has degree d + j, so only
+    the j with d + j in the window are formed.  ``scalar`` is called only
+    for nonzero T^j a, and a zero scalar drops its term.
+    """
+    out = ProductVector(window)
+    for d in a.degrees():
+        v = a.project(d)
+        for j in range(window.hi - d + 1):
+            if j:
+                v = translate(preset, v)
+                if not v:
+                    break
+            if d + j < window.lo:
+                continue
+            s = scalar(j)
+            if s:
+                piece = v.scale(s * QQi(Fraction(1, math.factorial(j))))
+                out.set_component(d + j, out.component(d + j) + piece)
+    return out
+
+
+def two_point_sum(preset: VAPreset, a: GradedVector, b: GradedVector,
+                  window: DegreeWindow, scalar) -> ProductVector:
+    """sum over n, j of scalar(j, -n-1) T^j (a_(n) b) / j!, windowed.
+
+    With scalar(j, e) = w^j (z-w)^e this is e^{wT} Y(a, z-w) b.  Each
+    a_(n) b of homogeneous parts goes through `one_point_sum`.
+    """
+    out = ProductVector(window)
+    for da in a.degrees():
+        ah = a.project(da)
+        for db in b.degrees():
+            bh = b.project(db)
+            # a_(n) b has degree da + db - n - 1 and vanishes for n >= da + db
+            for n in range(da + db - 1 - window.hi, da + db):
+                vec = state_mode(preset, ah, n, bh)
+                if vec:
+                    out = out + one_point_sum(preset, vec, window,
+                                              lambda j: scalar(j, -n - 1))
+    return out
 
 
 def mu_one_point(preset: VAPreset, a: GradedVector, z,
                  window: DegreeWindow) -> ProductVector:
-    """mu(a, z): the exponential translation flow of a, windowed.
-
-    Exact when a and z are exact.
-    """
-    out = ProductVector(window)
-    v = a
-    fact = 1
-    j = 0
-    while v and min(v.degrees()) <= window.hi:
-        zj = scalar_pow(z, j)
-        piece = v.scale(zj * QQi(Fraction(1, fact)))
-        for k in window.degrees():
-            pk = piece.project(k)
-            if pk:
-                out.set_component(k, out.component(k) + pk)
-        j += 1
-        fact *= j
-        v = translate(preset, v)
-    return out
-
-
-def two_point_terms(preset: VAPreset, a: GradedVector, b: GradedVector, k: int):
-    """Degree-k part of mu(a, z, b, w) as a finite list of closed-form terms.
-
-    Each entry (vec, j, e) stands for vec * w^j / j! * (z - w)^e with vec
-    homogeneous of degree k.  Requires homogeneous a and b.
-    """
-    da, db = a.degree(), b.degree()
-    out = []
-    for j in range(0, k + 1):
-        n = da + db + j - k - 1
-        vec = state_mode(preset, a, n, b)
-        if vec:
-            tj = translate_power(preset, vec, j).scale(QQi(Fraction(1, math.factorial(j))))
-            if tj:
-                out.append((tj, j, k - da - db - j))
-    return out
+    """mu(a, z) = exp(zT) a, windowed.  Exact when a and z are exact."""
+    if scalar_zero(z):
+        return ProductVector.from_vector(a, window)
+    return one_point_sum(preset, a, window, lambda j: scalar_pow(z, j))
 
 
 def two_point_value(preset: VAPreset, a: GradedVector, b: GradedVector,
                     z, w, window: DegreeWindow) -> ProductVector:
-    """mu(a, z, b, w) windowed; exact for exact inputs, needs z != w."""
-    if _close(z, w):
+    """mu(a, z, b, w) = e^{wT} Y(a, z-w) b windowed; exact for exact inputs,
+    needs z != w."""
+    if same_point(z, w):
         raise DomainViolation("coincident insertion points")
-    out = ProductVector(window)
-    for ah in _homog_parts(a):
-        for bh in _homog_parts(b):
-            for k in window.degrees():
-                acc = GradedVector.zero()
-                for vec, j, e in two_point_terms(preset, ah, bh, k):
-                    # two_point_terms already carries the 1/j!
-                    acc = acc + vec.scale(scalar_pow(w, j) * scalar_pow(_sub(z, w), e))
-                out.set_component(k, out.component(k) + acc)
-    return out
-
-
-def skew_two_point_value(preset: VAPreset, a: GradedVector, b: GradedVector,
-                         z, window: DegreeWindow) -> ProductVector:
-    """mu(a, z, b, 0) computed through the transported opposite product,
-    exp(zT) applied to the expansion of b against a at -z."""
-    out = ProductVector(window)
-    for ah in _homog_parts(a):
-        for bh in _homog_parts(b):
-            da, db = ah.degree(), bh.degree()
-            for k in window.degrees():
-                acc = GradedVector.zero()
-                for j in range(0, k + 1):
-                    n = da + db + j - k - 1
-                    vec = state_mode(preset, bh, n, ah)
-                    if vec:
-                        coeff = (scalar_pow(z, j) * QQi(Fraction(1, math.factorial(j)))
-                                 * scalar_pow(_neg(z), -n - 1))
-                        acc = acc + translate_power(preset, vec, j).scale(coeff)
-                out.set_component(k, out.component(k) + acc)
-    return out
-
-
-def _homog_parts(v: GradedVector):
-    return [v.project(d) for d in v.degrees()]
+    zw = _sub(z, w)
+    return two_point_sum(preset, a, b, window,
+                         lambda j, e: scalar_pow(w, j) * scalar_pow(zw, e))
 
 
 def _sub(z, w):
     if is_exact(z) and is_exact(w):
         return QQi(z) - QQi(w) if not isinstance(z, QQi) else z - (w if isinstance(w, QQi) else QQi(w))
     return as_complex(z) - as_complex(w)
-
-
-def _neg(z):
-    return -z if isinstance(z, QQi) else (QQi(-z) if is_exact(z) else -as_complex(z))
-
-
-def _close(z, w):
-    if is_exact(z) and is_exact(w):
-        return _sub(z, w) == QQi(0)
-    return abs(as_complex(z) - as_complex(w)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +134,7 @@ def mu_numeric(preset: VAPreset, states, points, window: DegreeWindow,
             raise EqualModuli(f"insertion moduli coincide: {z1}, {z2}")
     for i in range(m):
         for j in range(i + 1, m):
-            if _close(pairs[i][1], pairs[j][1]):
+            if same_point(pairs[i][1], pairs[j][1]):
                 raise DomainViolation("coincident insertion points")
 
     # the cap must reach past every input degree or the expansion silently
@@ -182,49 +159,32 @@ def mu_numeric(preset: VAPreset, states, points, window: DegreeWindow,
 def _mu_pass(preset, pairs, cap, window):
     # innermost state flowed to its point, carried up to degree cap
     inner_state, inner_z = pairs[-1]
-    comps: dict[int, GradedVector] = {}
-    zc = as_complex(inner_z)
-    v = inner_state.to_complex()
-    fact = 1.0
-    j = 0
-    while v and min(v.degrees()) <= cap:
-        piece = v.scale((zc ** j) / fact) if j else v
-        for d in piece.degrees():
-            if d <= cap:
-                comps[d] = comps.get(d, GradedVector.zero()) + piece.project(d)
-        j += 1
-        fact *= j
-        if zc == 0:
-            break
-        v = translate(preset, v)
+    comps = mu_one_point(preset, inner_state.to_complex(), as_complex(inner_z),
+                         DegreeWindow(0, cap)).components
 
     worst_tail = 0.0
     rest = list(reversed(pairs[:-1]))
     for pos, (a, z) in enumerate(rest):
         # the outermost operator only needs to land inside the window
         out_cap = window.hi if pos == len(rest) - 1 else cap
-        comps, contribs = _apply_operator(preset, a, as_complex(z), comps, cap,
+        comps, contribs = _apply_operator(preset, a, as_complex(z), comps,
                                           out_cap, window.hi)
         worst_tail = max(worst_tail, _tail_estimate(contribs))
     return comps, worst_tail
 
 
-def _apply_operator(preset, a, z: complex, comps, cap, out_cap, window_hi):
+def _apply_operator(preset, a, z: complex, comps, out_cap, window_hi):
     out: dict[int, GradedVector] = {}
     contribs: list[float] = []
     for j in sorted(comps):
         vj = comps[j]
         # the tail is judged on the degrees that survive the window
         level_norm = 0.0
-        for ah in _homog_parts(a):
-            da = ah.degree()
+        for da in a.degrees():
+            ah = a.project(da)
             for k in range(0, out_cap + 1):
                 n = da + j - k - 1
-                term = GradedVector.zero()
-                for am, ac in ah.terms.items():
-                    piece = state_mode_apply_mono_left(preset, am, n, vj)
-                    if piece:
-                        term = term + piece.scale(ac)
+                term = state_mode(preset, ah, n, vj)
                 if term:
                     term = term.scale(z ** (-n - 1))
                     out[k] = out.get(k, GradedVector.zero()) + term
@@ -256,7 +216,9 @@ def _tail_estimate(contribs):
 
 
 def check_insertion_at_zero(preset: VAPreset, max_degree: int = 6) -> CheckReport:
-    """mu(a, 0) returns a on the nose for every basis state."""
+    """The flow exp(zT) a at z = 0 returns a on the nose for every basis
+    state.  It runs the flow's general sum, `one_point_sum`, because
+    `mu_one_point` returns a at z = 0 without summing."""
     from .presets import basis_upto
     worst = 0.0
     witness = {}
@@ -265,7 +227,8 @@ def check_insertion_at_zero(preset: VAPreset, max_degree: int = 6) -> CheckRepor
         a = GradedVector.basis(mono)
         d = a.degree()
         window = DegreeWindow(0, max(d, max_degree))
-        got = mu_one_point(preset, a, QQi(0), window)
+        got = one_point_sum(preset, a, window,
+                            lambda j: scalar_pow(QQi(0), j))
         expect = ProductVector.from_vector(a, window)
         if not all((got.component(k) - expect.component(k)).norm_inf() == 0
                    for k in window.degrees()):
@@ -396,12 +359,14 @@ def check_permutation(preset: VAPreset, states, points, window: DegreeWindow,
 
 
 def check_skew_transport(preset: VAPreset, pairs, z, window: DegreeWindow) -> CheckReport:
-    """Exact: mu(a,z,b,0) equals the translation transport of b against a."""
+    """Exact skew-symmetry Y(a, z) b = e^{zT} Y(b, -z) a, in the form
+    mu(a, z, b, 0) == mu(b, 0, a, z): the right side expands b against a
+    and transports the result by the translation flow to z."""
     ok = True
     witness = {}
     for a, b in pairs:
         lhs = two_point_value(preset, a, b, z, QQi(0), window)
-        rhs = skew_two_point_value(preset, a, b, z, window)
+        rhs = two_point_value(preset, b, a, QQi(0), z, window)
         for k in window.degrees():
             if lhs.component(k) != rhs.component(k):
                 ok = False

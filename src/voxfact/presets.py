@@ -22,12 +22,11 @@ A coefficient is a Fraction only where c or the level makes it
 non-integral; an integral one is stored as int.  The recursion fills these
 tables in place and never builds a `QQi` or a `GradedVector`.  `QQi`
 enters only in the public functions (`gen_mode_mono`, `gen_mode_apply`,
-`translate`, `translate_power`, `state_mode_mono`,
-`state_mode_apply_mono_left`, `state_mode`), which lift a table, or a
-linear combination of tables, into one `GradedVector` per call: exact
-coefficients give `QQi`, and a term with any complex contribution is
-complex, exactly as `GradedVector.scale` and `+` would give.
-`clear_caches` empties every table.
+`translate`, `translate_power`, `state_mode_mono`, `state_mode`), which
+lift a table, or a linear combination of tables, into one `GradedVector`
+per call: exact coefficients give `QQi`, and a term with any complex
+contribution is complex, exactly as `GradedVector.scale` and `+` would
+give.  `clear_caches` empties every table.
 
 `state_mode` peels the leading PBW factor of the acting state through the
 standard iterate expansion
@@ -439,16 +438,13 @@ def _state_mode_impl(preset, a, n, b):
     return out
 
 
-def state_mode_apply_mono_left(preset, a: Mono, n: int, v: GradedVector) -> GradedVector:
-    return _vector(_combine((coeff, _sm(preset, a, n, mono))
-                            for mono, coeff in v.terms.items()))
-
-
 def state_mode(preset: VAPreset, a: GradedVector, n: int, b: GradedVector) -> GradedVector:
     """Bilinear extension: a_(n) b for arbitrary vectors a, b."""
-    return _vector(_combine((_product(ac, bc), _sm(preset, am, n, bm))
-                            for am, ac in a.terms.items()
-                            for bm, bc in b.terms.items()))
+    # most pairs have an empty table; skip them before the coefficient product
+    tables = ((ac, bc, _sm(preset, am, n, bm))
+              for am, ac in a.terms.items() for bm, bc in b.terms.items())
+    return _vector(_combine((_product(ac, bc), table)
+                            for ac, bc, table in tables if table))
 
 
 def pole_bound(preset: VAPreset, a: GradedVector, b: GradedVector) -> int:

@@ -9,14 +9,13 @@ disc-supported relations along scaling orbits.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from fractions import Fraction
 
 from .errors import NotDisjoint, VoxfactError
 from .expressions import (Expression, Term, _factor_key, _state_key,
                           affine_act, evaluate_expression, extend, multiply)
-from .functionals import AtomicFunctional, CircleMoment, DeltaJet
+from .functionals import (AtomicFunctional, CircleMoment, DeltaJet,
+                          quadrature_moment)
 from .geometry import Annulus, Disc, OpenSet
 from .graded import GradedVector
 from .linalg import nullspace
@@ -72,20 +71,20 @@ def weight_project(expr: Expression, k: int, preset: VAPreset,
     """Degree-k weight component of an expression via the dilation orbit.
 
     Samples the scaling action q |-> ev(q . expr) on a circle |q| = t and
-    extracts the q^k Fourier coefficient by the trapezoid rule, which is
-    exact below the aliasing bandwidth.  Returns (GradedVector, metadata).
+    extracts the q^k Fourier coefficient, the moment of exponent -k-1, by
+    the trapezoid rule, which is exact below the aliasing bandwidth.
+    Returns (GradedVector, metadata).
     """
     if quad_n is None:
         quad_n = 2 * window.hi + 16
     if t is None:
         t = _orbit_radius(expr)
-    acc = GradedVector.zero()
-    for s in range(quad_n):
-        q = t * cmath.exp(2j * cmath.pi * s / quad_n)
-        scaled = affine_act(q, QQi(0), expr)
-        v = evaluate_expression(scaled, preset, window).flatten()
-        acc = acc + v.scale(q ** (-k)) if v else acc
-    acc = acc.scale(1.0 / quad_n)
+
+    def ev(q):
+        return evaluate_expression(affine_act(q, QQi(0), expr), preset,
+                                   window).flatten()
+
+    acc = quadrature_moment(ev, 0, t, -k - 1, quad_n)
     off = sum(acc.project(d).norm_inf()
               for d in acc.degrees() if d != k)
     meta = {"quad_n": quad_n, "t": t, "off_degree_mass": off}

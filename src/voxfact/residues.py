@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExpansionDomainMismatch
-from .scalars import QQi, binom, scalar_pow, scalar_zero
+from .scalars import QQi, binom, same_point, scalar_pow, scalar_zero
 
 VAR = object()  # sentinel base for the unbound outer variable
 
@@ -46,15 +46,9 @@ def _find_base(factors: dict, base):
     for k in factors:
         if k is VAR:
             continue
-        if _same_point(k, base):
+        if same_point(k, base):
             return k
     return None
-
-
-def _same_point(p, q) -> bool:
-    if isinstance(p, QQi) and isinstance(q, QQi):
-        return p == q
-    return complex(p) == complex(q)
 
 
 def _power_at(p, b, e: int):

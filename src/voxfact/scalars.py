@@ -195,6 +195,33 @@ def scalar_zero(x) -> bool:
     return x == 0
 
 
+def same_point(p, q) -> bool:
+    """p == q: exactly when both are exact, else as complex numbers."""
+    if is_exact(p) and is_exact(q):
+        return p == q
+    return complex(p) == complex(q)
+
+
+def coeff_to_obj(c) -> dict:
+    """JSON form of a coefficient: exact parts as fraction strings, numeric
+    parts as float reprs."""
+    if is_exact(c):
+        q = c if isinstance(c, QQi) else QQi(c)
+        return {"re": str(q.re), "im": str(q.im)}
+    z = as_complex(c)
+    return {"re": repr(z.real), "im": repr(z.imag)}
+
+
+def coeff_from_obj(obj):
+    """Inverse of `coeff_to_obj`; also reads JSON numbers.  A coefficient is
+    exact if its parts hold a "/", or hold neither "." nor "e"."""
+    re_s, im_s = str(obj["re"]), str(obj["im"])
+    both = re_s + im_s
+    if "/" in both or not ("." in both or "e" in both):
+        return QQi(Fraction(re_s), Fraction(im_s))
+    return complex(float(re_s), float(im_s))
+
+
 def scalar_pow(base, e: int):
     """base**e with the 0**0 == 1 convention, exact when base is exact."""
     if e == 0:

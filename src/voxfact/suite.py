@@ -17,8 +17,7 @@ from .mu import (check_associativity, check_equivariance_exact,
                  check_equivariance_numeric, check_insertion_at_zero,
                  check_meromorphicity, check_permutation, check_skew_transport)
 from .oracle import oracle_mode_mono
-from .presets import (VAPreset, basis_upto, pole_bound, preset_from_name,
-                      state_mode_mono)
+from .presets import VAPreset, basis_upto, preset_from_name, state_mode_mono
 from .relations import (check_weight_idempotent, check_weight_partition,
                         check_weight_quadrature, concentric_density_check,
                         multiplicativity_check, relation_kernel,

@@ -1,0 +1,103 @@
+"""The one JSON coefficient codec, through every type that writes it."""
+import json
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from voxfact.expressions import Expression
+from voxfact.functionals import CircleMoment, DeltaJet, Functional
+from voxfact.geometry import Disc
+from voxfact.graded import GradedVector
+from voxfact.scalars import QQi, coeff_from_obj, coeff_to_obj
+
+PAYLOADS = Path(__file__).resolve().parent / "data" / "parent_payloads.json"
+
+_rat = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+_exact = st.builds(QQi, _rat, _rat)
+_float = st.floats(allow_nan=False, allow_infinity=False)
+_complex = st.builds(complex, _float, _float)
+_KINDS = {"exact": _exact, "complex": _complex,
+          "mixed": st.one_of(_exact, _complex)}
+_MONOS = [(), (("a", 1),), (("a", 2),), (("a", 2), ("a", 1)), (("a", 3),)]
+
+
+def _same(got, want):
+    assert type(got) is type(want), (got, want)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_KINDS)), st.data())
+def test_round_trip_through_every_json_type(kind, data):
+    coeffs = data.draw(st.lists(_KINDS[kind].filter(bool), min_size=3,
+                                max_size=5))
+    v = GradedVector(dict(zip(_MONOS, coeffs)))
+    back = GradedVector.from_json(v.to_json())
+    assert back.terms.keys() == v.terms.keys()
+    for mono, c in v.terms.items():
+        _same(back.terms[mono], c)
+
+    jet, mom = DeltaJet(QQi(1), 1), CircleMoment(QQi(0), Fraction(1, 2), -1)
+    f = Functional(2, tuple((c, Functional.atomic(jet, mom).atoms[0][1])
+                            for c in coeffs))
+    fb = Functional.from_obj(json.loads(json.dumps(f.to_obj())))
+    for (cb, ab), (c, a) in zip(fb.atoms, f.atoms):
+        _same(cb, c)
+        assert ab == a
+
+    # distinct delta points keep the terms apart under normalization
+    carrier = Disc(QQi(0), Fraction(8))
+    e = Expression(carrier, [
+        Expression.single(carrier, [DeltaJet(QQi(i), 0)], [v],
+                          coeff=c).terms[0]
+        for i, c in enumerate(coeffs)])
+    eb = Expression.from_obj(json.loads(json.dumps(e.to_obj())))
+    assert eb.to_obj() == e.to_obj()
+    for tb, t in zip(eb.terms, e.terms):
+        _same(tb.coeff, t.coeff)
+
+
+def test_reads_payloads_written_before_the_shared_codec():
+    """The fixture was written by GradedVector, Functional and Expression
+    before they shared one codec; each reads back to the same values."""
+    saved = json.loads(PAYLOADS.read_text())
+    exact = GradedVector({(): QQi(Fraction(-3, 7), 2), (("a", 1),): QQi(5),
+                          (("a", 2), ("a", 1)): QQi(0, Fraction(1, 3))})
+    cplx = GradedVector({(): 0.25 - 1.5j, (("a", 1),): complex(3.0, 0.0),
+                         (("a", 2),): complex(1e-20, 2.5e30)})
+    mixed = GradedVector({(): QQi(Fraction(1, 2), -1),
+                          (("a", 1),): -0.125 + 0j})
+    for obj, want in zip(saved["graded"], (exact, cplx, mixed)):
+        got = GradedVector.from_obj(obj)
+        assert got.terms.keys() == want.terms.keys()
+        for mono, c in want.terms.items():
+            _same(got.terms[mono], c)
+        assert got.to_obj() == obj
+
+    func = Functional.from_obj(saved["functional"])
+    assert [c for c, _ in func.atoms] == [QQi(Fraction(2, 3), -5),
+                                         1.75 - 0.5j]
+    assert type(func.atoms[1][0]) is complex
+    assert func.to_obj() == saved["functional"]
+
+    expr = Expression.from_obj(saved["expression"])
+    assert [t.coeff for t in expr.terms] == [-0.75j, QQi(-2, Fraction(1, 9))]
+    assert expr.to_obj() == saved["expression"]
+
+
+def test_json_numbers_are_read_by_the_string_rule():
+    _same(coeff_from_obj({"re": 1, "im": 0}), QQi(1))
+    _same(coeff_from_obj({"re": 0.5, "im": -2}), complex(0.5, -2.0))
+    _same(coeff_from_obj({"re": "1e-20", "im": "0"}), complex(1e-20, 0.0))
+    _same(coeff_from_obj({"re": "1/2", "im": "-3"}), QQi(Fraction(1, 2), -3))
+    v = GradedVector.from_obj({"terms": [{"mono": ["a(-1)"], "re": 2,
+                                          "im": 0}]})
+    _same(v.terms[(("a", 1),)], QQi(2))
+    _same(coeff_from_obj(coeff_to_obj(Fraction(3, 4))), QQi(Fraction(3, 4)))
+
+
+def test_negative_zero_part_survives_the_round_trip():
+    v = GradedVector({(): complex(1.0, -0.0), (("a", 1),): complex(-0.0, 2.0)})
+    assert GradedVector.from_obj(v.to_obj()).to_obj() == v.to_obj()

@@ -8,10 +8,10 @@ from voxfact.expressions import (Expression, affine_act, evaluate_expression,
                                  extend, multiply)
 from voxfact.functionals import CircleMoment, DeltaJet
 from voxfact.geometry import Annulus, Disc
-from voxfact.graded import GradedVector
+from voxfact.graded import GradedVector, ProductVector
 from voxfact.mu import mu_one_point, two_point_value
 from voxfact.presets import basis_upto, preset_from_name, state_mode
-from voxfact.scalars import DegreeWindow, QQi
+from voxfact.scalars import DegreeWindow, QQi, scalar_pow
 
 
 def B(*tokens):
@@ -98,15 +98,60 @@ def test_multiply_requires_disjoint_and_target(boson):
         multiply(u, v, Disc(QQi(0), Fraction(2)))
 
 
-def test_eval_single_jet_is_flow(boson, window6):
-    a = B("a(-1)")
-    z = QQi(Fraction(1, 2))
-    e = Expression.single(D2, [DeltaJet(z, 0)], [a])
-    got = evaluate_expression(e, boson, window6)
-    from voxfact.mu import mu_one_point
-    want = mu_one_point(boson, a, z, window6)
-    for k in window6.degrees():
-        assert got.component(k) == want.component(k)
+PRESETS = ("heisenberg", "virasoro", "affine_sl2")
+WINDOWS = (DegreeWindow(0, 4), DegreeWindow(2, 5))
+VAC = GradedVector.vacuum()
+
+
+def _states(preset):
+    """A generator and an inhomogeneous state with non-real coefficients."""
+    low = basis_upto(preset, 2)
+    gen = GradedVector.basis(low[1])
+    mixed = (VAC.scale(QQi(Fraction(-2, 3), 1)) + gen.scale(QQi(0, 3))
+             + GradedVector.basis(low[-1]).scale(QQi(Fraction(5, 4))))
+    return gen, mixed
+
+
+def _flow(preset, a, z, window):
+    """exp(zT) a as sum_j z^j a_(-j-1)|0>, from the mode engine alone."""
+    out = ProductVector(window)
+    for j in range(window.hi + 1):
+        piece = state_mode(preset, a, -j - 1, VAC).scale(scalar_pow(z, j))
+        out = out + ProductVector.from_vector(piece, window)
+    return out
+
+
+def _two_point(preset, a, b, z, w, window):
+    """e^{wT} Y(a, z-w) b = sum_n (z-w)^(-n-1) exp(wT) a_(n) b."""
+    out = ProductVector(window)
+    # a_(n) b has degree deg a + deg b - n - 1, so n >= -window.hi - 1
+    for n in range(-window.hi - 1, a.max_degree() + b.max_degree()):
+        vec = state_mode(preset, a, n, b).scale(scalar_pow(z - w, -n - 1))
+        out = out + _flow(preset, vec, w, window)
+    return out
+
+
+def _same_pv(got, want, label):
+    assert got.components == want.components, label
+
+
+def test_eval_single_jet_is_flow():
+    """delta_p^(d) (x) a evaluates to exp(pT) a_(-d-1)|0>, and a moment of
+    exponent n < 0 about c to exp(cT) a_(n)|0>, on every preset, for jet
+    orders 0-2, a generator and an inhomogeneous state, two windows."""
+    p, c = QQi(Fraction(1, 2), Fraction(-1, 3)), QQi(Fraction(1, 3), 1)
+    for name in PRESETS:
+        preset = preset_from_name(name)
+        for a in _states(preset):
+            cases = [(DeltaJet(p, d), -d - 1, p) for d in range(3)]
+            cases.append((CircleMoment(c, Fraction(1, 2), -2), -2, c))
+            for window in WINDOWS:
+                for factor, n, point in cases:
+                    e = Expression.single(D4, [factor], [a])
+                    got = evaluate_expression(e, preset, window)
+                    want = _flow(preset, state_mode(preset, a, n, VAC), point,
+                                 window)
+                    _same_pv(got, want, (name, factor, a))
 
 
 def test_eval_jet_order_is_taylor_coefficient(boson, window6):
@@ -124,14 +169,32 @@ def test_eval_moment_picks_laurent_coefficient(boson, window6):
     assert got == B("a(-3)")
 
 
-def test_eval_pair_exact_matches_two_point(boson, window6):
-    a = B("a(-1)")
-    e = Expression.single(D4, [DeltaJet(QQi(3), 0), DeltaJet(QQi(1), 0)],
-                          [a, a])
-    got = evaluate_expression(e, boson, window6)
-    want = two_point_value(boson, a, a, QQi(3), QQi(1), window6)
-    for k in window6.degrees():
-        assert got.component(k) == want.component(k)
+def test_eval_pair_exact_matches_two_point():
+    """delta_z^(d) (x) a, delta_w (x) b evaluates to mu(a_(-d-1)|0>, z, b, w)
+    and moment(w, r, n) (x) a, delta_w (x) b with n < 0 to exp(wT) a_(n) b,
+    on every preset, for jet orders 0-2 and inhomogeneous states."""
+    z, w = QQi(Fraction(5, 2), Fraction(1, 2)), QQi(Fraction(-1, 2), 1)
+    for name in PRESETS:
+        preset = preset_from_name(name)
+        gen, mixed = _states(preset)
+        for a, b in ((gen, mixed), (mixed, gen)):
+            for window in WINDOWS:
+                for d in range(3):
+                    e = Expression.single(D4, [DeltaJet(z, d), DeltaJet(w, 0)],
+                                          [a, b])
+                    got = evaluate_expression(e, preset, window)
+                    ad = state_mode(preset, a, -d - 1, VAC)
+                    _same_pv(got, two_point_value(preset, ad, b, z, w, window),
+                             (name, d))
+                    _same_pv(got, _two_point(preset, ad, b, z, w, window),
+                             (name, d))
+                x = Expression.single(Annulus(w, Fraction(1, 4), 1),
+                                      [CircleMoment(w, Fraction(1, 2), -2)], [a])
+                y = Expression.single(Disc(w, Fraction(1, 4)),
+                                      [DeltaJet(w, 0)], [b])
+                got = evaluate_expression(multiply(x, y, D4), preset, window)
+                want = _flow(preset, state_mode(preset, a, -2, b), w, window)
+                _same_pv(got, want, (name, "moment"))
 
 
 def test_eval_exact_vs_numeric_pair(boson, window6):

@@ -17,6 +17,7 @@ from voxfact.mu import (check_associativity, check_equivariance_exact,
                         check_meromorphicity, check_permutation,
                         check_skew_transport, mu_numeric, mu_one_point,
                         two_point_value)
+from voxfact.presets import basis_upto, preset_from_name
 from voxfact.scalars import DegreeWindow, QQi
 
 
@@ -143,6 +144,22 @@ def test_skew_transport_check(boson, vir, gen_a):
     w = B("L(-2)")
     rep = check_skew_transport(vir, [(w, w)], QQi(2), DegreeWindow(0, 6))
     assert rep.passed
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "virasoro", "affine_sl2"])
+def test_two_point_locality(name):
+    """mu(a, z, b, w) == mu(b, w, a, z) exactly, with w != 0, for every pair
+    of basis states of degree <= 2 (check_skew_transport covers w = 0)."""
+    preset = preset_from_name(name)
+    z, w = QQi(Fraction(5, 2), 1), QQi(Fraction(-1, 3), Fraction(1, 2))
+    window = DegreeWindow(0, 4)
+    states = [GradedVector.basis(m) for m in basis_upto(preset, 2)]
+    for a in states:
+        for b in states:
+            ab = two_point_value(preset, a, b, z, w, window)
+            ba = two_point_value(preset, b, a, w, z, window)
+            for k in window.degrees():
+                assert ab.component(k) == ba.component(k), (a, b, k)
 
 
 def test_associativity_check(boson, gen_a):

@@ -16,8 +16,7 @@ from voxfact.graded import GradedVector, mono_degree
 from voxfact.oracle import oracle_mode_mono
 from voxfact.presets import (basis, basis_upto, clear_caches, gen_mode_apply,
                              gen_mode_mono, pole_bound, preset_from_name,
-                             state_mode, state_mode_apply_mono_left,
-                             state_mode_mono, translate)
+                             state_mode, state_mode_mono, translate)
 from voxfact.scalars import QQi
 
 VAC = GradedVector.vacuum()
@@ -237,7 +236,7 @@ def test_boundary_matches_linear_extension(data, name, kind, n, first):
                     _extend((state_mode_mono(p, x, m, y), ac * bc)
                             for x, ac in a.terms.items()
                             for y, bc in b.terms.items()))
-    _same_terms(state_mode_apply_mono_left(p, am, n, b),
+    _same_terms(state_mode(p, GradedVector.basis(am), n, b),
                 _extend((state_mode_mono(p, am, n, y), bc)
                         for y, bc in b.terms.items()))
     _same_terms(gen_mode_apply(p, gen, n, b),
