@@ -13,12 +13,11 @@ from .errors import UsageError, VoxfactError
 from .expressions import Expression, evaluate_expression, multiply
 from .geometry import OpenSet
 from .graded import GradedVector
-from .mu import (check_insertion_at_zero, check_meromorphicity, mu_numeric,
-                 two_point_value)
+from .mu import check_insertion_at_zero, check_meromorphicity, mu_numeric
 from .presets import basis, preset_from_name
 from .relations import (relation_kernel, roundtrip_check, run_counterexample,
                         weight_project)
-from .scalars import DegreeWindow, QQi, parse_qqi
+from .scalars import DegreeWindow, parse_qqi
 from .suite import SuiteConfig, emit_tables, run_suite
 
 
@@ -204,12 +203,9 @@ def _dispatch(args) -> int:
         window = _window(args)
         states = _load_states(args.states)
         points = _load_points(args.points)
-        if not args.numeric and len(states) == 2 \
-                and points[1] == QQi(0):
-            pv = two_point_value(preset, states[0], states[1],
-                                 points[0], QQi(0), window)
-        else:
-            pv = mu_numeric(preset, states, points, window, tol=args.tol)
+        if args.numeric:
+            points = [complex(p) for p in points]
+        pv = mu_numeric(preset, states, points, window)
         _emit(args, json.dumps(pv.to_obj(), indent=2, sort_keys=True))
         return 0
 
@@ -264,8 +260,7 @@ def _dispatch_factor(args) -> int:
         return 0
     if fc == "eval":
         expr = Expression.from_obj(json.loads(args.expr))
-        pv = evaluate_expression(expr, preset, window, tol=args.tol,
-                                 quad_n=args.quad_n)
+        pv = evaluate_expression(expr, preset, window, quad_n=args.quad_n)
         _emit(args, json.dumps(pv.to_obj(), indent=2, sort_keys=True))
         return 0
     if fc == "kernel":

@@ -5,10 +5,6 @@ class VoxfactError(Exception):
     """Base class for domain and configuration errors."""
 
 
-class EqualModuli(VoxfactError):
-    """Two insertion points share a modulus on the numeric radial path."""
-
-
 class DomainViolation(VoxfactError):
     """A configuration leaves the region where an expansion is valid."""
 
@@ -26,7 +22,8 @@ class ExpansionDomainMismatch(VoxfactError):
 
 
 class NonConvergent(VoxfactError):
-    """An adaptive degree sum failed to meet tolerance at the hard cap."""
+    """A numeric procedure could not reach its tolerance.  No route in the
+    package raises it at present; callers that catch it keep working."""
 
 
 class UsageError(VoxfactError):

@@ -10,9 +10,10 @@ sorted form).  Evaluation pairs the functional with the multi-point
 multiplication map of the states.  Up to arity two the route is exact:
 the residue calculus pairs each factor with the powers of the points in
 the closed forms, and `mu.one_point_sum` and `mu.two_point_sum` sum the
-paired terms.  Other terms, and exact terms whose expansion domain does
-not fit, go through nested trapezoid quadrature
-(`functionals.apply_factor_numeric`) over the numeric route `mu_numeric`.
+paired terms.  Terms of arity three or more, and exact terms whose
+expansion domain does not fit, go through nested trapezoid quadrature
+(`functionals.apply_factor_numeric`) over `mu.mu_numeric`, the rational
+multi-point map evaluated at the float nodes.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .mu import mu_numeric, one_point_sum, two_point_sum
 from .presets import VAPreset
 from .residues import VAR, moment_sym, point_in_circle, sym_jet
 from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
-                      is_exact, same_point)
+                      is_exact, same_point, scalar_key)
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,8 @@ class Expression:
 
 def _factor_key(f):
     if isinstance(f, DeltaJet):
-        return (0, repr(complex(f.point)), f.order, 0.0)
-    return (1, repr(complex(f.center)), f.exponent, float(f.radius))
+        return (0, scalar_key(f.point), f.order)
+    return (1, scalar_key(f.center), f.exponent, scalar_key(f.radius))
 
 
 def _state_key(s: GradedVector):
@@ -257,8 +258,7 @@ def _map_set(u: OpenSet, lam, shift):
 
 
 def evaluate_expression(expr: Expression, preset: VAPreset,
-                        window: DegreeWindow, tol: float = 1e-10,
-                        quad_n: int | None = None,
+                        window: DegreeWindow, quad_n: int | None = None,
                         force_numeric: bool = False) -> ProductVector:
     out = ProductVector(window)
     for t in expr.terms:
@@ -269,7 +269,7 @@ def evaluate_expression(expr: Expression, preset: VAPreset,
                 continue
             except ExpansionDomainMismatch:
                 pass
-        pv = _eval_term_numeric(preset, t, window, tol, quad_n)
+        pv = _eval_term_numeric(preset, t, window, quad_n)
         out = out + pv.scale(t.coeff)
     return out
 
@@ -356,7 +356,7 @@ def _outer_inside(f1, f2: CircleMoment):
     return rel
 
 
-def _eval_term_numeric(preset, t: Term, window, tol, quad_n) -> ProductVector:
+def _eval_term_numeric(preset, t: Term, window, quad_n) -> ProductVector:
     if quad_n is None:
         quad_n = 2 * window.hi + 16
     supports = []
@@ -377,7 +377,7 @@ def _eval_term_numeric(preset, t: Term, window, tol, quad_n) -> ProductVector:
 
     def rec(idx, bound):
         if idx == len(t.atom.factors):
-            return mu_numeric(preset, states, bound, window, tol=tol)
+            return mu_numeric(preset, states, bound, window)
         return apply_factor_numeric(t.atom.factors[idx],
                                     lambda z: rec(idx + 1, bound + [z]),
                                     quad_n, jet_radius(idx))

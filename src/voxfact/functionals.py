@@ -202,15 +202,10 @@ def pushforward_affine(f: Functional, lam, shift) -> Functional:
 
 
 def circle_nodes(center, radius, n: int):
-    """n equally spaced trapezoid nodes on |z - center| = radius.
-
-    The nodes are turned by 0.37 of a step off the real axis through the
-    centre: on real data a node there can share its modulus with another
-    insertion point, which the radial route refuses (`EqualModuli`).
-    """
+    """n equally spaced trapezoid nodes on |z - center| = radius."""
     c = complex(center)
     r = float(radius)
-    return [c + r * cmath.exp(2j * cmath.pi * (s + 0.37) / n) for s in range(n)]
+    return [c + r * cmath.exp(2j * cmath.pi * s / n) for s in range(n)]
 
 
 def quadrature_moment(fn, center, radius, exponent: int, n: int):

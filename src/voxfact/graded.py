@@ -228,7 +228,6 @@ class ProductVector:
 
     window: DegreeWindow
     components: dict = field(default_factory=dict)  # degree -> GradedVector
-    truncated: bool = False
     tail_estimate: float = 0.0
 
     def component(self, k: int) -> GradedVector:
@@ -246,7 +245,6 @@ class ProductVector:
         if self.window != other.window:
             raise ValueError("window mismatch")
         out = ProductVector(self.window, dict(self.components),
-                            self.truncated or other.truncated,
                             max(self.tail_estimate, other.tail_estimate))
         for k, v in other.components.items():
             out.set_component(k, out.component(k) + v)
@@ -255,7 +253,7 @@ class ProductVector:
     def scale(self, s) -> "ProductVector":
         return ProductVector(self.window,
                              {k: v.scale(s) for k, v in self.components.items()},
-                             self.truncated, self.tail_estimate * abs(as_complex(s)))
+                             self.tail_estimate * abs(as_complex(s)))
 
     def flatten(self) -> GradedVector:
         out = GradedVector.zero()
@@ -280,7 +278,6 @@ class ProductVector:
         return {"window": [self.window.lo, self.window.hi],
                 "by_degree": {str(k): self.component(k).to_obj()
                               for k in sorted(self.components)},
-                "truncated": self.truncated,
                 "tail_estimate": self.tail_estimate}
 
     @classmethod
@@ -289,7 +286,6 @@ class ProductVector:
         pv = cls(DegreeWindow(lo, hi))
         for k, gv in obj["by_degree"].items():
             pv.set_component(int(k), GradedVector.from_obj(gv))
-        pv.truncated = obj.get("truncated", False)
         pv.tail_estimate = obj.get("tail_estimate", 0.0)
         return pv
 

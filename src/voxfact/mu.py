@@ -1,34 +1,33 @@
 """Multi-point multiplication maps and their defining-property checks.
 
 The m-point map sends states a_1 .. a_m at pairwise distinct points
-z_1 .. z_m to the product-space vector obtained by applying the vertex
-operators in radial order to the vacuum.  Two computational routes:
+z_1 .. z_m to the product-space vector e^{z_m T} Y(a_1, z_1 - z_m) ...
+Y(a_{m-1}, z_{m-1} - z_m) a_m.  Two assemblers build the closed forms for
+one and two points over a degree window, with a caller-supplied scalar per
+term: `one_point_sum` (the flow exp(zT) a) and `two_point_sum` (the
+two-point map e^{wT} Y(a, z-w) b).  With powers of the points as scalars
+they give `mu_one_point` and `two_point_value`; `expressions` passes the
+pairings of jets and moments instead.
 
-* closed forms for one and two insertion points, the flow exp(zT) a and
-  the two-point map e^{wT} Y(a, z-w) b.  Two assemblers build them over a
-  degree window with a caller-supplied scalar per term: `one_point_sum`
-  and `two_point_sum`.  With powers of the points as scalars they give
-  `mu_one_point` and `two_point_value`; `expressions` passes the pairings
-  of jets and moments instead;
-* a numeric route for any arity, with intermediate degrees summed
-  adaptively under a geometric tail estimate.  Its innermost state flows
-  through `mu_one_point`.
+`mu_numeric` is the one route for any arity.  Each degree part is a
+rational function of the points whose pole orders are the locality orders
+`pole_bound`; its numerator is read off a finite box of nested state modes
+and evaluated at the points, exactly at exact points and in complex at
+float points.  Nothing is truncated and no ordering of the points is
+needed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from .errors import DomainViolation, EqualModuli, NonConvergent
+from .errors import DomainViolation
 from .graded import GradedVector, ProductVector
-from .presets import VAPreset, state_mode, translate
+from .presets import VAPreset, pole_bound, state_mode, translate
 from .report import CheckReport
 from .scalars import (DegreeWindow, QQi, as_complex, is_exact, same_point,
                       scalar_pow, scalar_zero)
-
-
-def default_dmax(window: DegreeWindow) -> int:
-    return 6 * (window.hi + 1) + 24
 
 
 # ---------------------------------------------------------------------------
@@ -102,113 +101,93 @@ def two_point_value(preset: VAPreset, a: GradedVector, b: GradedVector,
 
 def _sub(z, w):
     if is_exact(z) and is_exact(w):
-        return QQi(z) - QQi(w) if not isinstance(z, QQi) else z - (w if isinstance(w, QQi) else QQi(w))
+        return QQi(0) + z - w
     return as_complex(z) - as_complex(w)
 
 
 # ---------------------------------------------------------------------------
-# numeric radial route
+# any arity: the exact rational map
 
 
 def mu_numeric(preset: VAPreset, states, points, window: DegreeWindow,
-               tol: float = 1e-10, d_max: int | None = None) -> ProductVector:
-    """mu(a_1, z_1, ..., a_m, z_m) by radially ordered operator application.
+               tol: float = 1e-10) -> ProductVector:
+    """mu(a_1, z_1, ..., a_m, z_m) for any arity m, as a rational map.
 
-    Points are sorted by decreasing modulus; a tie raises EqualModuli.
-    Intermediate degrees are carried up to an adaptive cap bounded by d_max;
-    if the geometric tail estimate still exceeds tol there, NonConvergent.
+    With x_i = z_i - z_m, each degree part of Y(a_1, x_1) ... a_m is a
+    rational function of the x_i (see `_rational_part`).  It is evaluated
+    at the points, exactly (QQi) when states and points are exact and in
+    complex otherwise, and flowed to z_m.  Pairwise distinct points are
+    the only condition.  Nothing is truncated, so ``tail_estimate`` is
+    0.0; ``tol`` has no effect and is kept for callers that pass it.
     """
     if len(states) != len(points):
         raise ValueError("states and points differ in length")
-    if d_max is None:
-        d_max = default_dmax(window)
-    m = len(states)
-    if m == 0:
-        out = ProductVector(window)
-        if 0 in window:
-            out.set_component(0, GradedVector.vacuum())
-        return out
-    pairs = sorted(zip(states, points), key=lambda sp: -abs(as_complex(sp[1])))
-    for (_, z1), (_, z2) in zip(pairs, pairs[1:]):
-        if abs(as_complex(z1)) == abs(as_complex(z2)):
-            raise EqualModuli(f"insertion moduli coincide: {z1}, {z2}")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if same_point(pairs[i][1], pairs[j][1]):
-                raise DomainViolation("coincident insertion points")
-
-    # the cap must reach past every input degree or the expansion silently
-    # truncates to zero with a vanishing tail estimate
-    top_in = max((s.max_degree() for s in states if s), default=0)
-    cap = max(window.hi, 2, top_in + window.hi)
-    d_max = max(d_max, cap)
-    while True:
-        comps, tail = _mu_pass(preset, pairs, cap, window)
-        if tail <= tol:
-            out = ProductVector(window, truncated=tail > 0.0, tail_estimate=tail)
-            for k in window.degrees():
-                if k in comps:
-                    out.set_component(k, comps[k])
-            return out
-        if cap >= d_max:
-            raise NonConvergent(
-                f"tail estimate {tail:.3e} above tol {tol:.3e} at cap {cap}")
-        cap = min(d_max, cap * 2 + 4)
+    for i, z in enumerate(points):
+        if any(same_point(z, w) for w in points[i + 1:]):
+            raise DomainViolation("coincident insertion points")
+    if not states:
+        return mu_one_point(preset, GradedVector.vacuum(), QQi(0), window)
+    xs = [_sub(z, points[-1]) for z in points]
+    inner = GradedVector.zero()
+    for parts in itertools.product(*([s.project(d) for d in s.degrees()]
+                                     for s in states)):
+        inner = inner + _rational_part(preset, parts, xs, window.hi)
+    return mu_one_point(preset, inner, points[-1], window)
 
 
-def _mu_pass(preset, pairs, cap, window):
-    # innermost state flowed to its point, carried up to degree cap
-    inner_state, inner_z = pairs[-1]
-    comps = mu_one_point(preset, inner_state.to_complex(), as_complex(inner_z),
-                         DegreeWindow(0, cap)).components
+def _rational_part(preset, parts, xs, top):
+    """Degrees <= top of Y(a_1, x_1) ... Y(a_{m-1}, x_{m-1}) a_m for
+    homogeneous a_i, at the points xs (x_m = 0).
 
-    worst_tail = 0.0
-    rest = list(reversed(pairs[:-1]))
-    for pos, (a, z) in enumerate(rest):
-        # the outermost operator only needs to land inside the window
-        out_cap = window.hi if pos == len(rest) - 1 else cap
-        comps, contribs = _apply_operator(preset, a, as_complex(z), comps,
-                                          out_cap, window.hi)
-        worst_tail = max(worst_tail, _tail_estimate(contribs))
-    return comps, worst_tail
+    With N_ij = pole_bound(a_i, a_j), D(x) = prod_{i<j} (x_i - x_j)^N_ij,
+    the degree-k part is P(x) / D(x) with P a polynomial, homogeneous of
+    degree k - sum deg a_i + deg D (Frenkel-Lepowsky-Meurman, ch. 8).  The
+    coefficient of x^e in P is sum_f D_f a_1(n_1) ... a_{m-1}(n_{m-1}) a_m
+    over the terms D_f x^f of D, with n = f - e - 1: a finite box of
+    nested modes.
+    """
+    m = len(parts)
+    poly, den, deg = {(0,) * m: 1}, QQi(1), 0
+    for i, j in itertools.combinations(range(m), 2):
+        order = pole_bound(preset, parts[i], parts[j])
+        den = den * scalar_pow(_sub(xs[i], xs[j]), order)
+        deg += order
+        for _ in range(order):
+            poly = _times_difference(poly, i, j)
+    poly = {f[:-1]: d for f, d in poly.items() if not f[-1]}  # x_m = 0
+    top_e = top - sum(p.degree() for p in parts) + deg
+    coeffs = {}
+    for e in itertools.product(range(top_e + 1), repeat=m - 1):
+        if sum(e) <= top_e:
+            xe = math.prod(scalar_pow(x, k) for x, k in zip(xs, e))
+            for f, d in poly.items():
+                n = tuple(fi - ei - 1 for fi, ei in zip(f, e))
+                coeffs[n] = coeffs.get(n, 0) + xe * d
+    memo = {(): parts[-1]}
+
+    def nested(n):  # a_k(n_k) ... a_{m-1}(n_{m-1}) a_m for n = n_k .. n_{m-1}
+        if n not in memo:
+            rest = nested(n[1:])
+            memo[n] = rest and state_mode(preset, parts[m - 1 - len(n)],
+                                          n[0], rest)
+        return memo[n]
+
+    out = GradedVector.zero()
+    for n, c in coeffs.items():
+        v = nested(n) if c else None
+        if v:
+            out = out + v.scale(c / den)
+    return out
 
 
-def _apply_operator(preset, a, z: complex, comps, out_cap, window_hi):
-    out: dict[int, GradedVector] = {}
-    contribs: list[float] = []
-    for j in sorted(comps):
-        vj = comps[j]
-        # the tail is judged on the degrees that survive the window
-        level_norm = 0.0
-        for da in a.degrees():
-            ah = a.project(da)
-            for k in range(0, out_cap + 1):
-                n = da + j - k - 1
-                term = state_mode(preset, ah, n, vj)
-                if term:
-                    term = term.scale(z ** (-n - 1))
-                    out[k] = out.get(k, GradedVector.zero()) + term
-                    if k <= window_hi:
-                        level_norm = max(level_norm, term.norm_inf())
-        contribs.append(level_norm)
-    return out, contribs
-
-
-def _tail_estimate(contribs):
-    nz = [(i, c) for i, c in enumerate(contribs) if c > 0.0]
-    if len(nz) < 3:
-        return 0.0
-    # a run of exact zeros at the top means the series terminated
-    # (nilpotent directions do this), not that it plateaued
-    if nz[-1][0] <= len(contribs) - 4:
-        return 0.0
-    (i1, c1), (_, _), (i3, c3) = nz[-3], nz[-2], nz[-1]
-    if c1 <= 0 or c3 >= c1:
-        return math.inf
-    rho = (c3 / c1) ** (1.0 / (i3 - i1))
-    if rho >= 0.95:
-        return math.inf
-    return c3 * rho / (1.0 - rho)
+def _times_difference(poly, i, j):
+    """poly * (x_i - x_j), on {exponent tuple: coefficient}."""
+    out = {}
+    for e, c in poly.items():
+        for k, s in ((i, c), (j, -c)):
+            f = e[:k] + (e[k] + 1,) + e[k + 1:]
+            out[f] = out.get(f, 0) + s
+    return {f: c for f, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +240,15 @@ def check_equivariance_exact(preset: VAPreset, triples, window: DegreeWindow) ->
 
 def check_equivariance_numeric(preset: VAPreset, configs, window: DegreeWindow,
                                tol: float = 1e-8) -> CheckReport:
-    """Dilation covariance of the numeric multi-point route."""
+    """Dilation covariance of the multi-point map at float points."""
     worst = 0.0
     witness = {}
     for states, points, q in configs:
         qc = as_complex(q)
         lhs = mu_numeric(preset,
                          [s.grading_act(qc) for s in states],
-                         [qc * as_complex(z) for z in points],
-                         window, tol=tol * 1e-2)
-        rhs = mu_numeric(preset, states, points, window, tol=tol * 1e-2)
+                         [qc * as_complex(z) for z in points], window)
+        rhs = mu_numeric(preset, states, points, window)
         for k in window.degrees():
             err = _rel_err(lhs.component(k),
                            rhs.component(k).scale(qc ** k))
@@ -311,16 +289,10 @@ def check_associativity(preset: VAPreset, outer, inner, insertion,
 
     lhs = mu_numeric(preset,
                      [s for s, _ in outer] + [s for s, _ in inner],
-                     z_out + [w + zc for w in w_in],
-                     window, tol=tol * 1e-1)
+                     z_out + [w + zc for w in w_in], window)
 
     inner_window = DegreeWindow(0, k_cap)
-    if len(inner) == 2:
-        inner_pv = two_point_value(preset, inner[0][0], inner[1][0],
-                                   w_in[0], w_in[1], inner_window)
-    else:
-        inner_pv = mu_numeric(preset, [s for s, _ in inner], w_in,
-                              inner_window, tol=tol * 1e-3)
+    inner_pv = mu_numeric(preset, [s for s, _ in inner], w_in, inner_window)
 
     acc = ProductVector(window)
     curve = []
@@ -331,7 +303,7 @@ def check_associativity(preset: VAPreset, outer, inner, insertion,
         pk = inner_pv.component(k)
         if pk:
             part = mu_numeric(preset, [s for s, _ in outer] + [pk],
-                              z_out + [zc], window, tol=tol * 1e-2)
+                              z_out + [zc], window)
             acc = acc + part
             used = k
         err = max(lhs.component(d).distance(acc.component(d))
@@ -346,12 +318,12 @@ def check_associativity(preset: VAPreset, outer, inner, insertion,
 
 def check_permutation(preset: VAPreset, states, points, window: DegreeWindow,
                       tol: float = 1e-9) -> CheckReport:
-    """Order independence of the numeric route, plus the exact transported
-    opposite-product identity for two points."""
+    """Order independence of the multi-point map: the states and points in
+    reverse order give the same value."""
     worst = 0.0
-    fwd = mu_numeric(preset, states, points, window, tol=tol * 1e-1)
+    fwd = mu_numeric(preset, states, points, window)
     rev = mu_numeric(preset, list(reversed(states)), list(reversed(points)),
-                     window, tol=tol * 1e-1)
+                     window)
     for k in window.degrees():
         worst = max(worst, _rel_err(fwd.component(k), rev.component(k)))
     return CheckReport("permutation_invariance", worst <= tol, worst, tol,

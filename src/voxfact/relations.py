@@ -22,7 +22,7 @@ from .linalg import nullspace
 from .mu import mu_one_point
 from .presets import VAPreset, basis_upto, heisenberg, state_mode
 from .report import CheckReport
-from .scalars import DegreeWindow, QQi, as_complex
+from .scalars import DegreeWindow, QQi, as_complex, scalar_key
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +157,7 @@ def run_counterexample(m: int = 1, preset: VAPreset | None = None,
 def term_signature(t: Term):
     return (tuple(_factor_key(f) for f in t.atom.factors),
             tuple(_state_key(s) for s in t.states),
-            _state_key_coeff(t.coeff))
-
-
-def _state_key_coeff(c):
-    return str(complex(c))
+            scalar_key(t.coeff))
 
 
 def expression_signature(e: Expression):

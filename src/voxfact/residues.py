@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExpansionDomainMismatch
-from .scalars import QQi, binom, same_point, scalar_pow, scalar_zero
+from .scalars import (QQi, binom, same_point, scalar_key, scalar_pow,
+                      scalar_zero)
 
 VAR = object()  # sentinel base for the unbound outer variable
 
@@ -72,13 +73,13 @@ def sym_jet(factors: dict, point, order: int):
     point nor bases involve VAR the factor maps are empty and the result is
     a plain scalar decomposition.
     """
-    items = sorted(factors.items(), key=_base_sort_key)
+    items = sorted(factors.items(), key=lambda item: _base_key(item[0]))
     return _sym_jet_rec(items, point, order)
 
 
-def _base_sort_key(item):
-    b = item[0]
-    return (1, "") if b is VAR else (0, repr(complex(b)))
+def _base_key(b):
+    """Exact sort and merge key of a factor base; VAR sorts last."""
+    return ("v",) if b is VAR else scalar_key(b)
 
 
 def _sym_jet_rec(items, point, order):
@@ -124,17 +125,12 @@ def _eval_power_factor(point, b, e: int):
 
 
 def _collect(pairs):
-    acc = []
+    acc = {}
     for c, f in pairs:
-        key = tuple(sorted(((("VAR" if b is VAR else complex(b)), e)
-                            for b, e in f.items()), key=lambda x: (str(x[0]), x[1])))
-        for i, (c0, f0, k0) in enumerate(acc):
-            if k0 == key:
-                acc[i] = (c0 + c, f0, k0)
-                break
-        else:
-            acc.append((c, f, key))
-    return [(c, f) for c, f, _ in acc if not scalar_zero(c)]
+        key = tuple(sorted((_base_key(b), e) for b, e in f.items()))
+        c0, f0 = acc.get(key, (0, f))
+        acc[key] = (c0 + c, f0)
+    return [(c, f) for c, f in acc.values() if not scalar_zero(c)]
 
 
 def point_in_circle(b, center, radius) -> int:

@@ -202,6 +202,18 @@ def same_point(p, q) -> bool:
     return complex(p) == complex(q)
 
 
+def scalar_key(x) -> tuple:
+    """Canonical key of a scalar, for merging, hashing and sorting:
+    ("q", re, im) with Fraction parts for an exact value, ("f", re, im)
+    with float parts for a numeric one.  Distinct exact values never share
+    a key, and an exact value never shares one with a float."""
+    if is_exact(x):
+        q = x if isinstance(x, QQi) else QQi(x)
+        return ("q", q.re, q.im)
+    z = complex(x)
+    return ("f", z.real, z.imag)
+
+
 def coeff_to_obj(c) -> dict:
     """JSON form of a coefficient: exact parts as fraction strings, numeric
     parts as float reprs."""

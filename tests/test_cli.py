@@ -2,6 +2,10 @@
 import json
 
 from voxfact.cli import main
+from voxfact.graded import GradedVector
+from voxfact.mu import two_point_value
+from voxfact.presets import heisenberg
+from voxfact.scalars import DegreeWindow, QQi
 
 
 def run(capsys, *argv):
@@ -52,11 +56,29 @@ def test_npoint_numeric(capsys):
     assert abs(float(data["by_degree"]["1"]["terms"][0]["re"]) - 1.96) < 1e-6
 
 
-def test_npoint_equal_moduli_exit_code(capsys):
+def test_npoint_three_exact_points(capsys):
+    code, out, _ = run(capsys, "npoint", "--states", "a(-1);a(-1);a(-1)",
+                       "--points", "4;1;1/4", "--window", "0:2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["by_degree"]["1"]["terms"][0]["re"] == "49/25"
+
+
+def test_npoint_equal_moduli_evaluates(capsys):
+    code, out, _ = run(capsys, "npoint", "--states", "a(-1);a(-1)",
+                       "--points", "1;i", "--window", "0:2")
+    assert code == 0
+    gen = GradedVector.basis((("a", 1),))
+    want = two_point_value(heisenberg(), gen, gen, QQi(1), QQi(0, 1),
+                           DegreeWindow(0, 2))
+    assert json.loads(out) == want.to_obj()
+
+
+def test_npoint_coincident_points_exit_code(capsys):
     code, _, err = run(capsys, "npoint", "--states", "a(-1);a(-1)",
-                       "--points", "1;i", "--numeric", "--window", "0:2")
+                       "--points", "1;1", "--window", "0:2")
     assert code == 1
-    assert "moduli" in err
+    assert "coincident" in err
 
 
 def test_check_insertion(capsys):

@@ -273,6 +273,20 @@ def test_three_point_numeric(boson):
         assert got.component(k).distance(want.component(k)) / scale < 1e-7, k
 
 
+def test_points_a_float_would_merge_stay_apart(boson):
+    """delta_{1/3} (x) a(-1) - delta_{1/3 + 10^-30} (x) a(-1): both terms
+    are kept, and the degree-2 part is exactly -10^-30 a(-2)."""
+    a = B("a(-1)")
+    p = QQi(Fraction(1, 3))
+    q = p + QQi(Fraction(1, 10 ** 30))
+    e = Expression.single(D2, [DeltaJet(p, 0)], [a]) \
+        - Expression.single(D2, [DeltaJet(q, 0)], [a])
+    assert len(e.terms) == 2
+    got = evaluate_expression(e, boson, DegreeWindow(0, 3))
+    assert got.component(1) == GradedVector.zero()
+    assert got.component(2) == B("a(-2)").scale(QQi(Fraction(-1, 10 ** 30)))
+
+
 def test_expression_json_roundtrip():
     a = B("a(-1)")
     e = Expression.single(D2, [DeltaJet(QQi(1), 1),

@@ -5,13 +5,16 @@ the mode sum mu(a, z, a, 0) = sum_n a_(n) a z^(-n-1):
 
     p_0 = z^(-2) |0>,  p_2 = a(-1)a(-1),  p_{m+1} = z^(m-1) a(-m)a(-1)  (m >= 2).
 """
+import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from voxfact.errors import DomainViolation, EqualModuli, NonConvergent
-from voxfact.graded import GradedVector
+from voxfact.errors import DomainViolation
+from voxfact.graded import GradedVector, ProductVector
 from voxfact.mu import (check_associativity, check_equivariance_exact,
                         check_equivariance_numeric, check_insertion_at_zero,
                         check_meromorphicity, check_permutation,
@@ -80,15 +83,34 @@ def test_numeric_matches_exact_two_point(boson, gen_a):
             exact.component(k).to_complex()) < 1e-10
 
 
-def test_numeric_equal_moduli_rejected(boson, gen_a):
-    with pytest.raises(EqualModuli):
-        mu_numeric(boson, [gen_a, gen_a], [1.0, 1.0j], DegreeWindow(0, 2))
+def test_numeric_equal_moduli_evaluates(boson, gen_a):
+    """Points of equal modulus, 1 and i, evaluate and equal the two-point
+    map, exactly at exact points."""
+    w = DegreeWindow(0, 4)
+    want = two_point_value(boson, gen_a, gen_a, QQi(1), QQi(0, 1), w)
+    got = mu_numeric(boson, [gen_a, gen_a], [QQi(1), QQi(0, 1)], w)
+    assert got.components == want.components
+    approx = mu_numeric(boson, [gen_a, gen_a], [1.0, 1.0j], w)
+    for k in w.degrees():
+        assert approx.component(k).distance(
+            want.component(k).to_complex()) < 1e-12
 
 
-def test_numeric_unreachable_tolerance(boson, gen_a):
-    with pytest.raises(NonConvergent):
-        mu_numeric(boson, [gen_a, gen_a, gen_a], [1.001, 1.0005, 1.0],
-                   DegreeWindow(0, 2), tol=1e-12, d_max=8)
+def test_float_points_match_exact_evaluation(boson, gen_a):
+    """Three nearly coincident float points: the float evaluation agrees
+    with the exact evaluation at the same (exactly represented) points to
+    a relative 1e-12."""
+    pts = [1.001, 1.0005, 1.0]
+    w = DegreeWindow(0, 4)
+    approx = mu_numeric(boson, [gen_a] * 3, pts, w)
+    exact = mu_numeric(boson, [gen_a] * 3, [Fraction(p) for p in pts], w)
+    assert any(exact.components.values())
+    for k in w.degrees():
+        want = exact.component(k)
+        assert want.is_exact()
+        scale = max(want.norm_inf(), 1e-300)
+        assert approx.component(k).distance(want.to_complex()) \
+            <= 1e-12 * scale, k
 
 
 def test_numeric_empty_input(boson):
@@ -100,12 +122,80 @@ def test_numeric_high_degree_state_not_dropped(boson):
     # a state far above the window must still contribute through annihilation
     deep = B("a(-4)")
     w = DegreeWindow(0, 2)
-    pv = mu_numeric(boson, [deep, deep], [3.0, 1.0], w, tol=1e-9, d_max=90)
+    pv = mu_numeric(boson, [deep, deep], [3.0, 1.0], w, tol=1e-9)
     exact = two_point_value(boson, deep, deep, QQi(3), QQi(1), w)
     assert pv.component(0).norm_inf() > 0
     for k in w.degrees():
         assert pv.component(k).distance(
             exact.component(k).to_complex()) < 1e-7
+
+
+PRESETS = ["heisenberg", "virasoro", "affine_sl2"]
+RADIAL = Path(__file__).resolve().parent / "data" / "radial_reference.json"
+
+
+def _three_states(preset):
+    """The first three basis states after the vacuum."""
+    return [GradedVector.basis(m) for m in basis_upto(preset, 4)[1:4]]
+
+
+def test_exact_inputs_give_exact_components(boson, gen_a):
+    z, w = QQi(Fraction(5, 2), 1), QQi(Fraction(-1, 3))
+    window = DegreeWindow(0, 5)
+    one = mu_numeric(boson, [gen_a], [z], window)
+    assert one.components == mu_one_point(boson, gen_a, z, window).components
+    two = mu_numeric(boson, [gen_a, B("a(-2)")], [z, w], window)
+    assert two.components == two_point_value(boson, gen_a, B("a(-2)"), z, w,
+                                             window).components
+    for pv in (one, two):
+        assert pv.tail_estimate == 0.0
+        assert all(isinstance(c, QQi) for v in pv.components.values()
+                   for c in v.terms.values())
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_three_point_orderings_agree_exactly(name):
+    preset = preset_from_name(name)
+    states = _three_states(preset)
+    points = [QQi(Fraction(5, 2), 1), QQi(Fraction(-1, 3), Fraction(1, 2)),
+              QQi(2, -1)]
+    window = DegreeWindow(0, 4)
+    values = []
+    for order in itertools.permutations(range(3)):
+        pv = mu_numeric(preset, [states[i] for i in order],
+                        [points[i] for i in order], window)
+        values.append([pv.component(k) for k in window.degrees()])
+    assert any(values[0])
+    assert all(v == values[0] for v in values[1:])
+    assert all(c.is_exact() for c in values[0])
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_vacuum_third_state_is_two_point(name):
+    preset = preset_from_name(name)
+    a, b, _ = _three_states(preset)
+    z, w, u = QQi(3, 1), QQi(Fraction(1, 2), -1), QQi(-2)
+    window = DegreeWindow(0, 4)
+    want = two_point_value(preset, a, b, z, w, window)
+    for states, points in (([a, b, GradedVector.vacuum()], [z, w, u]),
+                           ([GradedVector.vacuum(), a, b], [u, z, w])):
+        got = mu_numeric(preset, states, points, window)
+        assert got.components == want.components
+
+
+def test_four_point_matches_radial_reference():
+    """The radial cap-doubling route, run once at tol 1e-12 before it was
+    replaced, stays on record as an independent reference."""
+    ref = json.loads(RADIAL.read_text())
+    preset = preset_from_name(ref["preset"])
+    states = [GradedVector.from_obj(s) for s in ref["states"]]
+    points = [complex(float(re), float(im)) for re, im in ref["points"]]
+    want = ProductVector.from_obj(ref["value"])
+    got = mu_numeric(preset, states, points, DegreeWindow(*ref["window"]))
+    assert want.components
+    for k in want.window.degrees():
+        scale = max(want.component(k).norm_inf(), 1.0)
+        assert got.component(k).distance(want.component(k)) <= 1e-9 * scale
 
 
 def test_insertion_at_zero_check(boson):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from voxfact.scalars import (DegreeWindow, QQi, binom, format_qqi, is_exact,
-                             parse_qqi, scalar_pow)
+                             parse_qqi, scalar_key, scalar_pow)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 qqis = st.builds(QQi, rationals, rationals)
@@ -115,3 +115,26 @@ def test_degree_window():
         DegreeWindow(3, 1)
     with pytest.raises(ValueError):
         DegreeWindow.parse("junk")
+
+
+_exact_points = st.one_of(
+    st.builds(QQi, st.fractions(), st.fractions()),
+    st.fractions(), st.integers())
+
+
+@given(_exact_points, _exact_points)
+def test_scalar_key_injective_on_exact_values(x, y):
+    """Equal keys exactly when the exact values are equal, also for values
+    that round to the same float."""
+    assert (scalar_key(x) == scalar_key(y)) == (QQi(0) + x == QQi(0) + y)
+    assert scalar_key(x) != scalar_key(complex(x))
+
+
+def test_scalar_key_keeps_values_a_float_merges():
+    third = Fraction(1, 3)
+    near = third + Fraction(1, 10 ** 30)
+    assert complex(QQi(third)) == complex(QQi(near))
+    assert scalar_key(third) != scalar_key(near)
+    assert scalar_key(third) == scalar_key(QQi(third))
+    assert sorted([scalar_key(near), scalar_key(third)])[0] == \
+        scalar_key(third)
