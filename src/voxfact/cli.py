@@ -291,8 +291,7 @@ def _dispatch_factor(args) -> int:
         return 0 if rep.passed else 1
     if fc == "project":
         expr = Expression.from_obj(json.loads(args.expr))
-        vec, meta = weight_project(expr, args.k, preset, window,
-                                   quad_n=args.quad_n)
+        vec, meta = weight_project(expr, args.k, preset, window)
         _emit(args, json.dumps({"vector": vec.to_obj(), "meta": meta},
                                indent=2, sort_keys=True))
         return 0

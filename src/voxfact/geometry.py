@@ -24,8 +24,9 @@ def _abs2(p) -> Fraction:
 
 
 def _diff(p, q):
-    if isinstance(p, QQi) and isinstance(q, QQi):
-        return p - q
+    ep, eq = QQi._lift(p), QQi._lift(q)
+    if ep is not None and eq is not None:
+        return ep - eq
     return complex(p) - complex(q)
 
 

@@ -1,11 +1,17 @@
 """Relation kernels, weight projections, and model-level checks.
 
 This module ties the functional calculus to the multiplication maps: exact
-evaluation kernels over Gaussian rationals, contour-extracted weight
-components of the dilation orbit, the annulus obstruction showing that
-evaluation kernels fail to form an ideal under multiplication, and the
-finite-shadow checks for multiplicativity, covers, and density of
-disc-supported relations along scaling orbits.
+evaluation kernels over Gaussian rationals, weight components, the annulus
+obstruction showing that evaluation kernels fail to form an ideal under
+multiplication, and the finite-shadow checks for multiplicativity, covers,
+and density of disc-supported relations along scaling orbits.
+
+The weight-k component of an expression x is the q^k Fourier coefficient
+of its dilation orbit q |-> ev(q . x).  Evaluation is dilation-equivariant,
+ev(q . x)_d = q^d ev(x)_d, so `weight_project` reads it off one
+evaluation, exactly on exact data.  The weight-projection checks keep the
+orbit itself, sampled by the trapezoid rule, as an independent second
+route.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from .linalg import nullspace
 from .mu import mu_one_point
 from .presets import VAPreset, basis_upto, heisenberg, state_mode
 from .report import CheckReport
-from .scalars import DegreeWindow, QQi, as_complex, scalar_key
+from .scalars import DegreeWindow, QQi, as_complex, scalar_key, scalar_zero
 
 
 # ---------------------------------------------------------------------------
@@ -66,29 +72,37 @@ def kernel_combination(exprs, coeffs) -> Expression:
 
 
 def weight_project(expr: Expression, k: int, preset: VAPreset,
-                   window: DegreeWindow, quad_n: int | None = None,
-                   t: float | None = None):
-    """Degree-k weight component of an expression via the dilation orbit.
+                   window: DegreeWindow):
+    """Degree-k weight component l_k(expr) of an expression.
 
-    Samples the scaling action q |-> ev(q . expr) on a circle |q| = t and
-    extracts the q^k Fourier coefficient, the moment of exponent -k-1, by
-    the trapezoid rule, which is exact below the aliasing bandwidth.
-    Returns (GradedVector, metadata).
+    Evaluation is equivariant under dilation, ev(q . x)_d = q^d ev(x)_d, so
+    the q^k Fourier coefficient of the dilation orbit q |-> ev(q . x) is the
+    degree-k part of one evaluation.  Returns (GradedVector, metadata) with
+    metadata {"route": "exact"} when the evaluation is exact (the component
+    then has QQi coefficients), {"route": "numeric"} when some term went
+    through quadrature or carries float data.
     """
+    pv = evaluate_expression(expr, preset, window)
+    exact = all(v.is_exact() for v in pv.components.values())
+    return pv.component(k), {"route": "exact" if exact else "numeric"}
+
+
+def _orbit_component(expr: Expression, k: int, preset: VAPreset,
+                     window: DegreeWindow, quad_n: int | None = None):
+    """l_k(expr) the long way, as the reference for `weight_project`:
+    sample q |-> ev(q . expr) on quad_n trapezoid nodes of a circle |q| = t
+    and extract the q^k Fourier coefficient, the moment of exponent -k-1.
+    The rule is exact below the aliasing bandwidth, so with more nodes than
+    the window is wide this agrees with `weight_project` up to rounding."""
     if quad_n is None:
         quad_n = 2 * window.hi + 16
-    if t is None:
-        t = _orbit_radius(expr)
 
     def ev(q):
         return evaluate_expression(affine_act(q, QQi(0), expr), preset,
                                    window).flatten()
 
-    acc = quadrature_moment(ev, 0, t, -k - 1, quad_n)
-    off = sum(acc.project(d).norm_inf()
-              for d in acc.degrees() if d != k)
-    meta = {"quad_n": quad_n, "t": t, "off_degree_mass": off}
-    return acc.project(k), meta
+    acc = quadrature_moment(ev, 0, _orbit_radius(expr), -k - 1, quad_n)
+    return acc.project(k)
 
 
 def _orbit_radius(expr: Expression) -> float:
@@ -105,9 +119,9 @@ def _orbit_radius(expr: Expression) -> float:
 
 
 def _outer_radius(u: OpenSet):
-    if isinstance(u, Disc) and complex(u.center) == 0:
+    if isinstance(u, Disc) and scalar_zero(u.center):
         return float(u.radius)
-    if isinstance(u, Annulus) and complex(u.center) == 0:
+    if isinstance(u, Annulus) and scalar_zero(u.center):
         return float(u.outer)
     return None
 
@@ -328,8 +342,9 @@ def roundtrip_check(preset: VAPreset, max_degree: int,
                     samples, window: DegreeWindow,
                     tol: float = 1e-9) -> CheckReport:
     """ev(state_embedding(a)) == a exactly, and the homomorphism square:
-    the degree-k weight projection of [delta_z (x) a] equals
-    p_k mu(a, z) within tol for sampled (a, z, k)."""
+    the degree-k weight projection of [delta_z (x) a], read off the
+    dilation orbit by the trapezoid rule, equals p_k mu(a, z) within tol
+    for sampled (a, z, k)."""
     carrier = Disc(QQi(0), Fraction(1))
     ok = True
     witness = {}
@@ -346,7 +361,7 @@ def roundtrip_check(preset: VAPreset, max_degree: int,
         r = abs(as_complex(z))
         big = Disc(QQi(0), Fraction(4 * (int(r) + 1)))
         expr = Expression.single(big, [DeltaJet(z, 0)], [a])
-        proj, _meta = weight_project(expr, k, preset, window)
+        proj = _orbit_component(expr, k, preset, window)
         direct = mu_one_point(preset, a.to_complex(), as_complex(z),
                               window).component(k)
         scale = max(direct.norm_inf(), 1.0)
@@ -366,14 +381,14 @@ def roundtrip_check(preset: VAPreset, max_degree: int,
 
 def check_weight_partition(preset: VAPreset, exprs, window: DegreeWindow,
                            tol: float = 1e-9) -> CheckReport:
-    """sum_k l_k recovers the full evaluation on windowed expressions."""
+    """sum_k l_k recovers the full evaluation on windowed expressions, with
+    each l_k read off the dilation orbit by the trapezoid rule."""
     worst = 0.0
     witness = {}
     for num, expr in enumerate(exprs):
         total = GradedVector.zero()
         for k in window.degrees():
-            piece, _ = weight_project(expr, k, preset, window)
-            total = total + piece
+            total = total + _orbit_component(expr, k, preset, window)
         direct = evaluate_expression(expr, preset, window,
                                      force_numeric=False).flatten()
         scale = max(direct.norm_inf(), 1.0)
@@ -387,7 +402,9 @@ def check_weight_partition(preset: VAPreset, exprs, window: DegreeWindow,
 
 def check_weight_idempotent(preset: VAPreset, exprs, window: DegreeWindow,
                             tol: float = 1e-9) -> CheckReport:
-    """l_k o l_k = l_k and l_j o l_k = 0 for j != k, on embedded outputs."""
+    """l_k o l_k = l_k and l_j o l_k = 0 for j != k, on embedded outputs:
+    the inner l_k is `weight_project`, the outer ones are read off the
+    dilation orbit by the trapezoid rule."""
     worst = 0.0
     witness = {}
     carrier = Disc(QQi(0), Fraction(1))
@@ -397,12 +414,12 @@ def check_weight_idempotent(preset: VAPreset, exprs, window: DegreeWindow,
             if not piece:
                 continue
             embedded = state_embedding(carrier, piece)
-            again, _ = weight_project(embedded, k, preset, window)
+            again = _orbit_component(embedded, k, preset, window)
             scale = max(piece.norm_inf(), 1.0)
             err = again.distance(piece) / scale
             j = k + 1 if k + 1 in window else k - 1
             if j in window:
-                cross, _ = weight_project(embedded, j, preset, window)
+                cross = _orbit_component(embedded, j, preset, window)
                 err = max(err, cross.norm_inf() / scale)
             if err > worst:
                 worst = err
@@ -414,15 +431,16 @@ def check_weight_idempotent(preset: VAPreset, exprs, window: DegreeWindow,
 def check_weight_quadrature(preset: VAPreset, samples, window: DegreeWindow,
                             quad_n: int | None = None,
                             tol: float = 1e-9) -> CheckReport:
-    """Quadrature weight components against the exact degree parts of the
-    one-point map, at exact sample points."""
+    """Weight components read off the dilation orbit by the trapezoid rule
+    against the exact degree parts of the one-point map, at exact sample
+    points."""
     worst = 0.0
     witness = {}
     for a, z, k in samples:
         r = abs(as_complex(z))
         big = Disc(QQi(0), Fraction(4 * (int(r) + 1)))
         expr = Expression.single(big, [DeltaJet(z, 0)], [a])
-        proj, _ = weight_project(expr, k, preset, window, quad_n=quad_n)
+        proj = _orbit_component(expr, k, preset, window, quad_n)
         exact = mu_one_point(preset, a, z, window).component(k)
         scale = max(exact.norm_inf(), 1.0)
         err = proj.distance(exact.to_complex()) / scale

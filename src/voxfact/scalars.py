@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+
+_HASH_MASK = (1 << sys.hash_info.width) - 1
 
 
 class QQi:
@@ -113,14 +117,23 @@ class QQi:
         o = QQi._lift(other)
         if o is None:
             if isinstance(other, (float, complex)):
-                return complex(self) == complex(other)
+                # exact, as Fraction compares with float: the float's
+                # binary value, never a rounding of self
+                z = complex(other)
+                return self.re == z.real and self.im == z.imag
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # equal to hash(x) for every int, Fraction, float or complex x that
+        # compares equal, following CPython's numeric hash for complex
         if self.im == 0:
             return hash(self.re)
-        return hash((self.re, self.im))
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) \
+            & _HASH_MASK
+        if h > _HASH_MASK >> 1:
+            h -= _HASH_MASK + 1
+        return -2 if h == -1 else h
 
     def __bool__(self):
         return self.re != 0 or self.im != 0

@@ -1,7 +1,9 @@
 """Command line interface: argument handling, outputs, exit codes."""
 import json
+from fractions import Fraction
 
 from voxfact.cli import main
+from voxfact.functionals import DeltaJet
 from voxfact.graded import GradedVector
 from voxfact.mu import two_point_value
 from voxfact.presets import heisenberg
@@ -139,3 +141,19 @@ def test_factor_roundtrip(capsys):
     code, out, _ = run(capsys, "factor", "--window", "0:3", "roundtrip")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_factor_project_exact(capsys):
+    expr = {"carrier": {"disc": {"center": "0", "radius": "4"}},
+            "terms": [{"coeff": {"re": "1", "im": "0"},
+                       "factors": [DeltaJet(QQi(Fraction(1, 2)), 0).to_obj()],
+                       "states": [{"terms": [{"mono": ["a(-1)"], "re": "1",
+                                              "im": "0"}]}]}]}
+    code, out, _ = run(capsys, "factor", "--window", "0:4", "project",
+                       "--expr", json.dumps(expr), "--k", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["meta"] == {"route": "exact"}
+    # p_2 exp(zT) a(-1)|0> at z = 1/2 is z a(-2)|0>
+    assert data["vector"]["terms"] == [{"mono": ["a(-2)"], "re": "1/2",
+                                        "im": "0"}]

@@ -101,3 +101,53 @@ def test_disjoint_symmetric_and_honest(d1, d2):
     assert is_disjoint(d1, d2) == is_disjoint(d2, d1)
     if is_disjoint(d1, d2):
         assert not d2.contains_point(d1.center)
+
+
+def test_exact_real_point_stays_exact():
+    """An int or Fraction point is compared exactly, as its QQi is."""
+    d = Disc(QQi(0), Fraction(1))
+    near = Fraction(10 ** 20 - 1, 10 ** 20)
+    assert d.contains_point(near) and d.contains_point(QQi(near))
+    assert not d.contains_point(1)
+    a = Annulus(QQi(0), Fraction(1), Fraction(2))
+    assert a.contains_point(Fraction(10 ** 20 + 1, 10 ** 20))
+    assert not a.contains_point(Fraction(2))
+
+
+annuli = st.builds(lambda c, r, w: Annulus(c, r, r + w),
+                   pts, st.one_of(st.just(Fraction(0)), radii), radii)
+shapes = st.one_of(discs, annuli)
+# large shapes, so that a fair share of pairs are subsets
+wide = st.fractions(min_value=4, max_value=16, max_denominator=4)
+targets = st.one_of(shapes, st.builds(Disc, pts, wide),
+                    st.builds(lambda c, r, w: Annulus(c, r, r + w),
+                              pts, radii, wide))
+unit = st.fractions(min_value=0, max_value=1, max_denominator=16)
+slopes = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+@st.composite
+def shape_and_point(draw):
+    """A disc or annulus and an exact point in it: the centre plus a
+    radius strictly inside the shape times a rational unit vector."""
+    u = draw(shapes)
+    t = draw(unit.filter(lambda x: 0 < x < 1))
+    s = draw(slopes)
+    direction = QQi((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s))
+    if draw(st.booleans()):
+        direction = -direction
+    if isinstance(u, Disc):
+        rho = u.radius * t
+    else:
+        rho = u.inner + (u.outer - u.inner) * t
+    return u, u.center + direction * rho
+
+
+@given(shape_and_point(), targets)
+def test_subset_and_disjoint_sound_on_points(up, v):
+    u, p = up
+    assert u.contains_point(p)
+    if is_subset(u, v):
+        assert v.contains_point(p)
+    if is_disjoint(u, v):
+        assert not v.contains_point(p)

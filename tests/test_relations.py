@@ -9,7 +9,8 @@ from voxfact.functionals import DeltaJet
 from voxfact.geometry import Disc
 from voxfact.graded import GradedVector
 from voxfact.linalg import nullspace
-from voxfact.relations import (check_weight_idempotent, check_weight_partition,
+from voxfact.relations import (_orbit_component, check_weight_idempotent,
+                               check_weight_partition,
                                check_weight_quadrature,
                                concentric_density_check, find_cover_element,
                                kernel_combination, multiplicativity_check,
@@ -83,10 +84,57 @@ def test_weight_project_delta(boson, window6):
     direct = evaluate_expression(expr, boson, window6)
     for k in (0, 1, 2, 4):
         piece, meta = weight_project(expr, k, boson, window6)
-        want = direct.component(k).to_complex()
-        scale = max(want.norm_inf(), 1.0)
-        assert piece.distance(want) / scale < 1e-9, k
-        assert meta["off_degree_mass"] < 1e-8
+        assert piece == direct.component(k), k
+        assert meta == {"route": "exact"}
+
+
+# two states of each preset, paired in the delta-pair expressions
+STATES = {"boson": ("a(-1)", "a(-2)"), "vir": ("L(-2)", "L(-2)"),
+          "sl2": ("e(-1)", "h(-1)")}
+
+
+def _close_to_orbit(piece, expr, k, preset, window):
+    ref = _orbit_component(expr, k, preset, window)
+    return piece.distance(ref) <= 1e-9 * max(piece.norm_inf(), 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_weight_project_is_one_exact_evaluation(name, request):
+    """On exact jets and delta pairs, l_k is the degree-k part of one exact
+    evaluation, inside the window and above it, and the dilation orbit
+    agrees with it."""
+    preset = request.getfixturevalue(name)
+    window = DegreeWindow(0, 4)
+    a, b = (B(t) for t in STATES[name])
+    p, q = QQi(Fraction(1, 2), Fraction(1, 3)), QQi(Fraction(-3, 2), 1)
+    exprs = [Expression.single(D4, [DeltaJet(p, 1)], [a], coeff=QQi(2, -1)),
+             Expression.single(D4, [DeltaJet(p, 0), DeltaJet(q, 0)], [a, b])]
+    for expr in exprs:
+        direct = evaluate_expression(expr, preset, window)
+        nonzero = 0
+        for k in (*window.degrees(), window.hi + 1):
+            piece, meta = weight_project(expr, k, preset, window)
+            assert meta == {"route": "exact"}
+            assert piece == direct.component(k)
+            assert all(type(c) is QQi for c in piece.terms.values())
+            assert _close_to_orbit(piece, expr, k, preset, window), k
+            nonzero += bool(piece)
+        assert nonzero >= 2
+
+
+def test_weight_project_numeric_routes(boson):
+    """Float data, and a term of arity three (quadrature over the rational
+    multi-point map), give the numeric route, still equal to the orbit."""
+    window = DegreeWindow(0, 3)
+    a = B("a(-1)")
+    exprs = [Expression.single(D4, [DeltaJet(0.5 + 0.25j, 0)], [a]),
+             Expression.single(D4, [DeltaJet(QQi(3), 0), DeltaJet(QQi(1), 0),
+                                    DeltaJet(QQi(0), 0)], [a, a, a])]
+    for expr in exprs:
+        for k in window.degrees():
+            piece, meta = weight_project(expr, k, boson, window)
+            assert meta == {"route": "numeric"}
+            assert _close_to_orbit(piece, expr, k, boson, window), k
 
 
 def test_weight_partition_and_idempotence(boson, window6):

@@ -138,3 +138,30 @@ def test_scalar_key_keeps_values_a_float_merges():
     assert scalar_key(third) == scalar_key(QQi(third))
     assert sorted([scalar_key(near), scalar_key(third)])[0] == \
         scalar_key(third)
+
+
+floats = st.floats(allow_nan=True, allow_infinity=True)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# QQi with the exact values of floats as parts, so that equality comes up
+exactish = st.one_of(qqis, st.builds(QQi, finite, finite))
+
+
+@given(exactish, floats, floats)
+def test_eq_against_float_is_exact(q, re, im):
+    """q == f exactly when f's binary value is q, and equal values hash
+    equal, for float and complex f."""
+    for f in (re, complex(re, im), complex(q), complex(q).real):
+        z = complex(f)
+        same = all(math.isfinite(x) for x in (z.real, z.imag)) and \
+            Fraction(z.real) == q.re and Fraction(z.imag) == q.im
+        assert (q == f) is same
+        assert (q != f) is not same
+        if same:
+            assert hash(q) == hash(f)
+
+
+def test_eq_against_float_regressions():
+    assert QQi(Fraction(1, 3)) != 1 / 3
+    assert QQi(Fraction(1, 2), Fraction(1, 4)) == 0.5 + 0.25j
+    assert QQi(1, 1) == 1 + 1j and hash(QQi(1, 1)) == hash(1 + 1j)
+    assert len({QQi(1, 1), 1 + 1j, QQi(2), 2.0}) == 2
