@@ -34,11 +34,11 @@ def build_parser():
         p.add_argument("--c", default=None, help="virasoro central charge")
         p.add_argument("--level", default=None, help="affine level")
         p.add_argument("--window", default=None, help="degree window lo:hi")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--quad-n", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--format", default=None, choices=["json", "csv"])
+
+    def sampling(p):  # read by the randomized checks
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("define", help="describe a preset and its basis")
     common(p)
@@ -63,6 +63,7 @@ def build_parser():
 
     p = sub.add_parser("factor", help="expression-level operations")
     common(p)
+    sampling(p)
     fsub = p.add_subparsers(dest="factor_command", required=True)
     fm = fsub.add_parser("multiply")
     fm.add_argument("--x", required=True, help="expression JSON")
@@ -86,6 +87,9 @@ def build_parser():
 
     p = sub.add_parser("suite", help="run the full check suite")
     common(p)
+    sampling(p)
+    p.add_argument("--quad-n", type=int, default=None)
+    p.add_argument("--format", default=None, choices=["json", "csv"])
     p.add_argument("--presets", default="heisenberg,virasoro,affine_sl2")
     p.add_argument("--only", default=None,
                    help="comma separated subset of check labels")
@@ -260,7 +264,7 @@ def _dispatch_factor(args) -> int:
         return 0
     if fc == "eval":
         expr = Expression.from_obj(json.loads(args.expr))
-        pv = evaluate_expression(expr, preset, window, quad_n=args.quad_n)
+        pv = evaluate_expression(expr, preset, window)
         _emit(args, json.dumps(pv.to_obj(), indent=2, sort_keys=True))
         return 0
     if fc == "kernel":

@@ -7,18 +7,18 @@ An expression on an open carrier U is a finite sum of terms
 one analytic factor and one state per coordinate, identified under
 simultaneous permutation of coordinates (terms are kept in a canonical
 sorted form).  Evaluation pairs the functional with the multi-point
-multiplication map of the states.  Up to arity two the route is exact:
-the residue calculus pairs each factor with the powers of the points in
-the closed forms, and `mu.one_point_sum` and `mu.two_point_sum` sum the
-paired terms.  Terms of arity three or more, and exact terms whose
-expansion domain does not fit, go through nested trapezoid quadrature
-(`functionals.apply_factor_numeric`) over `mu.mu_numeric`, the rational
-multi-point map evaluated at the float nodes.
+multiplication map of the states.  `mu.mode_box` writes that map as a
+finite sum of state vectors times products of powers of the differences of
+the points, and the pairing of each such scalar is an iterated residue
+(`residues`): exact on exact data, the same formulas in complex arithmetic
+on float data, at every arity.  Nested trapezoid quadrature of the same
+scalars stays available under ``force_numeric``, as the checks' reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import (ExpansionDomainMismatch, NotASubset, NotDisjoint,
                      VoxfactError)
@@ -29,9 +29,10 @@ from .geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
                        cmp_sqrt, cmp_sqrt_sum, is_disjoint, is_subset,
                        union_of)
 from .graded import GradedVector, ProductVector
-from .mu import mu_numeric, one_point_sum, two_point_sum
+from .mu import mode_box
 from .presets import VAPreset
-from .residues import VAR, moment_sym, point_in_circle, sym_jet
+from .residues import (Var, coordinate, merge, moment_sym, point_in_circle,
+                       sym_jet)
 from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
                       is_exact, same_point, scalar_key)
 
@@ -260,126 +261,107 @@ def _map_set(u: OpenSet, lam, shift):
 def evaluate_expression(expr: Expression, preset: VAPreset,
                         window: DegreeWindow, quad_n: int | None = None,
                         force_numeric: bool = False) -> ProductVector:
+    """ev(expr): each term's functional paired with the multi-point map of
+    its states, term by term over one `mu.mode_box`.
+
+    By default every scalar of the box is paired by iterated residues
+    (`_pairing`): exactly on exact data, in complex arithmetic on float
+    data.  With ``force_numeric`` the pairing is nested trapezoid
+    quadrature on ``quad_n`` nodes per contour (`_quadrature`), the
+    reference route of the checks.
+    """
+    if quad_n is None:
+        quad_n = 2 * window.hi + 16
     out = ProductVector(window)
     for t in expr.terms:
-        if not force_numeric and t.arity <= 2:
-            try:
-                pv = _eval_term_exact(preset, t, window)
-                out = out + pv.scale(t.coeff)
-                continue
-            except ExpansionDomainMismatch:
-                pass
-        pv = _eval_term_numeric(preset, t, window, quad_n)
-        out = out + pv.scale(t.coeff)
+        factors = t.atom.factors
+        scalar = (_quadrature(factors, quad_n) if force_numeric
+                  else _pairing(factors))
+        out = out + mode_box(preset, t.states, window, scalar).scale(t.coeff)
     return out
 
 
-def _eval_term_exact(preset, t: Term, window) -> ProductVector:
-    if t.arity == 0:
-        pv = ProductVector(window)
-        if 0 in window:
-            pv.set_component(0, GradedVector.vacuum())
-        return pv
-    if t.arity == 1:
-        return _eval_arity1(preset, t.states[0], t.atom.factors[0], window)
-    return _eval_arity2(preset, t.states, t.atom.factors, window)
+def _pairing(factors):
+    """The scalar callback of `mode_box` that pairs the factors with
+    prod (z_i - z_k)^t z_m^j as an iterated residue, one coordinate at a
+    time.  Jets go first: each then meets only points and free variables,
+    never a pole.  Moments follow from the innermost contour outward (a
+    contour inside another has the smaller radius), and the geometry
+    places each variable still free inside or outside the contour."""
+    order = sorted(range(len(factors)), key=lambda i: (
+        (0, 0) if isinstance(factors[i], DeltaJet)
+        else (1, factors[i].radius)))
+    steps = []
+    for n, i in enumerate(order):
+        f = factors[i]
+        inside = None if isinstance(f, DeltaJet) else \
+            {Var(k): _inside(factors[k], f) for k in order[n + 1:]}
+        steps.append((Var(i), f, inside))
+    last = Var(len(factors) - 1)
+
+    @cache
+    def pair(exps, j):
+        integrand = {(Var(i), Var(k)): t for (i, k), t in exps}
+        if j:
+            integrand[(last, QQi(0))] = j
+        terms = [(1, integrand)]
+        for var, f, inside in steps:
+            paired = []
+            for c, fs in terms:
+                sign, own, rest = coordinate(fs, var)
+                if isinstance(f, DeltaJet):
+                    pieces = sym_jet(own, f.point, f.order)
+                else:
+                    pieces = moment_sym(own, f.center, f.radius, f.exponent,
+                                        inside)
+                paired.extend((sign * c * pc, merge(rest, pf))
+                              for pc, pf in pieces)
+            terms = paired
+        return sum(c for c, _ in terms)
+
+    return pair
 
 
-def _eval_arity1(preset, a, factor, window) -> ProductVector:
-    # the factor paired with z^j, the j-th term of the flow exp(zT) a
-    return one_point_sum(preset, a, window,
-                         lambda j: _apply_outer(factor, {QQi(0): j} if j else {}))
-
-
-def _apply_outer(factor, z_factors):
-    """Apply an analytic factor to a concrete product-of-powers function."""
-    if isinstance(factor, DeltaJet):
-        pieces = sym_jet(z_factors, factor.point, factor.order)
-    else:
-        pieces = moment_sym(z_factors, factor.center, factor.radius,
-                            factor.exponent)
-    total = QQi(0)
-    for c, f in pieces:
-        if f:
-            raise ExpansionDomainMismatch("unresolved symbolic factor")
-        total = total + c
-    return total
-
-
-def _eval_arity2(preset, states, factors, window) -> ProductVector:
-    a, b = states
-    f1, f2 = factors
-    if isinstance(f1, DeltaJet) and isinstance(f2, CircleMoment) \
-            and point_in_circle(f1.point, f2.center, f2.radius) < 0:
-        # With the delta inside the moment's contour, the residue at w = z
-        # puts the moment's pole at z; a delta at the centre would take its
-        # jet there.  Pair the moment as the outer factor instead: the
-        # states commute, all three presets being purely even.
-        a, b, f1, f2 = b, a, f2, f1
-    return two_point_sum(preset, a, b, window,
-                         lambda j, e: _pair_bivariate(f1, f2, j, e))
-
-
-def _pair_bivariate(f1, f2, j: int, e: int):
-    """Pair f1 (outer variable z) and f2 (inner variable w) against
-    w^j (z - w)^e; the 1/j! normalization lives in the state vector."""
-    sign = QQi((-1) ** e)  # (z-w)^e = (-1)^e (w-z)^e
-    w_factors = {}
-    if j:
-        w_factors[QQi(0)] = j
-    if e:
-        w_factors[VAR] = e
-    if isinstance(f2, DeltaJet):
-        pieces = sym_jet(w_factors, f2.point, f2.order)
-    else:
-        var_inside = _outer_inside(f1, f2)
-        pieces = moment_sym(w_factors, f2.center, f2.radius, f2.exponent,
-                            var_inside=var_inside)
-    total = QQi(0)
-    for c, z_factors in pieces:
-        val = _apply_outer(f1, z_factors)
-        if val:
-            total = total + c * val
-    return sign * total
-
-
-def _outer_inside(f1, f2: CircleMoment):
-    """Whether the outer coordinate support lies inside the contour of f2."""
-    if isinstance(f1, DeltaJet):
-        side = point_in_circle(f1.point, f2.center, f2.radius)
-        if side == 0:
-            raise ExpansionDomainMismatch("outer point on the inner contour")
-        return side < 0
-    rel = circle_vs_circle(f1.center, f1.radius, f2.center, f2.radius)
+def _inside(f, moment: CircleMoment) -> bool:
+    """Whether the support of factor f lies inside the moment's contour."""
+    if isinstance(f, DeltaJet):
+        return point_in_circle(f.point, moment.center, moment.radius) < 0
+    rel = circle_vs_circle(f.center, f.radius, moment.center, moment.radius)
     if rel is None:
         raise ExpansionDomainMismatch("contours intersect")
     return rel
 
 
-def _eval_term_numeric(preset, t: Term, window, quad_n) -> ProductVector:
-    if quad_n is None:
-        quad_n = 2 * window.hi + 16
-    supports = []
-    for f in t.atom.factors:
-        supports.append(complex(f.point) if isinstance(f, DeltaJet)
-                        else complex(f.center))
+def _quadrature(factors, quad_n):
+    """The scalar callback of `mode_box` that applies the factors to
+    prod (z_i - z_k)^t z_m^j by nested trapezoid quadrature
+    (`functionals.apply_factor_numeric`), in complex arithmetic.  It makes
+    no use of the residue calculus, so it checks that route
+    independently."""
+    supports = [complex(f.point) if isinstance(f, DeltaJet)
+                else complex(f.center) for f in factors]
 
     def jet_radius(idx):
         p = supports[idx]
         dists = [abs(p - q) for i, q in enumerate(supports) if i != idx]
-        for i, f in enumerate(t.atom.factors):
+        for i, f in enumerate(factors):
             if i != idx and isinstance(f, CircleMoment):
                 dists.append(abs(abs(p - complex(f.center)) - float(f.radius)))
         base = min(dists) if dists else 1.0
         return min(0.25 * base, 0.5) if base > 0 else 0.25
 
-    states = [s.to_complex() for s in t.states]
+    radii = [jet_radius(i) for i in range(len(factors))]
 
-    def rec(idx, bound):
-        if idx == len(t.atom.factors):
-            return mu_numeric(preset, states, bound, window)
-        return apply_factor_numeric(t.atom.factors[idx],
-                                    lambda z: rec(idx + 1, bound + [z]),
-                                    quad_n, jet_radius(idx))
+    def scalar(exps, j):
+        def rec(idx, zs):
+            if idx == len(factors):
+                val = zs[-1] ** j if j else complex(1)
+                for (i, k), t in exps:
+                    val *= (zs[i] - zs[k]) ** t
+                return val
+            return apply_factor_numeric(factors[idx],
+                                        lambda z: rec(idx + 1, zs + [z]),
+                                        quad_n, radii[idx])
+        return rec(0, [])
 
-    return rec(0, [])
+    return scalar

@@ -291,7 +291,10 @@ class ProductVector:
 
     @classmethod
     def from_vector(cls, v: GradedVector, window: DegreeWindow) -> "ProductVector":
-        pv = cls(window)
-        for k in window.degrees():
-            pv.set_component(k, v.project(k))
-        return pv
+        parts = {}
+        for mono, c in v.terms.items():
+            k = mono_degree(mono)
+            if k in window:
+                parts.setdefault(k, {})[mono] = c
+        return cls(window, {k: GradedVector.from_nonzero(t)
+                            for k, t in parts.items()})

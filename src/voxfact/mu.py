@@ -2,25 +2,25 @@
 
 The m-point map sends states a_1 .. a_m at pairwise distinct points
 z_1 .. z_m to the product-space vector e^{z_m T} Y(a_1, z_1 - z_m) ...
-Y(a_{m-1}, z_{m-1} - z_m) a_m.  Two assemblers build the closed forms for
-one and two points over a degree window, with a caller-supplied scalar per
-term: `one_point_sum` (the flow exp(zT) a) and `two_point_sum` (the
-two-point map e^{wT} Y(a, z-w) b).  With powers of the points as scalars
-they give `mu_one_point` and `two_point_value`; `expressions` passes the
-pairings of jets and moments instead.
+Y(a_{m-1}, z_{m-1} - z_m) a_m.  Each degree part is a rational function of
+the points whose pole orders are the locality orders `pole_bound`, so the
+map is a finite sum of state vectors times products of powers of the
+differences z_i - z_k and of z_m.  `mode_box` builds that sum from a
+finite box of nested state modes and hands the scalar factor of each term
+to a caller-supplied callback:
 
-`mu_numeric` is the one route for any arity.  Each degree part is a
-rational function of the points whose pole orders are the locality orders
-`pole_bound`; its numerator is read off a finite box of nested state modes
-and evaluated at the points, exactly at exact points and in complex at
-float points.  Nothing is truncated and no ordering of the points is
-needed.
+* `mu_numeric` (any arity), `two_point_value` and `mu_one_point` evaluate
+  it at the points, exactly (QQi) at exact points and in complex at float
+  points;
+* `expressions` pairs it with jets and moments.
+
+Nothing is truncated and no ordering of the points is needed.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+from functools import cache
 
 from .errors import DomainViolation
 from .graded import GradedVector, ProductVector
@@ -31,138 +31,59 @@ from .scalars import (DegreeWindow, QQi, as_complex, is_exact, same_point,
 
 
 # ---------------------------------------------------------------------------
-# closed forms (one and two insertion points)
+# the mode box
 
 
-def one_point_sum(preset: VAPreset, a: GradedVector, window: DegreeWindow,
-                  scalar) -> ProductVector:
-    """sum_j scalar(j) T^j a / j!, windowed.
+def mode_box(preset: VAPreset, states, window: DegreeWindow,
+             scalar) -> ProductVector:
+    """The m-point map of ``states``: sum of scalar(exps, j) T^j V_e / j!.
 
-    T^j a / j! of a homogeneous part of degree d has degree d + j, so only
-    the j with d + j in the window are formed.  ``scalar`` is called only
-    for nonzero T^j a, and a zero scalar drops its term.
+    For homogeneous a_1 .. a_m, x_i = z_i - z_m and D(x) = prod_{i<k}
+    (x_i - x_k)^N_ik with N_ik = pole_bound(a_i, a_k), Y(a_1, x_1) ... a_m
+    is P(x) / D(x) with P a polynomial (Frenkel-Lepowsky-Meurman, ch. 8).
+    Its x^e coefficient V_e = sum_f D_f a_1(n_1) ... a_{m-1}(n_{m-1}) a_m
+    runs over the terms D_f x^f of D, with n = f - e - 1: a finite box of
+    nested modes.  ``exps`` lists ((i, k), t), i < k counted from 0, for
+    prod (z_i - z_k)^t = x^e / D(x); the scalar stands for that factor
+    times z_m^j, from the flow e^{z_m T}.  A zero scalar drops its term.
+    With no states the map is the vacuum.
     """
-    out = ProductVector(window)
-    for d in a.degrees():
-        v = a.project(d)
-        for j in range(window.hi - d + 1):
-            if j:
-                v = translate(preset, v)
-                if not v:
-                    break
-            if d + j < window.lo:
-                continue
-            s = scalar(j)
-            if s:
-                piece = v.scale(s * QQi(Fraction(1, math.factorial(j))))
-                out.set_component(d + j, out.component(d + j) + piece)
-    return out
-
-
-def two_point_sum(preset: VAPreset, a: GradedVector, b: GradedVector,
-                  window: DegreeWindow, scalar) -> ProductVector:
-    """sum over n, j of scalar(j, -n-1) T^j (a_(n) b) / j!, windowed.
-
-    With scalar(j, e) = w^j (z-w)^e this is e^{wT} Y(a, z-w) b.  Each
-    a_(n) b of homogeneous parts goes through `one_point_sum`.
-    """
-    out = ProductVector(window)
-    for da in a.degrees():
-        ah = a.project(da)
-        for db in b.degrees():
-            bh = b.project(db)
-            # a_(n) b has degree da + db - n - 1 and vanishes for n >= da + db
-            for n in range(da + db - 1 - window.hi, da + db):
-                vec = state_mode(preset, ah, n, bh)
-                if vec:
-                    out = out + one_point_sum(preset, vec, window,
-                                              lambda j: scalar(j, -n - 1))
-    return out
-
-
-def mu_one_point(preset: VAPreset, a: GradedVector, z,
-                 window: DegreeWindow) -> ProductVector:
-    """mu(a, z) = exp(zT) a, windowed.  Exact when a and z are exact."""
-    if scalar_zero(z):
-        return ProductVector.from_vector(a, window)
-    return one_point_sum(preset, a, window, lambda j: scalar_pow(z, j))
-
-
-def two_point_value(preset: VAPreset, a: GradedVector, b: GradedVector,
-                    z, w, window: DegreeWindow) -> ProductVector:
-    """mu(a, z, b, w) = e^{wT} Y(a, z-w) b windowed; exact for exact inputs,
-    needs z != w."""
-    if same_point(z, w):
-        raise DomainViolation("coincident insertion points")
-    zw = _sub(z, w)
-    return two_point_sum(preset, a, b, window,
-                         lambda j, e: scalar_pow(w, j) * scalar_pow(zw, e))
-
-
-def _sub(z, w):
-    if is_exact(z) and is_exact(w):
-        return QQi(0) + z - w
-    return as_complex(z) - as_complex(w)
-
-
-# ---------------------------------------------------------------------------
-# any arity: the exact rational map
-
-
-def mu_numeric(preset: VAPreset, states, points, window: DegreeWindow,
-               tol: float = 1e-10) -> ProductVector:
-    """mu(a_1, z_1, ..., a_m, z_m) for any arity m, as a rational map.
-
-    With x_i = z_i - z_m, each degree part of Y(a_1, x_1) ... a_m is a
-    rational function of the x_i (see `_rational_part`).  It is evaluated
-    at the points, exactly (QQi) when states and points are exact and in
-    complex otherwise, and flowed to z_m.  Pairwise distinct points are
-    the only condition.  Nothing is truncated, so ``tail_estimate`` is
-    0.0; ``tol`` has no effect and is kept for callers that pass it.
-    """
-    if len(states) != len(points):
-        raise ValueError("states and points differ in length")
-    for i, z in enumerate(points):
-        if any(same_point(z, w) for w in points[i + 1:]):
-            raise DomainViolation("coincident insertion points")
     if not states:
-        return mu_one_point(preset, GradedVector.vacuum(), QQi(0), window)
-    xs = [_sub(z, points[-1]) for z in points]
-    inner = GradedVector.zero()
+        return ProductVector.from_vector(GradedVector.vacuum(), window)
+    flow = [{} for _ in range(window.hi + 1)]  # j -> U_j / j!
     for parts in itertools.product(*([s.project(d) for d in s.degrees()]
                                      for s in states)):
-        inner = inner + _rational_part(preset, parts, xs, window.hi)
-    return mu_one_point(preset, inner, points[-1], window)
+        for exps, d, vec in _box_terms(preset, parts, window.hi):
+            # degree 0 holds only the vacuum, and T kills it
+            for j in range(max(0, window.lo - d),
+                           window.hi - d + 1 if d else 1):
+                s = scalar(exps, j)
+                if s:
+                    if j > 1:
+                        s = s / math.factorial(j)
+                    acc = flow[j]
+                    for mono, c in vec.terms.items():
+                        acc[mono] = acc.get(mono, 0) + c * s
+    # sum_j T^j U_j / j! by Horner's rule: one translation per order
+    out = GradedVector.zero()
+    for acc in reversed(flow):
+        out = GradedVector(acc) + translate(preset, out)
+    return ProductVector.from_vector(out, window)
 
 
-def _rational_part(preset, parts, xs, top):
-    """Degrees <= top of Y(a_1, x_1) ... Y(a_{m-1}, x_{m-1}) a_m for
-    homogeneous a_i, at the points xs (x_m = 0).
-
-    With N_ij = pole_bound(a_i, a_j), D(x) = prod_{i<j} (x_i - x_j)^N_ij,
-    the degree-k part is P(x) / D(x) with P a polynomial, homogeneous of
-    degree k - sum deg a_i + deg D (Frenkel-Lepowsky-Meurman, ch. 8).  The
-    coefficient of x^e in P is sum_f D_f a_1(n_1) ... a_{m-1}(n_{m-1}) a_m
-    over the terms D_f x^f of D, with n = f - e - 1: a finite box of
-    nested modes.
-    """
+def _box_terms(preset, parts, top):
+    """(exps, d, V_e) for the nonzero V_e of degree d <= top of the
+    homogeneous parts ``parts``; see `mode_box`."""
     m = len(parts)
-    poly, den, deg = {(0,) * m: 1}, QQi(1), 0
-    for i, j in itertools.combinations(range(m), 2):
-        order = pole_bound(preset, parts[i], parts[j])
-        den = den * scalar_pow(_sub(xs[i], xs[j]), order)
-        deg += order
+    orders = {ik: pole_bound(preset, parts[ik[0]], parts[ik[1]])
+              for ik in itertools.combinations(range(m), 2)}
+    poly = {(0,) * m: 1}
+    for (i, k), order in orders.items():
         for _ in range(order):
-            poly = _times_difference(poly, i, j)
-    poly = {f[:-1]: d for f, d in poly.items() if not f[-1]}  # x_m = 0
-    top_e = top - sum(p.degree() for p in parts) + deg
-    coeffs = {}
-    for e in itertools.product(range(top_e + 1), repeat=m - 1):
-        if sum(e) <= top_e:
-            xe = math.prod(scalar_pow(x, k) for x, k in zip(xs, e))
-            for f, d in poly.items():
-                n = tuple(fi - ei - 1 for fi, ei in zip(f, e))
-                coeffs[n] = coeffs.get(n, 0) + xe * d
+            poly = _times_difference(poly, i, k)
+    poly = {f[:-1]: c for f, c in poly.items() if not f[-1]}  # x_m = 0
+    # V_e has degree sum deg a_i - deg D + |e|
+    low = sum(p.degree() for p in parts) - sum(orders.values())
     memo = {(): parts[-1]}
 
     def nested(n):  # a_k(n_k) ... a_{m-1}(n_{m-1}) a_m for n = n_k .. n_{m-1}
@@ -172,12 +93,20 @@ def _rational_part(preset, parts, xs, top):
                                           n[0], rest)
         return memo[n]
 
-    out = GradedVector.zero()
-    for n, c in coeffs.items():
-        v = nested(n) if c else None
-        if v:
-            out = out + v.scale(c / den)
-    return out
+    for e in itertools.product(range(top - low + 1), repeat=m - 1):
+        d = low + sum(e)
+        if not 0 <= d <= top:
+            continue
+        vec = GradedVector.zero()
+        for f, c in poly.items():
+            v = nested(tuple(fi - ei - 1 for fi, ei in zip(f, e)))
+            if v:
+                vec = vec + (v if c == 1 else v.scale(c))
+        if vec:
+            exps = {ik: -order for ik, order in orders.items()}
+            for i, ei in enumerate(e):
+                exps[(i, m - 1)] += ei
+            yield tuple((ik, t) for ik, t in exps.items() if t), d, vec
 
 
 def _times_difference(poly, i, j):
@@ -191,13 +120,64 @@ def _times_difference(poly, i, j):
 
 
 # ---------------------------------------------------------------------------
+# evaluation at the points
+
+
+def mu_numeric(preset: VAPreset, states, points, window: DegreeWindow,
+               tol: float = 1e-10) -> ProductVector:
+    """mu(a_1, z_1, ..., a_m, z_m) for any arity m: `mode_box` with each
+    scalar evaluated at the points, exactly (QQi) when states and points
+    are exact and in complex otherwise.  Pairwise distinct points are the
+    only condition.  Nothing is truncated, so ``tail_estimate`` is 0.0;
+    ``tol`` has no effect and is kept for callers that pass it.
+    """
+    if len(states) != len(points):
+        raise ValueError("states and points differ in length")
+    for i, z in enumerate(points):
+        if any(same_point(z, w) for w in points[i + 1:]):
+            raise DomainViolation("coincident insertion points")
+    last = len(points) - 1
+
+    @cache
+    def power(ik, t):  # (z_i - z_k)^t, and z_m^t for ik = None
+        if ik is None:
+            return scalar_pow(points[last], t)
+        return scalar_pow(_sub(points[ik[0]], points[ik[1]]), t)
+
+    return mode_box(preset, states, window,
+                    lambda exps, j: math.prod(power(ik, t) for ik, t in exps)
+                    * power(None, j))
+
+
+def mu_one_point(preset: VAPreset, a: GradedVector, z,
+                 window: DegreeWindow) -> ProductVector:
+    """mu(a, z) = exp(zT) a, windowed.  Exact when a and z are exact."""
+    if scalar_zero(z):
+        return ProductVector.from_vector(a, window)
+    return mu_numeric(preset, [a], [z], window)
+
+
+def two_point_value(preset: VAPreset, a: GradedVector, b: GradedVector,
+                    z, w, window: DegreeWindow) -> ProductVector:
+    """mu(a, z, b, w) = e^{wT} Y(a, z-w) b windowed; exact for exact inputs,
+    needs z != w."""
+    return mu_numeric(preset, [a, b], [z, w], window)
+
+
+def _sub(z, w):
+    if is_exact(z) and is_exact(w):
+        return QQi(0) + z - w
+    return as_complex(z) - as_complex(w)
+
+
+# ---------------------------------------------------------------------------
 # defining-property checks
 
 
 def check_insertion_at_zero(preset: VAPreset, max_degree: int = 6) -> CheckReport:
     """The flow exp(zT) a at z = 0 returns a on the nose for every basis
-    state.  It runs the flow's general sum, `one_point_sum`, because
-    `mu_one_point` returns a at z = 0 without summing."""
+    state.  It runs the general sum, `mode_box`, because `mu_one_point`
+    returns a at z = 0 without summing."""
     from .presets import basis_upto
     worst = 0.0
     witness = {}
@@ -206,8 +186,8 @@ def check_insertion_at_zero(preset: VAPreset, max_degree: int = 6) -> CheckRepor
         a = GradedVector.basis(mono)
         d = a.degree()
         window = DegreeWindow(0, max(d, max_degree))
-        got = one_point_sum(preset, a, window,
-                            lambda j: scalar_pow(QQi(0), j))
+        got = mode_box(preset, [a], window,
+                       lambda exps, j: scalar_pow(QQi(0), j))
         expect = ProductVector.from_vector(a, window)
         if not all((got.component(k) - expect.component(k)).norm_inf() == 0
                    for k in window.degrees()):

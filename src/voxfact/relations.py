@@ -38,8 +38,9 @@ from .scalars import DegreeWindow, QQi, as_complex, scalar_key, scalar_zero
 def relation_kernel(preset: VAPreset, exprs, window: DegreeWindow):
     """Exact basis of the evaluation kernel of a family of expressions.
 
-    All expressions must evaluate exactly in the window.  Returns a list of
-    QQi coefficient vectors c with sum_i c_i ev(expr_i) = 0 degreewise.
+    The expressions must carry exact data; they may have any arity.
+    Returns a list of QQi coefficient vectors c with
+    sum_i c_i ev(expr_i) = 0 degreewise.
     """
     evs = []
     for e in exprs:
@@ -77,10 +78,11 @@ def weight_project(expr: Expression, k: int, preset: VAPreset,
 
     Evaluation is equivariant under dilation, ev(q . x)_d = q^d ev(x)_d, so
     the q^k Fourier coefficient of the dilation orbit q |-> ev(q . x) is the
-    degree-k part of one evaluation.  Returns (GradedVector, metadata) with
-    metadata {"route": "exact"} when the evaluation is exact (the component
-    then has QQi coefficients), {"route": "numeric"} when some term went
-    through quadrature or carries float data.
+    degree-k part of one evaluation, which pairs every term by iterated
+    residues at any arity.  Returns (GradedVector, metadata) with metadata
+    {"route": "exact"} when the evaluation is exact (the component then has
+    QQi coefficients), {"route": "numeric"} when some term carries float
+    data.
     """
     pv = evaluate_expression(expr, preset, window)
     exact = all(v.is_exact() for v in pv.components.values())

@@ -1,55 +1,62 @@
-"""Exact jet and contour-moment calculus on products of power factors.
+"""Exact jets and contour moments of products of power factors.
 
-Functions of one variable are handled as linear combinations of
-
-    prod_i (z - b_i)^{t_i},        t_i integer, b_i pairwise distinct,
-
-represented by factor maps {b_i: t_i}.  Jets (scaled Taylor coefficients)
-follow from the Leibniz rule, circle moments from the residue theorem with
-square-free inside/outside decisions.  A distinguished base `VAR` stands for
-a not-yet-bound outer variable, so the same code computes inner integrals
-symbolically: evaluating a factor (w - VAR)^t at a concrete point q leaves
-the outer-variable factor (VAR - q)^t behind (up to sign).
+Functions of the free variables z_0, z_1, ... are linear combinations of
+products prod (z_i - b)^t, t integer, held as factor maps
+{(Var(i), b): t}.  A base b is a point or another free variable, so
+(z_i - z_k)^t is {(Var(i), Var(k)): t}.  `sym_jet` and `moment_sym` act on
+one variable w, given by its own map {b: t} (`coordinate` splits it off):
+jets by the Leibniz rule, moments by the residue theorem with exact
+inside/outside decisions.  Both return (coeff, factor map) pairs in the
+variables left free, so one coordinate after another they compute the
+iterated residue that pairs a product functional with the rational
+multi-point map.
 
 All formulas are exact over Gaussian rationals and remain valid verbatim
 with complex floating data.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExpansionDomainMismatch
-from .scalars import (QQi, binom, same_point, scalar_key, scalar_pow,
-                      scalar_zero)
-
-VAR = object()  # sentinel base for the unbound outer variable
+from .scalars import QQi, binom, scalar_pow, scalar_zero
 
 
-def merge_factor(factors: dict, base, exp: int) -> dict:
-    if exp == 0:
-        return dict(factors)
-    out = dict(factors)
-    key = _find_base(out, base)
-    if key is None:
-        out[base] = exp
-    else:
-        t = out[key] + exp
-        if t == 0:
-            del out[key]
+@dataclass(frozen=True)
+class Var:
+    """The free variable z_index."""
+
+    index: int
+
+
+def coordinate(factors: dict, var: Var):
+    """Split a factor map into (sign, own, rest): own = {b: t} holds the
+    factors (var - b)^t, rest the factors free of var, and
+    sign * prod own * prod rest is the product of ``factors``.  A factor
+    (z_k - var)^t moves to own as (var - z_k)^t with the sign (-1)^t."""
+    sign, own, rest = 1, {}, {}
+    for (v, b), t in factors.items():
+        if v == var:
+            own[b] = own.get(b, 0) + t
+        elif b == var:
+            sign *= -1 if t % 2 else 1
+            own[v] = own.get(v, 0) + t
         else:
-            out[key] = t
+            rest[(v, b)] = t
+    return sign, {b: t for b, t in own.items() if t}, rest
+
+
+def merge(factors: dict, other: dict) -> dict:
+    """The product of two factor maps."""
+    out = dict(factors)
+    for key, t in other.items():
+        s = out.get(key, 0) + t
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
     return out
-
-
-def _find_base(factors: dict, base):
-    if base is VAR:
-        return VAR if VAR in factors else None
-    for k in factors:
-        if k is VAR:
-            continue
-        if same_point(k, base):
-            return k
-    return None
 
 
 def _power_at(p, b, e: int):
@@ -65,21 +72,14 @@ def _power_at(p, b, e: int):
 
 
 def sym_jet(factors: dict, point, order: int):
-    """Order-d jet (d-th derivative over d!) of prod (w-b)^t at w = point.
+    """Order-d jet (d-th derivative over d!) of prod (w - b)^t at w = point.
 
-    ``point`` may be VAR (evaluation at the symbolic outer variable) and
-    factor bases may include VAR.  Returns a list of (coeff, out_factors)
-    where out_factors is a factor map in the outer variable; when neither
-    point nor bases involve VAR the factor maps are empty and the result is
-    a plain scalar decomposition.
+    ``point`` and the bases b are points or free variables.  Returns a list
+    of (coeff, factor map) in the free variables; when neither involves a
+    free variable the factor maps are empty and the result is a plain
+    scalar decomposition.
     """
-    items = sorted(factors.items(), key=lambda item: _base_key(item[0]))
-    return _sym_jet_rec(items, point, order)
-
-
-def _base_key(b):
-    """Exact sort and merge key of a factor base; VAR sorts last."""
-    return ("v",) if b is VAR else scalar_key(b)
+    return _sym_jet_rec(list(factors.items()), point, order)
 
 
 def _sym_jet_rec(items, point, order):
@@ -99,25 +99,23 @@ def _sym_jet_rec(items, point, order):
             c = rc * coeff * cb
             if scalar_zero(c):
                 continue
-            f = rf
-            if extra is not None:
-                f = merge_factor(rf, extra[0], extra[1])
-            out.append((c, f))
+            out.append((c, merge(rf, extra) if extra else rf))
     return _collect(out)
 
 
 def _eval_power_factor(point, b, e: int):
-    """Value of (w - b)^e at w = point; returns (scalar, residual factor)."""
+    """Value of (w - b)^e at w = point: (scalar, residual factor map or
+    None), or (None, None) when the value is zero."""
     if e == 0:
         return QQi(1), None
-    if point is VAR and b is VAR:
-        raise ExpansionDomainMismatch("self-referential factor")
-    if point is VAR:
-        # (VAR - b)^e stays symbolic
-        return QQi(1), (b, e)
-    if b is VAR:
-        # (point - VAR)^e = (-1)^e (VAR - point)^e
-        return QQi((-1) ** e), (point, e)
+    if isinstance(point, Var):
+        # (z_k - b)^e stays a factor
+        if point == b:
+            raise ExpansionDomainMismatch("self-referential factor")
+        return QQi(1), {(point, b): e}
+    if isinstance(b, Var):
+        # (point - z_k)^e = (-1)^e (z_k - point)^e
+        return QQi(-1 if e % 2 else 1), {(b, point): e}
     val = _power_at(point, b, e)
     if scalar_zero(val):
         return None, None
@@ -127,7 +125,7 @@ def _eval_power_factor(point, b, e: int):
 def _collect(pairs):
     acc = {}
     for c, f in pairs:
-        key = tuple(sorted((_base_key(b), e) for b, e in f.items()))
+        key = frozenset(f.items())
         c0, f0 = acc.get(key, (0, f))
         acc[key] = (c0 + c, f0)
     return [(c, f) for c, f in acc.values() if not scalar_zero(c)]
@@ -145,23 +143,25 @@ def point_in_circle(b, center, radius) -> int:
 
 
 def moment_sym(factors: dict, center, radius, exponent: int,
-               var_inside: bool | None = None):
+               inside: dict | None = None):
     """(1/2 pi i) contour integral of (w-center)^exponent * prod factors
     around the circle |w - center| = radius.
 
-    Returns a list of (coeff, out_factors) in the outer variable.  VAR bases
-    are poles whose inside/outside status is supplied by ``var_inside``.
+    Returns a list of (coeff, factor map) in the free variables.  A pole at
+    a free variable counts when ``inside`` maps that variable to True, and
+    is skipped when it maps it to False; a pole at a variable it does not
+    place is an error.
     """
-    merged = merge_factor(factors, center, exponent)
+    merged = merge(factors, {center: exponent})
     out = []
-    for b, t in list(merged.items()):
+    for b, t in merged.items():
         if t >= 0:
             continue
-        if b is VAR:
-            if var_inside is None:
+        if isinstance(b, Var):
+            if inside is None or b not in inside:
                 raise ExpansionDomainMismatch(
-                    "unbound-variable pole with undecided position")
-            if not var_inside:
+                    "free-variable pole with undecided position")
+            if not inside[b]:
                 continue
         else:
             side = point_in_circle(b, center, radius)

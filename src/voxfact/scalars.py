@@ -92,13 +92,19 @@ class QQi:
     def __pow__(self, e):
         if not isinstance(e, int):
             return complex(self) ** e
-        if e == 0:
-            return QQi(1)
         if e < 0:
             return QQi(1) / (self ** (-e))
-        half = self ** (e // 2)
-        out = half * half
-        return out * self if e % 2 else out
+        # (x + iy)^e / den^e with x + iy = den * self, in integers: the
+        # two Fractions at the end are the only reductions
+        den = math.lcm(self.re.denominator, self.im.denominator)
+        x = self.re.numerator * (den // self.re.denominator)
+        y = self.im.numerator * (den // self.im.denominator)
+        px, py = 1, 0
+        for bit in bin(e)[2:]:
+            px, py = px * px - py * py, 2 * px * py
+            if bit == "1":
+                px, py = px * x - py * y, px * y + py * x
+        return QQi(Fraction(px, den ** e), Fraction(py, den ** e))
 
     def conjugate(self):
         return QQi(self.re, -self.im)

@@ -2,6 +2,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from voxfact.cli import main
 from voxfact.functionals import DeltaJet
 from voxfact.graded import GradedVector
@@ -51,8 +53,7 @@ def test_npoint_exact(capsys):
 
 def test_npoint_numeric(capsys):
     code, out, _ = run(capsys, "npoint", "--states", "a(-1);a(-1);a(-1)",
-                       "--points", "4;1;1/4", "--numeric", "--window", "0:2",
-                       "--tol", "1e-9")
+                       "--points", "4;1;1/4", "--numeric", "--window", "0:2")
     assert code == 0
     data = json.loads(out)
     assert abs(float(data["by_degree"]["1"]["terms"][0]["re"]) - 1.96) < 1e-6
@@ -135,6 +136,38 @@ def test_config_defaults(capsys, tmp_path):
     code, out, _ = run(capsys, "--config", str(cfg), "define")
     assert code == 0
     assert "3" not in json.loads(out)["basis"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["define", "--quad-n", "3"],
+    ["factor", "--quad-n", "3", "roundtrip"],
+    ["npoint", "--states", "a(-1)", "--points", "1", "--tol", "1e-9"],
+    ["check", "--axiom", "insertion", "--seed", "1"],
+    ["counterexample", "--format", "csv"],
+])
+def test_option_offered_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["define"],
+    ["mode", "--a", "a(-1)", "--n", "1", "--b", "a(-1)"],
+    ["npoint", "--states", "a(-1)", "--points", "1/2"],
+    ["check", "--axiom", "insertion"],
+    ["factor", "roundtrip"],
+    ["counterexample"],
+    ["suite", "--presets", "heisenberg", "--only", "insertion_at_zero",
+     "--mode-degree", "2"],
+], ids=lambda argv: argv[0])
+def test_config_with_every_option_loads(capsys, tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": "0:3", "quad_n": 20, "tol": 1e-8,
+                               "seed": 7, "format": "json"}))
+    code, out, _ = run(capsys, "--config", str(cfg), *argv)
+    assert code == 0
+    assert json.loads(out)
 
 
 def test_factor_roundtrip(capsys):

@@ -9,7 +9,7 @@ from voxfact.expressions import (Expression, affine_act, evaluate_expression,
 from voxfact.functionals import CircleMoment, DeltaJet
 from voxfact.geometry import Annulus, Disc
 from voxfact.graded import GradedVector, ProductVector
-from voxfact.mu import mu_one_point, two_point_value
+from voxfact.mu import mu_numeric, mu_one_point, two_point_value
 from voxfact.presets import basis_upto, preset_from_name, state_mode
 from voxfact.scalars import DegreeWindow, QQi, scalar_pow
 
@@ -294,3 +294,107 @@ def test_expression_json_roundtrip():
                           [a, B("a(-2)")])
     back = Expression.from_obj(e.to_obj())
     assert back.to_obj() == e.to_obj()
+
+
+# ---------------------------------------------------------------------------
+# arity three and beyond: iterated residues over the mode box
+
+
+def _three_point_terms(preset):
+    """An order-1 jet, an order-0 delta and a moment of exponent -2, once
+    with the contour around the delta (at its centre) and the jet, and once
+    around the delta only; then a delta and two nested contours, the inner
+    one on the later coordinate, so that it is integrated first."""
+    gen, mixed = _states(preset)
+    c, r = QQi(0), Fraction(1)
+    jets = (QQi(Fraction(1, 4), Fraction(1, 8)),
+            QQi(Fraction(5, 2), Fraction(1, 2)))
+    out = [Expression.single(D4, [DeltaJet(p, 1), DeltaJet(c, 0),
+                                  CircleMoment(c, r, -2)], [gen, mixed, gen])
+           for p in jets]
+    out.append(Expression.single(
+        D4, [DeltaJet(c, 0), CircleMoment(c, Fraction(3), -1),
+             CircleMoment(QQi(1), Fraction(1, 4), -2)],
+        [gen, mixed, gen]))
+    return out
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_three_point_functional_exact(name):
+    """Arity three with a jet, a delta and a moment evaluates exactly and
+    agrees with nested trapezoid quadrature within 1e-9."""
+    preset = preset_from_name(name)
+    window = DegreeWindow(0, 4)
+    for e in _three_point_terms(preset):
+        got = evaluate_expression(e, preset, window)
+        assert all(v.is_exact() for v in got.components.values())
+        assert got.components
+        ref = evaluate_expression(e, preset, window, force_numeric=True,
+                                  quad_n=40)
+        for k in window.degrees():
+            scale = max(got.component(k).norm_inf(), 1.0)
+            assert ref.component(k).distance(
+                got.component(k).to_complex()) / scale < 1e-9, k
+
+
+def test_three_point_jets_match_point_map(boson):
+    """Order-0 deltas at arity three pair to the multi-point map at their
+    points, and a jet to the map of T^d a / d!."""
+    window = DegreeWindow(0, 4)
+    gen, mixed = _states(boson)
+    pts = [QQi(3), QQi(Fraction(1, 2), 1), QQi(Fraction(-1, 3))]
+    for d in range(3):
+        e = Expression.single(D4, [DeltaJet(pts[0], d), DeltaJet(pts[1], 0),
+                                   DeltaJet(pts[2], 0)], [gen, mixed, gen])
+        ad = state_mode(boson, gen, -d - 1, VAC)
+        _same_pv(evaluate_expression(e, boson, window),
+                 mu_numeric(boson, [ad, mixed, gen], pts, window), d)
+
+
+def test_default_evaluation_runs_no_quadrature(boson, monkeypatch):
+    """With the trapezoid rule disabled, expressions of arity one to three
+    with jets and moments still evaluate."""
+    import voxfact.expressions
+    import voxfact.functionals
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(voxfact.functionals, "apply_factor_numeric", refuse)
+    monkeypatch.setattr(voxfact.expressions, "apply_factor_numeric", refuse)
+    a = B("a(-1)")
+    e = (Expression.single(D4, [CircleMoment(QQi(0), Fraction(1), -2)], [a])
+         + Expression.single(D4, [DeltaJet(QQi(2), 1), DeltaJet(QQi(0), 0)],
+                             [a, a])
+         + _three_point_terms(boson)[0])
+    got = evaluate_expression(e, boson, DegreeWindow(0, 4))
+    assert got.components
+    assert all(v.is_exact() for v in got.components.values())
+
+
+def test_float_three_point_matches_exact_lift(boson):
+    """A float-data arity-three term agrees with exact evaluation at the
+    Fraction(float) values of its data to relative 1e-12."""
+    window = DegreeWindow(0, 4)
+    gen, mixed = _states(boson)
+
+    def lift(z):
+        return QQi(Fraction(z.real), Fraction(z.imag))
+
+    # the points lie at least 0.5 apart, so rounding is not amplified
+    p, q, c, r = 0.6 + 0.7j, -0.45 - 0.3j, 0.1j, 1.7
+    factors = [DeltaJet(p, 1), DeltaJet(q, 0), CircleMoment(c, r, -2)]
+    exact = [DeltaJet(lift(p), 1), DeltaJet(lift(q), 0),
+             CircleMoment(lift(c), Fraction(r), -2)]
+    got = evaluate_expression(Expression.single(D4, factors,
+                                                [gen, mixed, gen]),
+                              boson, window)
+    want = evaluate_expression(Expression.single(D4, exact,
+                                                 [gen, mixed, gen]),
+                               boson, window)
+    assert not all(v.is_exact() for v in got.components.values())
+    assert all(v.is_exact() for v in want.components.values())
+    for k in window.degrees():
+        scale = max(want.component(k).norm_inf(), 1.0)
+        assert got.component(k).distance(
+            want.component(k).to_complex()) / scale < 1e-12, k

@@ -5,7 +5,7 @@ import pytest
 
 from voxfact.errors import VoxfactError
 from voxfact.expressions import Expression, evaluate_expression
-from voxfact.functionals import DeltaJet
+from voxfact.functionals import CircleMoment, DeltaJet
 from voxfact.geometry import Disc
 from voxfact.graded import GradedVector
 from voxfact.linalg import nullspace
@@ -53,6 +53,31 @@ def test_relation_kernel_independent_states(boson, window6):
     e1 = state_embedding(D1, B("a(-1)"))
     e2 = state_embedding(D1, B("a(-2)"))
     assert relation_kernel(boson, [e1, e2], window6) == []
+
+
+def test_relation_kernel_finds_planted_three_point_relation(boson):
+    """Three arity-3 expressions with jets, deltas and moments, and a
+    planted combination of two of them: the kernel is exactly that
+    combination."""
+    window = DegreeWindow(0, 4)
+    a, b = B("a(-1)"), B("a(-2)")
+    moment = CircleMoment(QQi(0), Fraction(1), -2)
+    exprs = [Expression.single(D4, [DeltaJet(QQi(Fraction(1, 2), 0), 1),
+                                    DeltaJet(QQi(0), 0), moment], [a, a, b]),
+             Expression.single(D4, [DeltaJet(QQi(2, 1), 0),
+                                    DeltaJet(QQi(0), 0),
+                                    CircleMoment(QQi(0), Fraction(1), -1)],
+                               [a, b, a]),
+             Expression.single(D4, [DeltaJet(QQi(Fraction(5, 2)), 2),
+                                    DeltaJet(QQi(Fraction(-1, 2)), 0), moment],
+                               [b, a, a])]
+    c1, c3 = QQi(Fraction(2, 3)), QQi(-1, -1)
+    exprs.append(exprs[0].scale(c1) + exprs[2].scale(c3))
+    ker = relation_kernel(boson, exprs, window)
+    assert len(ker) == 1
+    vec = ker[0]
+    assert vec[1] == 0
+    assert [x / vec[3] for x in vec] == [-c1, QQi(0), -c3, QQi(1)]
 
 
 def test_relation_kernel_requires_exact(boson, window6):
@@ -123,17 +148,19 @@ def test_weight_project_is_one_exact_evaluation(name, request):
 
 
 def test_weight_project_numeric_routes(boson):
-    """Float data, and a term of arity three (quadrature over the rational
-    multi-point map), give the numeric route, still equal to the orbit."""
+    """Float data gives the numeric route, and an exact term of arity
+    three the exact one; both equal the orbit."""
     window = DegreeWindow(0, 3)
     a = B("a(-1)")
-    exprs = [Expression.single(D4, [DeltaJet(0.5 + 0.25j, 0)], [a]),
-             Expression.single(D4, [DeltaJet(QQi(3), 0), DeltaJet(QQi(1), 0),
-                                    DeltaJet(QQi(0), 0)], [a, a, a])]
-    for expr in exprs:
+    exprs = [(Expression.single(D4, [DeltaJet(0.5 + 0.25j, 0)], [a]),
+              "numeric"),
+             (Expression.single(D4, [DeltaJet(QQi(3), 0), DeltaJet(QQi(1), 0),
+                                     DeltaJet(QQi(0), 0)], [a, a, a]),
+              "exact")]
+    for expr, route in exprs:
         for k in window.degrees():
             piece, meta = weight_project(expr, k, boson, window)
-            assert meta == {"route": "numeric"}
+            assert meta == {"route": route}
             assert _close_to_orbit(piece, expr, k, boson, window), k
 
 

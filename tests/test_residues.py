@@ -9,7 +9,7 @@ import pytest
 
 from voxfact.errors import ExpansionDomainMismatch
 from voxfact.functionals import circle_nodes, quadrature_moment
-from voxfact.residues import VAR, moment_sym, point_in_circle, sym_jet
+from voxfact.residues import Var, moment_sym, point_in_circle, sym_jet
 from voxfact.scalars import QQi
 
 
@@ -72,16 +72,18 @@ def test_pole_on_contour_rejected():
 
 
 def test_free_variable_moments():
-    # (1/2 pi i) contour integral of z^2 / (z - VAR): VAR^2 if the free
+    # (1/2 pi i) contour integral of z^2 / (z - z_1): z_1^2 if the free
     # point is declared inside, 0 if outside
-    inside = moment_sym({VAR: -1}, QQi(0), Fraction(2), 2, var_inside=True)
-    assert inside == [(QQi(1), {QQi(0): 2})]
-    assert moment_sym({VAR: -1}, QQi(0), Fraction(2), 2, var_inside=False) == []
+    z1 = Var(1)
+    inside = moment_sym({z1: -1}, QQi(0), Fraction(2), 2, inside={z1: True})
+    assert inside == [(QQi(1), {(z1, QQi(0)): 2})]
+    assert moment_sym({z1: -1}, QQi(0), Fraction(2), 2,
+                      inside={z1: False}) == []
 
 
 def test_free_variable_undeclared_rejected():
     with pytest.raises(ExpansionDomainMismatch):
-        moment_sym({VAR: -1}, QQi(0), Fraction(2), 0, var_inside=None)
+        moment_sym({Var(1): -1}, QQi(0), Fraction(2), 0, inside=None)
 
 
 def test_point_in_circle():
@@ -93,12 +95,12 @@ def test_point_in_circle():
 
 
 def test_jet_with_free_variable():
-    # jet at p of (z - VAR)^-1 keeps VAR symbolic: value 1/(p - VAR) shows
+    # jet at p of (z - z_1)^-1 keeps z_1 symbolic: value 1/(p - z_1) shows
     # up as a factor with negative power
-    out = sym_jet({VAR: -1}, QQi(2), 0)
+    out = sym_jet({Var(1): -1}, QQi(2), 0)
     assert len(out) == 1
     coeff, fs = out[0]
-    assert fs == {QQi(2): -1} or fs == {VAR: -1}
+    assert fs == {(Var(1), QQi(2)): -1}
 
 
 def test_circle_nodes_on_circle():
