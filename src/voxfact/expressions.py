@@ -17,22 +17,20 @@ scalars stays available under ``force_numeric``, as the checks' reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .errors import (ExpansionDomainMismatch, NotASubset, NotDisjoint,
                      VoxfactError)
 from .functionals import (AtomicFunctional, CircleMoment, DeltaJet,
-                          affine_point, apply_factor_numeric, factor_from_obj,
-                          pushforward_factor, scale_radius, sqrt_of_modulus)
+                          apply_factor_numeric, factor_from_obj,
+                          pushforward_factor, sqrt_of_modulus)
 from .geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
-                       cmp_sqrt, cmp_sqrt_sum, is_disjoint, is_subset,
-                       union_of)
+                       circle_vs_circle, is_disjoint, is_subset,
+                       point_in_circle, union_of)
 from .graded import GradedVector, ProductVector
 from .mu import mode_box
 from .presets import VAPreset
-from .residues import (Var, coordinate, merge, moment_sym, point_in_circle,
-                       sym_jet)
+from .residues import Var, coordinate, merge, moment_sym, sym_jet
 from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
                       is_exact, same_point, scalar_key)
 
@@ -170,34 +168,8 @@ def _supports_separated(f, g):
         return point_in_circle(f.point, g.center, g.radius) != 0
     if isinstance(f, CircleMoment) and isinstance(g, DeltaJet):
         return point_in_circle(g.point, f.center, f.radius) != 0
-    return _circles_separated(f.center, f.radius, g.center, g.radius)
-
-
-def _circles_separated(c1, r1, c2, r2):
-    """Contours do not meet: one strictly inside the other, or far apart."""
-    rel = circle_vs_circle(c1, r1, c2, r2)
-    return rel is not None
-
-
-def circle_vs_circle(c1, r1, c2, r2):
-    """Position of contour 1 relative to the open disc of contour 2:
-    True if inside, False if outside, None if the contours meet."""
-    if isinstance(c1, QQi) and isinstance(c2, QQi) \
-            and isinstance(r1, Fraction) and isinstance(r2, Fraction):
-        A = (c1 - c2).abs2()
-        if cmp_sqrt_sum(A, r1 * r1, r2) < 0:
-            return True
-        if cmp_sqrt(A, r1 + r2) > 0:
-            return False
-        if cmp_sqrt_sum(A, r2 * r2, r1) < 0:
-            return False  # contour 1 encircles contour 2, points outside disc 2
-        return None
-    d = abs(complex(c1) - complex(c2))
-    if d + float(r1) < float(r2):
-        return True
-    if d > float(r1) + float(r2) or d + float(r2) < float(r1):
-        return False
-    return None
+    rel = circle_vs_circle(f.center, f.radius, g.center, g.radius)
+    return rel is not None  # the contours do not meet
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +218,9 @@ def _map_set(u: OpenSet, lam, shift):
         return u
     mod = sqrt_of_modulus(lam)
     if isinstance(u, Disc):
-        return Disc(affine_point(lam, u.center, shift),
-                    scale_radius(u.radius, mod))
+        return Disc(lam * u.center + shift, u.radius * mod)
     if isinstance(u, Annulus):
-        return Annulus(affine_point(lam, u.center, shift),
-                       scale_radius(u.inner, mod), scale_radius(u.outer, mod))
+        return Annulus(lam * u.center + shift, u.inner * mod, u.outer * mod)
     return UnionSet(tuple(_map_set(m, lam, shift) for m in u.members))
 
 

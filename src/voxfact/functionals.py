@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-from .scalars import (QQi, coeff_from_obj, coeff_to_obj, is_exact, parse_qqi,
-                      scalar_pow)
+from .scalars import (QQi, coeff_from_obj, coeff_to_obj, exact_value,
+                      is_exact, point_from_text, real_from_text, scalar_pow)
 
 
 @dataclass(frozen=True)
@@ -52,20 +52,24 @@ class CircleMoment:
 
 
 def _pt_str(p):
-    return str(p) if isinstance(p, QQi) else repr(complex(p))
+    return str(exact_value(p)) if is_exact(p) else repr(complex(p))
 
 
 def _rad_str(r):
-    return str(r) if isinstance(r, Fraction) else repr(float(r))
+    return str(r) if is_exact(r) else repr(float(r))
 
 
 def factor_from_obj(obj):
+    """Inverse of the factors' `to_obj`; points and radii are exact iff
+    their text is an exact literal (`scalars.point_from_text`,
+    `scalars.real_from_text`)."""
     if "delta" in obj:
         d = obj["delta"]
-        return DeltaJet(parse_qqi(d["p"]), int(d.get("d", 0)))
+        return DeltaJet(point_from_text(d["p"]), int(d.get("d", 0)))
     if "moment" in obj:
         d = obj["moment"]
-        return CircleMoment(parse_qqi(d["c"]), Fraction(d["r"]), int(d.get("n", 0)))
+        return CircleMoment(point_from_text(d["c"]), real_from_text(d["r"]),
+                            int(d.get("n", 0)))
     raise UsageError(f"bad functional factor {obj!r}")
 
 
@@ -83,7 +87,7 @@ class AtomicFunctional:
                 if not is_exact(f.point):
                     return False
             else:
-                if not (is_exact(f.center) and isinstance(f.radius, Fraction)):
+                if not (is_exact(f.center) and is_exact(f.radius)):
                     return False
         return True
 
@@ -146,8 +150,8 @@ def external_product(f: Functional, g: Functional) -> Functional:
 
 def sqrt_of_modulus(lam):
     """|lam| as a Fraction when that is exact, else a float."""
-    if isinstance(lam, QQi):
-        a2 = lam.abs2()
+    if is_exact(lam):
+        a2 = exact_value(lam).abs2()
         num, den = a2.numerator, a2.denominator
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn == num and rd * rd == den:
@@ -159,31 +163,17 @@ def sqrt_of_modulus(lam):
 def pushforward_factor(factor, lam, shift):
     """Pushforward along g(z) = lam z + shift; returns (scale, factor)."""
     if isinstance(factor, DeltaJet):
-        newp = affine_point(lam, factor.point, shift)
+        newp = lam * factor.point + shift
         return scalar_pow(lam, factor.order), DeltaJet(newp, factor.order)
-    newc = affine_point(lam, factor.center, shift)
-    newr = scale_radius(factor.radius, sqrt_of_modulus(lam))
+    newc = lam * factor.center + shift
+    newr = factor.radius * sqrt_of_modulus(lam)
     return scalar_pow(lam, -factor.exponent - 1), CircleMoment(newc, newr,
                                                                factor.exponent)
 
 
-def affine_point(lam, p, shift):
-    """lam p + shift, exact when all three are QQi."""
-    if isinstance(lam, QQi) and isinstance(p, QQi) and isinstance(shift, QQi):
-        return lam * p + shift
-    return complex(lam) * complex(p) + complex(shift)
-
-
-def scale_radius(r, mod):
-    """r mod, exact when both are Fractions."""
-    if isinstance(r, Fraction) and isinstance(mod, Fraction):
-        return r * mod
-    return float(r) * float(mod)
-
-
 def pushforward_affine(f: Functional, lam, shift) -> Functional:
     """g_* f for g(z) = lam z + shift, applied to every coordinate."""
-    if (isinstance(lam, QQi) and not lam) or complex(lam) == 0:
+    if lam == 0:
         raise ValueError("affine scale must be invertible")
     atoms = []
     for c, atom in f.atoms:

@@ -1,9 +1,12 @@
-"""Open subsets of the plane with exact containment and disjointness tests.
+"""Open subsets of the plane, and every position decision on it.
 
 Supported shapes: open discs, open round annuli (disc minus a closed
 concentric-or-not hole is *not* general here: an annulus is a genuine
-{ri < |z - z0| < ro}), the whole plane, and finite unions.  All predicates
-on Gaussian-rational data are decided exactly; comparisons of the form
+{ri < |z - z0| < ro}), the whole plane, and finite unions.  Every
+predicate here -- a point in a set or against a circle, a contour inside
+another, sets nested or apart -- is exact on every input; a float counts
+as its binary value.  Squared distances come from `scalars.exact_value`
+lifts (`_dist2`) and radii from `Fraction(r)`, and comparisons of the form
 sqrt(A) + sqrt(B) <> C are resolved by repeated squaring.  Subset tests on
 unions are conservative: a positive answer is always correct, a negative
 answer may reject a decomposable containment.
@@ -13,21 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import QQi, parse_qqi
+from .scalars import exact_value, point_from_text, real_from_text
 
 
-def _abs2(p) -> Fraction:
-    if isinstance(p, QQi):
-        return p.abs2()
-    z = complex(p)
-    return z.real * z.real + z.imag * z.imag  # float fallback
-
-
-def _diff(p, q):
-    ep, eq = QQi._lift(p), QQi._lift(q)
-    if ep is not None and eq is not None:
-        return ep - eq
-    return complex(p) - complex(q)
+def _dist2(p, q) -> Fraction:
+    """|p - q|^2 of the exact values of two points."""
+    return (exact_value(p) - exact_value(q)).abs2()
 
 
 def cmp_frac(a, b) -> int:
@@ -52,6 +46,22 @@ def cmp_sqrt(A, C) -> int:
     return cmp_frac(A, C * C)
 
 
+def point_in_circle(p, center, radius) -> int:
+    """-1 inside, 0 on the circle, +1 outside."""
+    return cmp_frac(_dist2(p, center), Fraction(radius) ** 2)
+
+
+def circle_vs_circle(c1, r1, c2, r2):
+    """Position of contour 1 relative to the open disc of contour 2:
+    True if inside, False if outside, None if the contours meet."""
+    A, r1, r2 = _dist2(c1, c2), Fraction(r1), Fraction(r2)
+    if cmp_sqrt_sum(A, r1 * r1, r2) < 0:
+        return True
+    if cmp_sqrt(A, r1 + r2) > 0 or cmp_sqrt_sum(A, r2 * r2, r1) < 0:
+        return False  # apart, or contour 1 encircles contour 2
+    return None
+
+
 class OpenSet:
     def contains_point(self, p) -> bool:
         raise NotImplementedError
@@ -68,11 +78,13 @@ class OpenSet:
             return AllPlane()
         if "disc" in obj:
             d = obj["disc"]
-            return Disc(parse_qqi(d["center"]), Fraction(d["radius"]))
+            return Disc(point_from_text(d["center"]),
+                        real_from_text(d["radius"]))
         if "annulus" in obj:
             d = obj["annulus"]
-            return Annulus(parse_qqi(d["center"]), Fraction(d["inner"]),
-                           Fraction(d["outer"]))
+            return Annulus(point_from_text(d["center"]),
+                           real_from_text(d["inner"]),
+                           real_from_text(d["outer"]))
         if "union" in obj:
             return UnionSet(tuple(OpenSet.from_obj(o) for o in obj["union"]))
         raise ValueError(f"bad open-set object {obj!r}")
@@ -100,12 +112,11 @@ class Disc(OpenSet):
             raise ValueError("disc radius must be positive")
 
     def contains_point(self, p):
-        d2 = _abs2(_diff(p, self.center))
-        return d2 < self.radius * self.radius
+        return point_in_circle(p, self.center, self.radius) < 0
 
     def contains_circle(self, center, radius):
-        A = _abs2(_diff(center, self.center))
-        return cmp_sqrt_sum(A, radius * radius, self.radius) < 0
+        inside = circle_vs_circle(center, radius, self.center, self.radius)
+        return inside is True
 
     def to_obj(self):
         return {"disc": {"center": str(self.center), "radius": str(self.radius)}}
@@ -122,17 +133,14 @@ class Annulus(OpenSet):
             raise ValueError("need 0 <= inner < outer")
 
     def contains_point(self, p):
-        d2 = _abs2(_diff(p, self.center))
-        return self.inner ** 2 < d2 < self.outer ** 2
+        ri, ro = _radii(self)
+        return ri * ri < _dist2(p, self.center) < ro * ro
 
     def contains_circle(self, center, radius):
-        A = _abs2(_diff(center, self.center))
-        out_ok = cmp_sqrt_sum(A, radius * radius, self.outer) < 0
-        # min distance from the hole center to the circle is |sqrt(A) - r|
-        in_ok = (cmp_sqrt(A, self.inner + radius) > 0
-                 or (radius > self.inner
-                     and cmp_sqrt(A, radius - self.inner) < 0))
-        return out_ok and in_ok
+        outer = circle_vs_circle(center, radius, self.center, self.outer)
+        hole = circle_vs_circle(center, radius, self.center, self.inner)
+        # inside the outer circle, and apart from the hole or around it
+        return outer is True and hole is False
 
     def to_obj(self):
         return {"annulus": {"center": str(self.center),
@@ -168,6 +176,13 @@ def union_of(u: OpenSet, v: OpenSet) -> OpenSet:
     return UnionSet(mu + mv)
 
 
+def _radii(u):
+    """(inner, outer) radii of a disc (inner None) or an annulus, exact."""
+    if isinstance(u, Disc):
+        return None, Fraction(u.radius)
+    return Fraction(u.inner), Fraction(u.outer)
+
+
 def is_subset(u: OpenSet, v: OpenSet) -> bool:
     """Conservative subset decision; True answers are always correct."""
     if isinstance(v, AllPlane):
@@ -178,24 +193,17 @@ def is_subset(u: OpenSet, v: OpenSet) -> bool:
         return all(is_subset(m, v) for m in u.members)
     if isinstance(v, UnionSet):
         return any(is_subset(u, m) for m in v.members)
-    if isinstance(u, Disc) and isinstance(v, Disc):
-        A = _abs2(_diff(u.center, v.center))
-        return cmp_sqrt_sum(A, u.radius ** 2, v.radius) <= 0
-    if isinstance(u, Disc) and isinstance(v, Annulus):
-        A = _abs2(_diff(u.center, v.center))
-        return (cmp_sqrt_sum(A, u.radius ** 2, v.outer) <= 0
-                and cmp_sqrt(A, v.inner + u.radius) >= 0)
-    if isinstance(u, Annulus) and isinstance(v, Disc):
-        A = _abs2(_diff(u.center, v.center))
-        return cmp_sqrt_sum(A, u.outer ** 2, v.radius) <= 0
-    if isinstance(u, Annulus) and isinstance(v, Annulus):
-        A = _abs2(_diff(u.center, v.center))
-        out_ok = cmp_sqrt_sum(A, u.outer ** 2, v.outer) <= 0
-        # every point of u keeps distance >= v.inner from v.center when the
-        # hole of u shields it: inner_u - |centers| >= inner_v
-        in_ok = cmp_sqrt_sum(A, v.inner ** 2, u.inner) <= 0
-        return out_ok and in_ok
-    return False
+    A = _dist2(u.center, v.center)
+    (ui, uo), (vi, vo) = _radii(u), _radii(v)
+    if cmp_sqrt_sum(A, uo * uo, vo) > 0:
+        return False  # u reaches past the outer circle of v
+    if vi is None:
+        return True
+    if ui is None:
+        return cmp_sqrt(A, vi + uo) >= 0  # the disc u keeps clear of the hole
+    # every point of u keeps distance >= vi from the centre of v when the
+    # hole of u shields it: ui - |centres| >= vi
+    return cmp_sqrt_sum(A, vi * vi, ui) <= 0
 
 
 def is_disjoint(u: OpenSet, v: OpenSet) -> bool:
@@ -206,20 +214,9 @@ def is_disjoint(u: OpenSet, v: OpenSet) -> bool:
         return all(is_disjoint(u, m) for m in v.members)
     if isinstance(u, AllPlane) or isinstance(v, AllPlane):
         return False
-    if isinstance(u, Disc) and isinstance(v, Disc):
-        A = _abs2(_diff(u.center, v.center))
-        return cmp_sqrt(A, u.radius + v.radius) >= 0
-    if isinstance(u, Annulus) and isinstance(v, Disc):
-        u, v = v, u
-    if isinstance(u, Disc) and isinstance(v, Annulus):
-        A = _abs2(_diff(u.center, v.center))
-        inside_hole = cmp_sqrt_sum(A, u.radius ** 2, v.inner) <= 0
-        outside = cmp_sqrt(A, v.outer + u.radius) >= 0
-        return inside_hole or outside
-    if isinstance(u, Annulus) and isinstance(v, Annulus):
-        A = _abs2(_diff(u.center, v.center))
-        far = cmp_sqrt(A, u.outer + v.outer) >= 0
-        u_in_hole = cmp_sqrt_sum(A, u.outer ** 2, v.inner) <= 0
-        v_in_hole = cmp_sqrt_sum(A, v.outer ** 2, u.inner) <= 0
-        return far or u_in_hole or v_in_hole
-    return False
+    A = _dist2(u.center, v.center)
+    (ui, uo), (vi, vo) = _radii(u), _radii(v)
+    # far apart, or one inside the hole of the other
+    return (cmp_sqrt(A, uo + vo) >= 0
+            or (vi is not None and cmp_sqrt_sum(A, uo * uo, vi) <= 0)
+            or (ui is not None and cmp_sqrt_sum(A, vo * vo, ui) <= 0))

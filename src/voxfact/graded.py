@@ -11,8 +11,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .scalars import (DegreeWindow, QQi, as_complex, coeff_from_obj,
-                      coeff_to_obj, format_qqi, is_exact, scalar_zero)
+from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
+                      is_exact, scalar_zero)
 
 Mono = tuple  # tuple[tuple[str, int], ...]
 
@@ -125,7 +125,7 @@ class GradedVector:
         return all(self.terms[m] == other.terms[m] for m in self.terms)
 
     def __hash__(self):
-        return hash(frozenset((m, _hashable(c)) for m, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     # -- grading ------------------------------------------------------
 
@@ -161,19 +161,13 @@ class GradedVector:
     # -- norms and comparison -----------------------------------------
 
     def norm_inf(self) -> float:
-        return max((abs(as_complex(c)) for c in self.terms.values()), default=0.0)
-
-    def approx_eq(self, other, rtol=1e-9, atol=None) -> bool:
-        scale = max(self.norm_inf(), other.norm_inf(), 1.0)
-        tol = atol if atol is not None else rtol * scale
-        diff = self - other
-        return diff.norm_inf() <= tol
+        return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
 
     def distance(self, other) -> float:
         return (self - other).norm_inf()
 
     def to_complex(self) -> "GradedVector":
-        return GradedVector({m: as_complex(c) for m, c in self.terms.items()})
+        return GradedVector({m: complex(c) for m, c in self.terms.items()})
 
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.terms.values())
@@ -207,15 +201,9 @@ class GradedVector:
             return "GradedVector(0)"
         bits = []
         for mono in sorted(self.terms, key=_mono_sort_key):
-            c = self.terms[mono]
             body = "".join(mono_token(f) for f in mono) or "|0>"
-            ctxt = format_qqi(c) if isinstance(c, QQi) else str(c)
-            bits.append(f"({ctxt})*{body}")
+            bits.append(f"({self.terms[mono]})*{body}")
         return " + ".join(bits)
-
-
-def _hashable(c):
-    return c if isinstance(c, QQi) else complex(c)
 
 
 def _mono_sort_key(mono: Mono):
@@ -253,7 +241,7 @@ class ProductVector:
     def scale(self, s) -> "ProductVector":
         return ProductVector(self.window,
                              {k: v.scale(s) for k, v in self.components.items()},
-                             self.tail_estimate * abs(as_complex(s)))
+                             self.tail_estimate * abs(complex(s)))
 
     def flatten(self) -> GradedVector:
         out = GradedVector.zero()
@@ -263,16 +251,6 @@ class ProductVector:
 
     def norm_inf(self) -> float:
         return max((v.norm_inf() for v in self.components.values()), default=0.0)
-
-    def approx_eq(self, other, rtol=1e-9, atol=None) -> bool:
-        if self.window != other.window:
-            return False
-        scale = max(self.norm_inf(), other.norm_inf(), 1.0)
-        tol = atol if atol is not None else rtol * scale
-        for k in self.window.degrees():
-            if self.component(k).distance(other.component(k)) > tol:
-                return False
-        return True
 
     def to_obj(self):
         return {"window": [self.window.lo, self.window.hi],

@@ -26,8 +26,7 @@ from .errors import DomainViolation
 from .graded import GradedVector, ProductVector
 from .presets import VAPreset, pole_bound, state_mode, translate
 from .report import CheckReport
-from .scalars import (DegreeWindow, QQi, as_complex, is_exact, same_point,
-                      scalar_pow, scalar_zero)
+from .scalars import DegreeWindow, QQi, same_point, scalar_pow, scalar_zero
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def mu_numeric(preset: VAPreset, states, points, window: DegreeWindow,
     def power(ik, t):  # (z_i - z_k)^t, and z_m^t for ik = None
         if ik is None:
             return scalar_pow(points[last], t)
-        return scalar_pow(_sub(points[ik[0]], points[ik[1]]), t)
+        return scalar_pow(points[ik[0]] - points[ik[1]], t)
 
     return mode_box(preset, states, window,
                     lambda exps, j: math.prod(power(ik, t) for ik, t in exps)
@@ -162,12 +161,6 @@ def two_point_value(preset: VAPreset, a: GradedVector, b: GradedVector,
     """mu(a, z, b, w) = e^{wT} Y(a, z-w) b windowed; exact for exact inputs,
     needs z != w."""
     return mu_numeric(preset, [a, b], [z, w], window)
-
-
-def _sub(z, w):
-    if is_exact(z) and is_exact(w):
-        return QQi(0) + z - w
-    return as_complex(z) - as_complex(w)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +217,10 @@ def check_equivariance_numeric(preset: VAPreset, configs, window: DegreeWindow,
     worst = 0.0
     witness = {}
     for states, points, q in configs:
-        qc = as_complex(q)
+        qc = complex(q)
         lhs = mu_numeric(preset,
                          [s.grading_act(qc) for s in states],
-                         [qc * as_complex(z) for z in points], window)
+                         [qc * complex(z) for z in points], window)
         rhs = mu_numeric(preset, states, points, window)
         for k in window.degrees():
             err = _rel_err(lhs.component(k),
@@ -259,9 +252,9 @@ def check_associativity(preset: VAPreset, outer, inner, insertion,
     with the degree sum truncated adaptively.  The convergence curve
     (per-degree errors after each partial sum) is recorded.
     """
-    z_out = [as_complex(z) for _, z in outer]
-    w_in = [as_complex(w) for _, w in inner]
-    zc = as_complex(insertion)
+    z_out = [complex(z) for _, z in outer]
+    w_in = [complex(w) for _, w in inner]
+    zc = complex(insertion)
     if w_in:
         sep = min(abs(z - zc) for z in z_out) if z_out else math.inf
         if max(abs(w) for w in w_in) >= sep:

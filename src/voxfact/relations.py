@@ -28,7 +28,7 @@ from .linalg import nullspace
 from .mu import mu_one_point
 from .presets import VAPreset, basis_upto, heisenberg, state_mode
 from .report import CheckReport
-from .scalars import DegreeWindow, QQi, as_complex, scalar_key, scalar_zero
+from .scalars import DegreeWindow, QQi, scalar_key, scalar_zero
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +248,7 @@ def concentric_density_check(preset: VAPreset, expr: Expression, center,
     worst = base.norm_inf()
     witness = {}
     for q in qs:
-        qc = q if isinstance(q, QQi) else complex(q)
-        shift = _one_minus(qc, center)
-        scaled = affine_act(qc, shift, expr)
+        scaled = affine_act(q, (1 - q) * center, expr)
         val = evaluate_expression(scaled, preset, window)
         nrm = val.norm_inf()
         if nrm > worst:
@@ -258,12 +256,6 @@ def concentric_density_check(preset: VAPreset, expr: Expression, center,
             witness = {"q": str(q)}
     return CheckReport("concentric_density", worst <= tol, worst, tol,
                        witness, {"samples": len(qs)})
-
-
-def _one_minus(q, center):
-    if isinstance(q, QQi) and isinstance(center, QQi):
-        return (QQi(1) - q) * center
-    return (1.0 - complex(q)) * complex(center)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +352,11 @@ def roundtrip_check(preset: VAPreset, max_degree: int,
             witness = {"state": a.to_obj()}
     worst = 0.0
     for a, z, k in samples:
-        r = abs(as_complex(z))
+        r = abs(complex(z))
         big = Disc(QQi(0), Fraction(4 * (int(r) + 1)))
         expr = Expression.single(big, [DeltaJet(z, 0)], [a])
         proj = _orbit_component(expr, k, preset, window)
-        direct = mu_one_point(preset, a.to_complex(), as_complex(z),
+        direct = mu_one_point(preset, a.to_complex(), complex(z),
                               window).component(k)
         scale = max(direct.norm_inf(), 1.0)
         err = proj.distance(direct) / scale
@@ -439,7 +431,7 @@ def check_weight_quadrature(preset: VAPreset, samples, window: DegreeWindow,
     worst = 0.0
     witness = {}
     for a, z, k in samples:
-        r = abs(as_complex(z))
+        r = abs(complex(z))
         big = Disc(QQi(0), Fraction(4 * (int(r) + 1)))
         expr = Expression.single(big, [DeltaJet(z, 0)], [a])
         proj = _orbit_component(expr, k, preset, window, quad_n)

@@ -5,21 +5,23 @@ products prod (z_i - b)^t, t integer, held as factor maps
 {(Var(i), b): t}.  A base b is a point or another free variable, so
 (z_i - z_k)^t is {(Var(i), Var(k)): t}.  `sym_jet` and `moment_sym` act on
 one variable w, given by its own map {b: t} (`coordinate` splits it off):
-jets by the Leibniz rule, moments by the residue theorem with exact
-inside/outside decisions.  Both return (coeff, factor map) pairs in the
-variables left free, so one coordinate after another they compute the
-iterated residue that pairs a product functional with the rational
-multi-point map.
+jets by the Leibniz rule, moments by the residue theorem.  Both return
+(coeff, factor map) pairs in the variables left free, so one coordinate
+after another they compute the iterated residue that pairs a product
+functional with the rational multi-point map.
 
-All formulas are exact over Gaussian rationals and remain valid verbatim
-with complex floating data.
+The values are plain arithmetic on the points: exact over Gaussian
+rationals, and the same formulas in complex arithmetic as soon as a point
+is a float.  Whether a pole lies inside a contour is always decided
+exactly, by `geometry.point_in_circle`, so a float pole counts at its
+binary value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ExpansionDomainMismatch
+from .geometry import point_in_circle
 from .scalars import QQi, binom, scalar_pow, scalar_zero
 
 
@@ -61,14 +63,10 @@ def merge(factors: dict, other: dict) -> dict:
 
 def _power_at(p, b, e: int):
     """(p - b)**e where p, b are concrete points; 0**0 == 1."""
-    d = p - b if isinstance(p, QQi) and isinstance(b, QQi) else complex(p) - complex(b)
-    if scalar_zero(d):
-        if e > 0:
-            return QQi(0) if isinstance(d, QQi) else 0j
-        if e == 0:
-            return QQi(1) if isinstance(d, QQi) else complex(1)
-        raise ExpansionDomainMismatch("jet taken at a pole")
-    return scalar_pow(d, e)
+    try:
+        return scalar_pow(p - b, e)
+    except ZeroDivisionError:
+        raise ExpansionDomainMismatch("jet taken at a pole") from None
 
 
 def sym_jet(factors: dict, point, order: int):
@@ -129,17 +127,6 @@ def _collect(pairs):
         c0, f0 = acc.get(key, (0, f))
         acc[key] = (c0 + c, f0)
     return [(c, f) for c, f in acc.values() if not scalar_zero(c)]
-
-
-def point_in_circle(b, center, radius) -> int:
-    """-1 inside, 0 on the circle, +1 outside; exact for exact data."""
-    if isinstance(b, QQi) and isinstance(center, QQi) and isinstance(radius, Fraction):
-        d2 = (b - center).abs2()
-        r2 = radius * radius
-        return (d2 > r2) - (d2 < r2)
-    d = abs(complex(b) - complex(center))
-    r = float(radius)
-    return (d > r) - (d < r)
 
 
 def moment_sym(factors: dict, center, radius, exponent: int,

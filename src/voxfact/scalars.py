@@ -1,11 +1,21 @@
 """Exact Gaussian-rational scalars, generalized binomials, degree windows.
 
-Coefficients throughout the package are either exact (`QQi`, a pair of
-`fractions.Fraction`) or approximate (python `complex`).  Arithmetic between
-the two coerces to `complex`; arithmetic with `int` / `Fraction` stays exact.
+Whether a value is exact is decided here and nowhere else.  A scalar is
+exact (`QQi`, a pair of `fractions.Fraction`, or a plain `int` or
+`Fraction`) or a float (`float` or `complex`).  Python's numeric coercion
+keeps the two apart: arithmetic among exact values stays exact, and one
+float operand makes the result `complex`.
+
+* `exact_value` is the one lift of a finite scalar to `QQi`; a float
+  counts as its binary value, the value `QQi.__eq__` compares with.
+* Text is read by one rule: a value is exact iff its text is an exact
+  literal (`parse_qqi` form for a point, an integer or fraction for a real
+  part or a radius), and a float otherwise (`point_from_text`,
+  `real_from_text`, `coeff_from_obj`).
 """
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import sys
@@ -204,8 +214,18 @@ def is_exact(x) -> bool:
     return isinstance(x, (QQi, int, Fraction))
 
 
-def as_complex(x) -> complex:
-    return complex(x)
+def exact_value(x) -> QQi:
+    """x as an exact Gaussian rational: a QQi unchanged, an int or Fraction
+    lifted, a float or complex lifted to its binary value.  Raises
+    ValueError on a non-finite value."""
+    if isinstance(x, QQi):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return QQi(x)
+    z = complex(x)
+    if not cmath.isfinite(z):
+        raise ValueError(f"not a finite scalar: {x!r}")
+    return QQi(Fraction(z.real), Fraction(z.imag))
 
 
 def scalar_zero(x) -> bool:
@@ -227,7 +247,7 @@ def scalar_key(x) -> tuple:
     with float parts for a numeric one.  Distinct exact values never share
     a key, and an exact value never shares one with a float."""
     if is_exact(x):
-        q = x if isinstance(x, QQi) else QQi(x)
+        q = exact_value(x)
         return ("q", q.re, q.im)
     z = complex(x)
     return ("f", z.real, z.imag)
@@ -237,20 +257,39 @@ def coeff_to_obj(c) -> dict:
     """JSON form of a coefficient: exact parts as fraction strings, numeric
     parts as float reprs."""
     if is_exact(c):
-        q = c if isinstance(c, QQi) else QQi(c)
+        q = exact_value(c)
         return {"re": str(q.re), "im": str(q.im)}
-    z = as_complex(c)
+    z = complex(c)
     return {"re": repr(z.real), "im": repr(z.imag)}
 
 
 def coeff_from_obj(obj):
     """Inverse of `coeff_to_obj`; also reads JSON numbers.  A coefficient is
-    exact if its parts hold a "/", or hold neither "." nor "e"."""
-    re_s, im_s = str(obj["re"]), str(obj["im"])
-    both = re_s + im_s
-    if "/" in both or not ("." in both or "e" in both):
-        return QQi(Fraction(re_s), Fraction(im_s))
-    return complex(float(re_s), float(im_s))
+    exact iff both of its parts are (`real_from_text`)."""
+    re_, im_ = real_from_text(obj["re"]), real_from_text(obj["im"])
+    if type(re_) is Fraction and type(im_) is Fraction:
+        return QQi(re_, im_)
+    return complex(re_, im_)
+
+
+_RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
+
+
+def real_from_text(s):
+    """A real part or a radius from its text or JSON number: a Fraction iff
+    the text is an integer or fraction literal, else a float ('0.5', '1e-20'
+    and 'inf' are floats)."""
+    text = str(s)
+    return Fraction(text) if _RATIONAL_RE.fullmatch(text) else float(text)
+
+
+def point_from_text(s):
+    """A point from its text: a QQi iff the text is in `parse_qqi` form,
+    else a complex ('(0.3+0.1j)', '0.5')."""
+    try:
+        return parse_qqi(s)
+    except ValueError:
+        return complex(s)
 
 
 def scalar_pow(base, e: int):

@@ -1,5 +1,7 @@
-"""The one JSON coefficient codec, through every type that writes it."""
+"""The one JSON coefficient codec, through every type that writes it, and
+the one text rule: a value is exact iff its text is an exact literal."""
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 
 from voxfact.expressions import Expression
 from voxfact.functionals import CircleMoment, DeltaJet, Functional
-from voxfact.geometry import Disc
+from voxfact.geometry import Annulus, Disc, OpenSet, UnionSet
 from voxfact.graded import GradedVector
-from voxfact.scalars import QQi, coeff_from_obj, coeff_to_obj
+from voxfact.scalars import (QQi, coeff_from_obj, coeff_to_obj,
+                             point_from_text, real_from_text)
 
 PAYLOADS = Path(__file__).resolve().parent / "data" / "parent_payloads.json"
 
@@ -101,3 +104,47 @@ def test_json_numbers_are_read_by_the_string_rule():
 def test_negative_zero_part_survives_the_round_trip():
     v = GradedVector({(): complex(1.0, -0.0), (("a", 1),): complex(-0.0, 2.0)})
     assert GradedVector.from_obj(v.to_obj()).to_obj() == v.to_obj()
+
+
+def test_non_finite_coefficients_read_back():
+    inf, nan = math.inf, math.nan
+    v = GradedVector({(): complex(inf, inf), (("a", 1),): complex(nan, nan),
+                      (("a", 2),): complex(-inf, 0.0)})
+    back = GradedVector.from_json(v.to_json())
+    assert back.to_obj() == v.to_obj()
+    assert back.terms[()] == complex(inf, inf)
+    assert back.terms[(("a", 2),)] == complex(-inf, 0.0)
+    assert all(map(math.isnan, (back.terms[(("a", 1),)].real,
+                                back.terms[(("a", 1),)].imag)))
+
+
+def test_float_points_and_radii_stay_floats():
+    carrier = UnionSet((Disc(0.3 + 0.1j, 0.5),
+                        Annulus(QQi(4), Fraction(1, 2), 1.25)))
+    factors = [DeltaJet(0.3 + 0.1j, 1), CircleMoment(QQi(4), 0.75, -2),
+               DeltaJet(QQi(Fraction(1, 2), -1), 0),
+               CircleMoment(1j, Fraction(1, 3), 0)]
+    e = Expression.single(Disc(QQi(0), Fraction(8)), factors,
+                          [GradedVector.vacuum()] * 4)
+    eb = Expression.from_obj(json.loads(json.dumps(e.to_obj())))
+    # repr tells a float from the Fraction or QQi of the same value
+    assert sorted(map(repr, eb.terms[0].atom.factors)) == \
+        sorted(map(repr, factors))
+    cb = OpenSet.from_obj(json.loads(json.dumps(carrier.to_obj())))
+    assert repr(cb) == repr(carrier)
+
+
+def test_text_rule():
+    for text, want in [("1/2", Fraction(1, 2)), ("-3", Fraction(-3)),
+                       (" 7 ", Fraction(7)), (2, Fraction(2)),
+                       ("0.5", 0.5), ("1e-20", 1e-20), ("inf", math.inf),
+                       ("-0.0", -0.0), (0.25, 0.25)]:
+        _same(real_from_text(text), want)
+    for text, want in [("1/2-i", QQi(Fraction(1, 2), -1)), ("i", QQi(0, 1)),
+                       ("3", QQi(3)), ("(0.3+0.1j)", 0.3 + 0.1j),
+                       ("1j", 1j), ("0.5", 0.5 + 0j), ("(nan+0j)", None)]:
+        got = point_from_text(text)
+        if want is None:
+            assert type(got) is complex and math.isnan(got.real)
+        else:
+            _same(got, want)

@@ -1,13 +1,18 @@
 """Exact plane geometry: membership, circle containment, subset, disjointness."""
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxfact.errors import ExpansionDomainMismatch
 from voxfact.geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
-                              is_disjoint, is_subset, union_of)
-from voxfact.scalars import QQi
+                              circle_vs_circle, is_disjoint, is_subset,
+                              point_in_circle, union_of)
+from voxfact.residues import moment_sym
+from voxfact.scalars import QQi, exact_value
 
 rat = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 pts = st.builds(QQi, rat, rat)
@@ -151,3 +156,68 @@ def test_subset_and_disjoint_sound_on_points(up, v):
         assert v.contains_point(p)
     if is_disjoint(u, v):
         assert not v.contains_point(p)
+
+
+# |p|^2 - 1 is -6.6e-17 exactly, though |p| rounds to 1.0
+NEAR_UNIT = 0.6643029539301958 + 0.7474634341555553j
+
+
+def test_float_point_counts_at_its_binary_value():
+    assert Disc(0, 1).contains_point(NEAR_UNIT)
+    assert not Annulus(QQi(0), Fraction(1), Fraction(2)).contains_point(
+        NEAR_UNIT)
+    assert circle_vs_circle(NEAR_UNIT / 2, 1 / 2, 0, 1) is True
+    assert Disc(0, 1).contains_circle(NEAR_UNIT / 2, 0.5)
+    # a float radius counts at its binary value too, not as 0.1 ** 2
+    assert point_in_circle(0.1, 0, 0.1) == 0
+    assert not Disc(0, 0.1).contains_point(0.1j)
+
+
+def _predicates(p, c, r, s, half_r, twice_r, rs, half_s, r2s):
+    """Every position decision about the point p and circles centred at
+    p, against circles centred at c.  The radii are r >= s > 0, r/2, 2r,
+    r + s, s/2 and r + 2s, so that each pair of circles is tangent when
+    |p - c| = r."""
+    def residue(center, radius):
+        try:
+            return sum(coeff for coeff, _ in
+                       moment_sym({p: -1}, center, radius, 0))
+        except ExpansionDomainMismatch:
+            return "on the contour"
+
+    return [
+        point_in_circle(p, c, r), Disc(c, r).contains_point(p),
+        Annulus(c, half_r, r).contains_point(p),
+        Annulus(c, r, twice_r).contains_point(p), residue(c, r),
+        circle_vs_circle(p, s, c, rs), circle_vs_circle(c, rs, p, s),
+        circle_vs_circle(p, rs, c, s), circle_vs_circle(c, s, p, rs),
+        Disc(c, rs).contains_circle(p, s),
+        Annulus(c, half_s, rs).contains_circle(p, s),
+        is_subset(Disc(p, s), Disc(c, rs)),
+        is_subset(Disc(c, s), Annulus(p, rs, r2s)),
+        is_disjoint(Disc(p, s), Disc(c, rs)),
+        is_disjoint(Disc(p, rs), Annulus(c, s, r2s)),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts, radii, radii, st.floats(min_value=0, max_value=2 * math.pi))
+def test_float_data_decided_as_its_exact_value(c, r, s, t):
+    """Float points drawn on circles, c + r e^{it} rounded to a complex:
+    rounding puts them on either side, and every predicate decides them,
+    against float radii, as it decides their exact binary values."""
+    r, s = float(max(r, s)), float(min(r, s))
+    p = complex(c) + r * cmath.exp(1j * t)
+    radii = (r, s, r / 2, 2 * r, r + s, s / 2, r + 2 * s)
+    assert _predicates(p, c, *radii) == _predicates(
+        exact_value(p), c, *map(Fraction, radii))
+
+
+def test_nan_point_raises():
+    nan = complex(math.nan, 0.0)
+    for decide in (lambda: Disc(0, 1).contains_point(nan),
+                   lambda: point_in_circle(nan, 0, 1),
+                   lambda: circle_vs_circle(nan, 1, 0, 4),
+                   lambda: is_disjoint(Disc(nan, 1), Disc(0, 1))):
+        with pytest.raises(ValueError):
+            decide()

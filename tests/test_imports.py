@@ -1,13 +1,18 @@
-"""No module of the package imports a name it never uses, and no
-module-level private name is left without a reference."""
+"""No module of the package imports a name it never uses, no module-level
+private name is left without a reference, and no public module-level
+function or class goes unnamed in the package, its tests, its scripts and
+its benchmark."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "voxfact"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "voxfact"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
+READERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def _unused_imports(source: str):
@@ -69,18 +74,31 @@ def _references(node):
     return out
 
 
-def _unreferenced_privates(sources):
-    """Sorted (module, name) of module-level private names that no
-    top-level statement of any of the sources reads, other than the
-    statement defining the name (so a recursive helper with no other
-    caller counts as unreferenced)."""
+def _public_defs(tree):
+    """{name: defining statement} of the module-level public functions and
+    classes."""
+    return {stmt.name: stmt for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")}
+
+
+def _unreferenced(defs, sources, readers=()):
+    """Sorted (module, name) of the names ``defs`` finds in the sources
+    that no top-level statement of the sources or of the readers reads,
+    other than the statement defining the name (so a recursive function
+    with no other caller counts as unreferenced)."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    stmts = [(stmt, _references(stmt)) for tree in trees.values()
+    stmts = [(stmt, _references(stmt))
+             for tree in [*trees.values(), *map(ast.parse, readers)]
              for stmt in tree.body]
     return sorted((mod, name) for mod, tree in trees.items()
-                  for name, own in _private_defs(tree).items()
+                  for name, own in defs(tree).items()
                   if not any(name in refs for stmt, refs in stmts
                              if stmt is not own))
+
+
+def _unreferenced_privates(sources):
+    return _unreferenced(_private_defs, sources)
 
 
 def test_no_unreferenced_private_names():
@@ -99,3 +117,27 @@ def test_finder_sees_unreferenced_private_names():
     }
     assert _unreferenced_privates(sources) == [("a.py", "_Dead"),
                                                ("a.py", "_rec")]
+
+
+def test_no_unnamed_public_functions_or_classes():
+    package = {p.name: p.read_text() for p in PACKAGE}
+    readers = [p.read_text() for p in READERS if p.parent != SRC]
+    assert _unreferenced(_public_defs, package, readers) == []
+
+
+def test_finder_sees_unnamed_public_names():
+    sources = {
+        "a.py": ("LIMIT = 3\n"
+                 "def walk(n):\n    return walk(n - 1) if n else 0\n"
+                 "def helper():\n    return LIMIT\n"
+                 "def called():\n    return helper()\n"
+                 "class Dead:\n    def method(self):\n        pass\n"
+                 "def _private():\n    pass\n"),
+        "b.py": "from .a import called\n",
+    }
+    readers = ["import a\na.Dead.method\n"]
+    # only module-level functions and classes count: LIMIT, a method and
+    # a private name are left to the other checks
+    assert _unreferenced(_public_defs, sources) == [("a.py", "Dead"),
+                                                    ("a.py", "walk")]
+    assert _unreferenced(_public_defs, sources, readers) == [("a.py", "walk")]

@@ -107,3 +107,12 @@ def test_circle_nodes_on_circle():
     nodes = circle_nodes(1j, 2.0, 8)
     assert len(nodes) == 8
     assert all(abs(abs(z - 1j) - 2.0) < 1e-12 for z in nodes)
+
+
+def test_float_pole_inside_the_contour():
+    """A float pole counts at its binary value: this one lies 6.6e-17 in
+    squared modulus inside the unit circle, though |p| rounds to 1.0."""
+    p = 0.6643029539301958 + 0.7474634341555553j
+    assert abs(p) == 1.0
+    assert _const(moment_sym({p: -1}, QQi(0), Fraction(1), 0)) == QQi(1)
+    assert point_in_circle(p, QQi(0), Fraction(1)) == -1

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from voxfact.scalars import (DegreeWindow, QQi, binom, format_qqi, is_exact,
-                             parse_qqi, scalar_key, scalar_pow)
+from voxfact.scalars import (DegreeWindow, QQi, binom, exact_value,
+                             format_qqi, is_exact, parse_qqi, scalar_key,
+                             scalar_pow)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 qqis = st.builds(QQi, rationals, rationals)
@@ -165,3 +166,20 @@ def test_eq_against_float_regressions():
     assert QQi(Fraction(1, 2), Fraction(1, 4)) == 0.5 + 0.25j
     assert QQi(1, 1) == 1 + 1j and hash(QQi(1, 1)) == hash(1 + 1j)
     assert len({QQi(1, 1), 1 + 1j, QQi(2), 2.0}) == 2
+
+
+@given(exactish, floats, floats)
+def test_exact_value_is_the_value_eq_compares(q, re, im):
+    """A QQi passes through, int and Fraction lift, and a finite float or
+    complex lifts to the QQi it compares equal to."""
+    assert exact_value(q) is q
+    for f in (re, complex(re, im), complex(q)):
+        if all(math.isfinite(x) for x in (complex(f).real, complex(f).imag)):
+            v = exact_value(f)
+            assert type(v) is QQi and v == f
+        else:
+            with pytest.raises(ValueError):
+                exact_value(f)
+    assert exact_value(3) == QQi(3) and exact_value(Fraction(1, 3)) == \
+        QQi(Fraction(1, 3))
+    assert exact_value(1 / 3) != QQi(Fraction(1, 3))
