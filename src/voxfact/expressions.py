@@ -16,7 +16,6 @@ scalars stays available under ``force_numeric``, as the checks' reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import (ExpansionDomainMismatch, NotASubset, NotDisjoint,
@@ -30,16 +29,20 @@ from .geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
 from .graded import GradedVector, ProductVector
 from .mu import mode_box
 from .presets import VAPreset
+from .records import FrozenRecord
 from .residues import Var, coordinate, merge, moment_sym, sym_jet
 from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
                       is_exact, same_point, scalar_key)
 
 
-@dataclass(frozen=True)
-class Term:
-    coeff: object
-    atom: AtomicFunctional
-    states: tuple  # GradedVector per coordinate
+class Term(FrozenRecord):
+    __slots__ = ("coeff", "atom",
+                 "states")  # GradedVector per coordinate
+
+    def __init__(self, coeff, atom: AtomicFunctional, states: tuple):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "states", states)
 
     @property
     def arity(self):

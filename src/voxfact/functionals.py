@@ -15,36 +15,40 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
+from .records import FrozenRecord
 from .scalars import (QQi, coeff_from_obj, coeff_to_obj, exact_value,
                       is_exact, point_from_text, real_from_text, scalar_pow)
 
 
-@dataclass(frozen=True)
-class DeltaJet:
-    point: object          # QQi or complex
-    order: int = 0
+class DeltaJet(FrozenRecord):
+    __slots__ = ("point",  # QQi or complex
+                 "order")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, point, order: int = 0):
+        if order < 0:
             raise ValueError("jet order must be >= 0")
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "order", order)
 
     def to_obj(self):
         return {"delta": {"p": _pt_str(self.point), "d": self.order}}
 
 
-@dataclass(frozen=True)
-class CircleMoment:
-    center: object         # QQi or complex
-    radius: object         # Fraction or float, > 0
-    exponent: int = 0
+class CircleMoment(FrozenRecord):
+    __slots__ = ("center",  # QQi or complex
+                 "radius",  # Fraction or float, finite and > 0
+                 "exponent")
 
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("moment radius must be positive")
+    def __init__(self, center, radius, exponent: int = 0):
+        if not 0 < radius < math.inf:
+            raise ValueError(f"moment radius must be positive and finite, "
+                             f"not {radius!r}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "exponent", exponent)
 
     def to_obj(self):
         return {"moment": {"c": _pt_str(self.center), "r": _rad_str(self.radius),
@@ -73,9 +77,11 @@ def factor_from_obj(obj):
     raise UsageError(f"bad functional factor {obj!r}")
 
 
-@dataclass(frozen=True)
-class AtomicFunctional:
-    factors: tuple
+class AtomicFunctional(FrozenRecord):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        object.__setattr__(self, "factors", factors)
 
     @property
     def arity(self):
@@ -92,17 +98,18 @@ class AtomicFunctional:
         return True
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(FrozenRecord):
     """Linear combination of atomic functionals of a common arity."""
 
-    arity: int
-    atoms: tuple  # of (coeff, AtomicFunctional)
+    __slots__ = ("arity",
+                 "atoms")  # of (coeff, AtomicFunctional)
 
-    def __post_init__(self):
-        for _, atom in self.atoms:
-            if atom.arity != self.arity:
+    def __init__(self, arity: int, atoms: tuple):
+        for _, atom in atoms:
+            if atom.arity != arity:
                 raise ValueError("atom arity mismatch")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "atoms", atoms)
 
     @classmethod
     def atomic(cls, *factors, coeff=None):

@@ -13,9 +13,10 @@ answer may reject a decomposable containment.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
+from .records import FrozenRecord
 from .scalars import exact_value, point_from_text, real_from_text
 
 
@@ -62,7 +63,9 @@ def circle_vs_circle(c1, r1, c2, r2):
     return None
 
 
-class OpenSet:
+class OpenSet(FrozenRecord):
+    __slots__ = ()
+
     def contains_point(self, p) -> bool:
         raise NotImplementedError
 
@@ -90,8 +93,9 @@ class OpenSet:
         raise ValueError(f"bad open-set object {obj!r}")
 
 
-@dataclass(frozen=True)
 class AllPlane(OpenSet):
+    __slots__ = ()
+
     def contains_point(self, p):
         return True
 
@@ -102,14 +106,15 @@ class AllPlane(OpenSet):
         return {"all": True}
 
 
-@dataclass(frozen=True)
 class Disc(OpenSet):
-    center: QQi
-    radius: Fraction
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("disc radius must be positive")
+    def __init__(self, center, radius):
+        if not 0 < radius < math.inf:
+            raise ValueError(f"disc radius must be positive and finite, "
+                             f"not {radius!r}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
     def contains_point(self, p):
         return point_in_circle(p, self.center, self.radius) < 0
@@ -122,15 +127,16 @@ class Disc(OpenSet):
         return {"disc": {"center": str(self.center), "radius": str(self.radius)}}
 
 
-@dataclass(frozen=True)
 class Annulus(OpenSet):
-    center: QQi
-    inner: Fraction
-    outer: Fraction
+    __slots__ = ("center", "inner", "outer")
 
-    def __post_init__(self):
-        if not (0 <= self.inner < self.outer):
-            raise ValueError("need 0 <= inner < outer")
+    def __init__(self, center, inner, outer):
+        if not 0 <= inner < outer < math.inf:
+            raise ValueError(f"need 0 <= inner < outer < inf, "
+                             f"not {inner!r}, {outer!r}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "outer", outer)
 
     def contains_point(self, p):
         ri, ro = _radii(self)
@@ -148,17 +154,17 @@ class Annulus(OpenSet):
                             "outer": str(self.outer)}}
 
 
-@dataclass(frozen=True)
 class UnionSet(OpenSet):
-    members: tuple
+    __slots__ = ("members",)
 
-    def __post_init__(self):
+    def __init__(self, members: tuple):
         # members must be pairwise disjoint, checked exactly
-        for i, u in enumerate(self.members):
-            for v in self.members[i + 1:]:
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
                 if not is_disjoint(u, v):
                     from .errors import NotDisjoint
                     raise NotDisjoint("union members overlap")
+        object.__setattr__(self, "members", members)
 
     def contains_point(self, p):
         return any(m.contains_point(p) for m in self.members)

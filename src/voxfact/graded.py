@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
+from .records import Record
 from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
                       is_exact, scalar_zero)
 
@@ -210,13 +210,18 @@ def _mono_sort_key(mono: Mono):
     return (mono_degree(mono), mono)
 
 
-@dataclass
-class ProductVector:
+class ProductVector(Record):
     """Element of the degreewise product space, truncated to a window."""
 
-    window: DegreeWindow
-    components: dict = field(default_factory=dict)  # degree -> GradedVector
-    tail_estimate: float = 0.0
+    __slots__ = ("window",
+                 "components",  # degree -> GradedVector
+                 "tail_estimate")
+
+    def __init__(self, window: DegreeWindow, components=None,
+                 tail_estimate: float = 0.0):
+        self.window = window
+        self.components = {} if components is None else components
+        self.tail_estimate = tail_estimate
 
     def component(self, k: int) -> GradedVector:
         return self.components.get(k, GradedVector.zero())

@@ -40,28 +40,30 @@ n >= deg a + deg b.  An independent normal-ordered-field expansion lives in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded import GradedVector, Mono, mono_degree
+from .records import FrozenRecord
 from .scalars import QQi, binom
 
 
-@dataclass(frozen=True)
-class VAPreset:
+class VAPreset(FrozenRecord):
     """A choice of vacuum module together with its structure constants."""
 
-    kind: str
-    c: Fraction = Fraction(0)       # virasoro central charge
-    level: Fraction = Fraction(0)   # affine level
+    __slots__ = ("kind",
+                 "c",       # virasoro central charge
+                 "level",   # affine level
+                 # per-instance memo tables shared by the mode engine (not
+                 # a field, so equality and hashing still go through the
+                 # structure constants)
+                 "_memos")
 
-    def __post_init__(self):
-        if self.kind not in ("heisenberg", "virasoro", "affine_sl2"):
-            raise ValueError(f"unknown preset {self.kind!r}")
-        object.__setattr__(self, "c", Fraction(self.c))
-        object.__setattr__(self, "level", Fraction(self.level))
-        # per-instance memo tables shared by the mode engine (not fields,
-        # so equality and hashing still go through the structure constants)
+    def __init__(self, kind: str, c=Fraction(0), level=Fraction(0)):
+        if kind not in ("heisenberg", "virasoro", "affine_sl2"):
+            raise ValueError(f"unknown preset {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "level", Fraction(level))
         object.__setattr__(self, "_memos", _shared_memos(self.key()))
 
     @property
@@ -240,6 +242,8 @@ def _exact_parts(s):
     if type(s) is tuple:
         return s
     if isinstance(s, QQi):
+        if s.d == 1:
+            return s.a, s.b
         return _rational(s.re), _rational(s.im)
     if isinstance(s, (int, Fraction)):
         return s, 0

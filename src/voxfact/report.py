@@ -2,17 +2,21 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from .records import Record
 
 
-@dataclass
-class CheckReport:
-    axiom: str
-    passed: bool
-    max_err: float = 0.0
-    tol: float = 0.0
-    witness: dict = field(default_factory=dict)
-    truncation: dict = field(default_factory=dict)
+class CheckReport(Record):
+    __slots__ = ("axiom", "passed", "max_err", "tol", "witness", "truncation")
+
+    def __init__(self, axiom: str, passed: bool, max_err: float = 0.0,
+                 tol: float = 0.0, witness=None, truncation=None):
+        self.axiom = axiom
+        self.passed = passed
+        self.max_err = max_err
+        self.tol = tol
+        self.witness = {} if witness is None else witness
+        self.truncation = {} if truncation is None else truncation
 
     def to_obj(self):
         return {"axiom": self.axiom, "pass": self.passed,

@@ -18,18 +18,19 @@ binary value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ExpansionDomainMismatch
 from .geometry import point_in_circle
+from .records import FrozenRecord
 from .scalars import QQi, binom, scalar_pow, scalar_zero
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(FrozenRecord):
     """The free variable z_index."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
 def coordinate(factors: dict, var: Var):

@@ -1,11 +1,16 @@
 """Exact Gaussian-rational scalars, generalized binomials, degree windows.
 
 Whether a value is exact is decided here and nowhere else.  A scalar is
-exact (`QQi`, a pair of `fractions.Fraction`, or a plain `int` or
-`Fraction`) or a float (`float` or `complex`).  Python's numeric coercion
-keeps the two apart: arithmetic among exact values stays exact, and one
-float operand makes the result `complex`.
+exact (`QQi`, or a plain `int` or `Fraction`) or a float (`float` or
+`complex`).  Python's numeric coercion keeps the two apart: arithmetic
+among exact values stays exact, and one float operand makes the result
+`complex`.
 
+* `QQi` holds three integers (a + b*i)/d in lowest terms, d > 0 and
+  gcd(a, b, d) == 1, so equal values have equal fields; its arithmetic
+  takes at most one gcd per result.  `QQi.re` and `QQi.im` read the parts
+  as `Fraction`s, and equality and hashing agree with the equal `int`,
+  `Fraction`, `float` or `complex`.
 * `exact_value` is the one lift of a finite scalar to `QQi`; a float
   counts as its binary value, the value `QQi.__eq__` compares with.
 * Text is read by one rule: a value is exact iff its text is an exact
@@ -19,146 +24,270 @@ import cmath
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .records import FrozenRecord
 
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_IMAG = sys.hash_info.imag
 _HASH_MASK = (1 << sys.hash_info.width) - 1
 
 
 class QQi:
-    """A Gaussian rational re + im*i with exact field arithmetic."""
+    """A Gaussian rational (a + b*i)/d with exact field arithmetic.
 
-    __slots__ = ("re", "im")
+    The integers are kept in lowest terms: d > 0 and gcd(a, b, d) == 1, so
+    two equal values have equal fields.  Each result costs at most one
+    gcd, and none when its denominator is 1.  `re` and `im` read the parts
+    as `Fraction`s."""
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re",
-                           re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im",
-                           im if type(im) is Fraction else Fraction(im))
+        if type(re) is int and type(im) is int:
+            _set_a(self, re)
+            _set_b(self, im)
+            _set_d(self, 1)
+            return
+        if type(re) is not Fraction:
+            re = Fraction(re)
+        if type(im) is not Fraction:
+            im = Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # over the lcm of two reduced denominators the three integers are
+        # already coprime
+        if q != s:
+            d = math.lcm(q, s)
+            p, r, q = p * (d // q), r * (d // s), d
+        _set_a(self, p)
+        _set_b(self, r)
+        _set_d(self, q)
 
-    # immutable by convention
+    # immutable
     def __setattr__(self, name, value):
         raise AttributeError("QQi is immutable")
 
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, QQi):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QQi(x)
-        return None
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        o = QQi._lift(other)
+        if type(other) is QQi:
+            return _sum(self.a, self.b, self.d, other.a, other.b, other.d)
+        o = _parts(other)
         if o is None:
             return complex(self) + other
-        return QQi(self.re + o.re, self.im + o.im)
+        return _sum(self.a, self.b, self.d, *o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = QQi._lift(other)
+        if type(other) is QQi:
+            return _sum(self.a, self.b, self.d, -other.a, -other.b, other.d)
+        o = _parts(other)
         if o is None:
             return complex(self) - other
-        return QQi(self.re - o.re, self.im - o.im)
+        return _sum(self.a, self.b, self.d, -o[0], -o[1], o[2])
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = _parts(other)
+        if o is None:
+            return complex(-self) + other
+        return _sum(-self.a, -self.b, self.d, *o)
 
     def __mul__(self, other):
-        if type(other) is int:
+        a, b, d = self.a, self.b, self.d
+        if type(other) is QQi:
+            x, y, e = other.a, other.b, other.d
+        elif type(other) is int:
             if other == 1:
                 return self
-            return QQi(self.re * other, self.im * other)
-        o = QQi._lift(other)
-        if o is None:
-            return complex(self) * other
-        return QQi(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
+            return _reduced(a * other, b * other, d)
+        else:
+            o = _parts(other)
+            if o is None:
+                return complex(self) * other
+            x, y, e = o
+        return _reduced(a * x - b * y, a * y + b * x, d * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = QQi._lift(other)
+        if type(other) is QQi:
+            return _quotient(self.a, self.b, self.d, other.a, other.b, other.d)
+        o = _parts(other)
         if o is None:
             return complex(self) / other
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi((self.re * o.re + self.im * o.im) / n,
-                   (self.im * o.re - self.re * o.im) / n)
+        return _quotient(self.a, self.b, self.d, *o)
 
     def __rtruediv__(self, other):
-        o = QQi._lift(other)
+        o = _parts(other)
         if o is None:
             return other / complex(self)
-        return o / self
+        return _quotient(*o, self.a, self.b, self.d)
 
     def __pow__(self, e):
         if not isinstance(e, int):
             return complex(self) ** e
+        # ((x + iy) / den)^e in integers, reduced once at the end; for e < 0
+        # the base is the reciprocal (a - ib) d / (a^2 + b^2), unreduced
+        x, y, den = self.a, self.b, self.d
         if e < 0:
-            return QQi(1) / (self ** (-e))
-        # (x + iy)^e / den^e with x + iy = den * self, in integers: the
-        # two Fractions at the end are the only reductions
-        den = math.lcm(self.re.denominator, self.im.denominator)
-        x = self.re.numerator * (den // self.re.denominator)
-        y = self.im.numerator * (den // self.im.denominator)
+            n = x * x + y * y
+            if n == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            x, y, den, e = x * den, -y * den, n, -e
         px, py = 1, 0
         for bit in bin(e)[2:]:
             px, py = px * px - py * py, 2 * px * py
             if bit == "1":
                 px, py = px * x - py * y, px * y + py * x
-        return QQi(Fraction(px, den ** e), Fraction(py, den ** e))
+        return _reduced(px, py, den ** e) if den != 1 else _make(px, py, 1)
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
         """|self|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        return Fraction(a * a + b * b, d * d)
 
     def __abs__(self):
         return math.sqrt(float(self.abs2()))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int rounds the exact quotient once, as Fraction.__float__
+        d = self.d
+        return complex(self.a / d, self.b / d)
 
     def __eq__(self, other):
-        o = QQi._lift(other)
+        if type(other) is QQi:
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
+        o = _parts(other)
         if o is None:
             if isinstance(other, (float, complex)):
                 # exact, as Fraction compares with float: the float's
                 # binary value, never a rounding of self
                 z = complex(other)
-                return self.re == z.real and self.im == z.imag
+                return (_equals_float(self.a, self.d, z.real)
+                        and _equals_float(self.b, self.d, z.imag))
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.a == o[0] and self.b == o[1] and self.d == o[2]
 
     def __hash__(self):
         # equal to hash(x) for every int, Fraction, float or complex x that
         # compares equal, following CPython's numeric hash for complex
-        if self.im == 0:
-            return hash(self.re)
-        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) \
-            & _HASH_MASK
+        a, b, d = self.a, self.b, self.d
+        if d == 1:
+            if b == 0:
+                return hash(a)
+            hr, hi = hash(a), hash(b)
+        else:
+            hr = _hash_part(a, d)
+            if b == 0:
+                return hr
+            hi = _hash_part(b, d)
+        h = (hr + _HASH_IMAG * hi) & _HASH_MASK
         if h > _HASH_MASK >> 1:
             h -= _HASH_MASK + 1
         return -2 if h == -1 else h
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
+
+    def __reduce__(self):
+        return QQi, (self.re, self.im)
 
     def __repr__(self):
         return f"QQi({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_qqi(self)
+
+
+_set_a, _set_b, _set_d = QQi.a.__set__, QQi.b.__set__, QQi.d.__set__
+_new = object.__new__
+
+
+def _make(a, b, d) -> QQi:
+    """The QQi (a + b*i)/d of three integers already in lowest terms."""
+    q = _new(QQi)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
+    return q
+
+
+def _reduced(a, b, d) -> QQi:
+    """The QQi (a + b*i)/d, d > 0, brought to lowest terms."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _make(a, b, d)
+
+
+def _parts(x):
+    """(a, b, d) of an exact scalar, or None for any other value."""
+    if isinstance(x, QQi):
+        return x.a, x.b, x.d
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _sum(a, b, d, x, y, e) -> QQi:
+    """(a + b*i)/d + (x + y*i)/e."""
+    if d == e:
+        return _reduced(a + x, b + y, d)
+    # a term over 1 keeps the other denominator coprime to the numerators
+    if d == 1:
+        return _make(a * e + x, b * e + y, e)
+    if e == 1:
+        return _make(a + x * d, b + y * d, d)
+    return _reduced(a * e + x * d, b * e + y * d, d * e)
+
+
+def _quotient(a, b, d, x, y, e) -> QQi:
+    """((a + b*i)/d) / ((x + y*i)/e)."""
+    n = x * x + y * y
+    if n == 0:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return _reduced((a * x + b * y) * e, (b * x - a * y) * e, d * n)
+
+
+def _equals_float(n, d, x: float) -> bool:
+    """n/d == x exactly; never for a NaN or an infinity."""
+    if not math.isfinite(x):
+        return False
+    p, q = x.as_integer_ratio()
+    return n * q == p * d
+
+
+def _hash_part(n, d) -> int:
+    """hash(Fraction(n, d)) for d > 1, computed without reducing n/d."""
+    if d % _HASH_MODULUS == 0:
+        return hash(Fraction(n, d))
+    # n/d and its reduced form agree modulo the prime while it misses d
+    h = abs(n) % _HASH_MODULUS * pow(d, -1, _HASH_MODULUS) % _HASH_MODULUS
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
 
 
 _QQI_RE = re.compile(
@@ -316,16 +445,16 @@ def binom(t: int, i: int) -> int:
     return math.comb(i - t - 1, i) * (-1 if i % 2 else 1)
 
 
-@dataclass(frozen=True)
-class DegreeWindow:
+class DegreeWindow(FrozenRecord):
     """Closed integer range [lo, hi] of retained degrees, lo >= 0."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo < 0 or self.hi < self.lo:
-            raise ValueError(f"bad degree window {self.lo}:{self.hi}")
+    def __init__(self, lo: int, hi: int):
+        if lo < 0 or hi < lo:
+            raise ValueError(f"bad degree window {lo}:{hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def degrees(self):
         return range(self.lo, self.hi + 1)

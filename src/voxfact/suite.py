@@ -6,7 +6,6 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expressions import Expression
@@ -18,6 +17,7 @@ from .mu import (check_associativity, check_equivariance_exact,
                  check_meromorphicity, check_permutation, check_skew_transport)
 from .oracle import oracle_mode_mono
 from .presets import VAPreset, basis_upto, preset_from_name, state_mode_mono
+from .records import Record
 from .relations import (check_weight_idempotent, check_weight_partition,
                         check_weight_quadrature, concentric_density_check,
                         multiplicativity_check, relation_kernel,
@@ -48,17 +48,25 @@ SUITE_LABELS = (
 )
 
 
-@dataclass
-class SuiteConfig:
-    presets: tuple = ("heisenberg", "virasoro", "affine_sl2")
-    c: Fraction = Fraction(1, 2)
-    level: Fraction = Fraction(1)
-    window: DegreeWindow = field(default_factory=lambda: DegreeWindow(0, 6))
-    tol: float = 1e-8
-    quad_n: int | None = None
-    seed: int = 2024
-    mode_degree: int = 4
-    only: tuple | None = None
+class SuiteConfig(Record):
+    __slots__ = ("presets", "c", "level", "window", "tol", "quad_n", "seed",
+                 "mode_degree", "only")
+
+    def __init__(self, presets: tuple = ("heisenberg", "virasoro",
+                                         "affine_sl2"),
+                 c: Fraction = Fraction(1, 2), level: Fraction = Fraction(1),
+                 window: DegreeWindow = DegreeWindow(0, 6), tol: float = 1e-8,
+                 quad_n: int | None = None, seed: int = 2024,
+                 mode_degree: int = 4, only: tuple | None = None):
+        self.presets = presets
+        self.c = c
+        self.level = level
+        self.window = window
+        self.tol = tol
+        self.quad_n = quad_n
+        self.seed = seed
+        self.mode_degree = mode_degree
+        self.only = only
 
     def preset_objs(self):
         return [preset_from_name(p, c=self.c, level=self.level)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxfact.errors import ExpansionDomainMismatch
+from voxfact.functionals import CircleMoment, factor_from_obj
 from voxfact.geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
                               circle_vs_circle, is_disjoint, is_subset,
                               point_in_circle, union_of)
@@ -221,3 +222,31 @@ def test_nan_point_raises():
                    lambda: is_disjoint(Disc(nan, 1), Disc(0, 1))):
         with pytest.raises(ValueError):
             decide()
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def test_non_finite_radii_rejected_when_built():
+    """A NaN or infinite radius fails in the constructor, not at the first
+    position decision; the same holds for the JSON texts 'nan' and 'inf'."""
+    for r in _NON_FINITE:
+        for build in (lambda: Disc(0, r), lambda: Annulus(0, 1, r),
+                      lambda: Annulus(0, r, 2), lambda: CircleMoment(0, r, 0),
+                      lambda: CircleMoment(QQi(1), r, -2)):
+            with pytest.raises(ValueError):
+                build()
+    for text in ("nan", "inf", "-inf", "NaN", "Infinity"):
+        for obj in ({"disc": {"center": "0", "radius": text}},
+                    {"annulus": {"center": "0", "inner": "1", "outer": text}},
+                    {"annulus": {"center": "0", "inner": text, "outer": "2"}},
+                    {"union": [{"disc": {"center": "0", "radius": text}}]}):
+            with pytest.raises(ValueError):
+                OpenSet.from_obj(obj)
+        with pytest.raises(ValueError):
+            factor_from_obj({"moment": {"c": "0", "r": text, "n": 0}})
+    # the largest finite float is still a radius
+    big = Disc(0, 1.7976931348623157e308)
+    assert big.contains_point(QQi(10 ** 300))
+    assert CircleMoment(0, 1e300, 0).radius == 1e300
+    assert Annulus(0, 0, 1e300).contains_point(1)

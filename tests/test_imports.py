@@ -1,8 +1,11 @@
 """No module of the package imports a name it never uses, no module-level
-private name is left without a reference, and no public module-level
+private name is left without a reference, no public module-level
 function or class goes unnamed in the package, its tests, its scripts and
-its benchmark."""
+its benchmark, and importing the package loads no heavy standard module."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,3 +144,31 @@ def test_finder_sees_unnamed_public_names():
     assert _unreferenced(_public_defs, sources) == [("a.py", "Dead"),
                                                     ("a.py", "walk")]
     assert _unreferenced(_public_defs, sources, readers) == [("a.py", "walk")]
+
+
+# each costs memory in every process that imports the package; dataclasses
+# alone pulls in inspect, ast, dis, tokenize, linecache and copy
+HEAVY_MODULES = ("dataclasses", "inspect")
+
+
+def _added_modules(statement: str) -> set:
+    """Modules a fresh interpreter loads to run ``statement``, with the
+    package importable from ``src/``."""
+    code = ("import sys\nbefore = set(sys.modules)\n" + statement
+            + "\nprint('\\n'.join(sorted(set(sys.modules) - before)))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    return set(out.split())
+
+
+def test_package_import_loads_no_heavy_module():
+    added = _added_modules("import voxfact")
+    assert "voxfact.scalars" in added
+    assert sorted(added.intersection(HEAVY_MODULES)) == []
+
+
+def test_import_finder_sees_heavy_modules():
+    assert set(HEAVY_MODULES) <= _added_modules("import dataclasses")
