@@ -9,17 +9,16 @@ simultaneous permutation of coordinates (terms are kept in a canonical
 sorted form).  Evaluation pairs the functional with the multi-point
 multiplication map of the states.  `mu.mode_box` writes that map as a
 finite sum of state vectors times products of powers of the differences of
-the points, and the pairing of each such scalar is an iterated residue
-(`residues`): exact on exact data, the same formulas in complex arithmetic
-on float data, at every arity.  Nested trapezoid quadrature of the same
-scalars stays available under ``force_numeric``, as the checks' reference.
+the points, and the pairing of each such scalar is an iterated residue:
+`residues.Pairing` compiles a term's factors once, then pairs every
+scalar of its box on integer exponent tuples, exact on exact data, the
+same formulas in complex arithmetic on float data, at every arity.  Nested
+trapezoid quadrature of the same scalars stays available under
+``force_numeric``, as the checks' reference.
 """
 from __future__ import annotations
 
-from functools import cache
-
-from .errors import (ExpansionDomainMismatch, NotASubset, NotDisjoint,
-                     VoxfactError)
+from .errors import NotASubset, NotDisjoint, VoxfactError
 from .functionals import (AtomicFunctional, CircleMoment, DeltaJet,
                           apply_factor_numeric, factor_from_obj,
                           pushforward_factor, sqrt_of_modulus)
@@ -30,7 +29,7 @@ from .graded import GradedVector, ProductVector
 from .mu import mode_box
 from .presets import VAPreset
 from .records import FrozenRecord
-from .residues import Var, coordinate, merge, moment_sym, sym_jet
+from .residues import Pairing
 from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
                       is_exact, same_point, scalar_key)
 
@@ -238,10 +237,11 @@ def evaluate_expression(expr: Expression, preset: VAPreset,
     its states, term by term over one `mu.mode_box`.
 
     By default every scalar of the box is paired by iterated residues
-    (`_pairing`): exactly on exact data, in complex arithmetic on float
-    data.  With ``force_numeric`` the pairing is nested trapezoid
-    quadrature on ``quad_n`` nodes per contour (`_quadrature`), the
-    reference route of the checks.
+    (`residues.Pairing`, compiled once per term and dropped with this
+    call): exactly on exact data, in complex arithmetic on float data.
+    With ``force_numeric`` the pairing is nested trapezoid quadrature on
+    ``quad_n`` nodes per contour (`_quadrature`), the reference route of
+    the checks.
     """
     if quad_n is None:
         quad_n = 2 * window.hi + 16
@@ -249,60 +249,9 @@ def evaluate_expression(expr: Expression, preset: VAPreset,
     for t in expr.terms:
         factors = t.atom.factors
         scalar = (_quadrature(factors, quad_n) if force_numeric
-                  else _pairing(factors))
+                  else Pairing(factors))
         out = out + mode_box(preset, t.states, window, scalar).scale(t.coeff)
     return out
-
-
-def _pairing(factors):
-    """The scalar callback of `mode_box` that pairs the factors with
-    prod (z_i - z_k)^t z_m^j as an iterated residue, one coordinate at a
-    time.  Jets go first: each then meets only points and free variables,
-    never a pole.  Moments follow from the innermost contour outward (a
-    contour inside another has the smaller radius), and the geometry
-    places each variable still free inside or outside the contour."""
-    order = sorted(range(len(factors)), key=lambda i: (
-        (0, 0) if isinstance(factors[i], DeltaJet)
-        else (1, factors[i].radius)))
-    steps = []
-    for n, i in enumerate(order):
-        f = factors[i]
-        inside = None if isinstance(f, DeltaJet) else \
-            {Var(k): _inside(factors[k], f) for k in order[n + 1:]}
-        steps.append((Var(i), f, inside))
-    last = Var(len(factors) - 1)
-
-    @cache
-    def pair(exps, j):
-        integrand = {(Var(i), Var(k)): t for (i, k), t in exps}
-        if j:
-            integrand[(last, QQi(0))] = j
-        terms = [(1, integrand)]
-        for var, f, inside in steps:
-            paired = []
-            for c, fs in terms:
-                sign, own, rest = coordinate(fs, var)
-                if isinstance(f, DeltaJet):
-                    pieces = sym_jet(own, f.point, f.order)
-                else:
-                    pieces = moment_sym(own, f.center, f.radius, f.exponent,
-                                        inside)
-                paired.extend((sign * c * pc, merge(rest, pf))
-                              for pc, pf in pieces)
-            terms = paired
-        return sum(c for c, _ in terms)
-
-    return pair
-
-
-def _inside(f, moment: CircleMoment) -> bool:
-    """Whether the support of factor f lies inside the moment's contour."""
-    if isinstance(f, DeltaJet):
-        return point_in_circle(f.point, moment.center, moment.radius) < 0
-    rel = circle_vs_circle(f.center, f.radius, moment.center, moment.radius)
-    if rel is None:
-        raise ExpansionDomainMismatch("contours intersect")
-    return rel
 
 
 def _quadrature(factors, quad_n):

@@ -65,6 +65,10 @@ class GradedVector:
     def __setattr__(self, name, value):
         raise AttributeError("GradedVector is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return self.__class__, (self.terms,)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

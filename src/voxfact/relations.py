@@ -80,13 +80,13 @@ def weight_project(expr: Expression, k: int, preset: VAPreset,
     the q^k Fourier coefficient of the dilation orbit q |-> ev(q . x) is the
     degree-k part of one evaluation, which pairs every term by iterated
     residues at any arity.  Returns (GradedVector, metadata) with metadata
-    {"route": "exact"} when the evaluation is exact (the component then has
+    {"route": "exact"} when the expression is exact (the component then has
     QQi coefficients), {"route": "numeric"} when some term carries float
-    data.
+    data, even where the component comes out zero.
     """
+    route = "exact" if expr.is_exact() else "numeric"
     pv = evaluate_expression(expr, preset, window)
-    exact = all(v.is_exact() for v in pv.components.values())
-    return pv.component(k), {"route": "exact" if exact else "numeric"}
+    return pv.component(k), {"route": route}
 
 
 def _orbit_component(expr: Expression, k: int, preset: VAPreset,

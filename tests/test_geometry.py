@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxfact.errors import ExpansionDomainMismatch
-from voxfact.functionals import CircleMoment, factor_from_obj
+from voxfact.functionals import CircleMoment, DeltaJet, factor_from_obj
 from voxfact.geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
                               circle_vs_circle, is_disjoint, is_subset,
                               point_in_circle, union_of)
-from voxfact.residues import moment_sym
+from voxfact.residues import Pairing
 from voxfact.scalars import QQi, exact_value
 
 rat = st.fractions(min_value=-6, max_value=6, max_denominator=8)
@@ -181,8 +181,8 @@ def _predicates(p, c, r, s, half_r, twice_r, rs, half_s, r2s):
     |p - c| = r."""
     def residue(center, radius):
         try:
-            return sum(coeff for coeff, _ in
-                       moment_sym({p: -1}, center, radius, 0))
+            return Pairing([CircleMoment(center, radius, 0), DeltaJet(p)])(
+                (((0, 1), -1),), 0)
         except ExpansionDomainMismatch:
             return "on the contour"
 

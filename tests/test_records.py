@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from voxfact.expressions import Term
+from voxfact.expressions import Expression, Term
 from voxfact.functionals import (AtomicFunctional, CircleMoment, DeltaJet,
                                  Functional)
 from voxfact.geometry import AllPlane, Annulus, Disc, UnionSet
-from voxfact.graded import ProductVector
+from voxfact.graded import GradedVector, ProductVector
 from voxfact.presets import VAPreset
 from voxfact.report import CheckReport
-from voxfact.residues import Var
 from voxfact.scalars import DegreeWindow, QQi
 from voxfact.suite import SuiteConfig
 
@@ -24,7 +23,7 @@ FROZEN = [
     Functional(1, ((QQi(2), AtomicFunctional((_JET,))),)),
     AllPlane(), Disc(QQi(0), Fraction(1)),
     Annulus(QQi(1), Fraction(1, 3), 2.5),
-    UnionSet((Disc(QQi(0), 1), Disc(QQi(5), 1))), Var(3),
+    UnionSet((Disc(QQi(0), 1), Disc(QQi(5), 1))),
     Term(QQi(1), AtomicFunctional(()), ()),
     VAPreset("virasoro", Fraction(1, 2)),
 ]
@@ -63,7 +62,6 @@ def test_mutable_records_are_unhashable_and_assignable():
 
 def test_repr_and_equality_as_the_fields_read():
     assert repr(DegreeWindow(0, 3)) == "DegreeWindow(lo=0, hi=3)"
-    assert repr(Var(2)) == "Var(index=2)"
     assert repr(AllPlane()) == "AllPlane()"
     assert repr(VAPreset("heisenberg")) == \
         "VAPreset(kind='heisenberg', c=Fraction(0, 1), level=Fraction(0, 1))"
@@ -72,6 +70,25 @@ def test_repr_and_equality_as_the_fields_read():
         "witness={}, truncation={})")
     # equal fields of different classes are not equal values
     assert Disc(QQi(0), 1) != Annulus(QQi(0), 0, 1)
-    assert AllPlane() == AllPlane() and Var(1) != Var(2)
+    assert AllPlane() == AllPlane()
     assert VAPreset("virasoro", 1) == VAPreset("virasoro", Fraction(1))
     assert DegreeWindow(0, 1) != (0, 1)
+
+
+def test_states_and_their_holders_copy_and_pickle():
+    """A GradedVector refuses assignment, so it rebuilds through its
+    constructor; it, and every value that holds states, copies and
+    pickles to an equal value."""
+    a = (GradedVector.vacuum().scale(QQi(Fraction(1, 2), 3))
+         + GradedVector.basis((("a", 1),), 0.5j))
+    term = Term(QQi(3), AtomicFunctional((_JET,)), (a,))
+    expr = Expression.single(Disc(QQi(0), 4), [_JET], [a])
+    for obj in (GradedVector.vacuum(), a,
+                ProductVector.from_vector(a, DegreeWindow(0, 2)), term, expr):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj),
+                     copy.deepcopy(obj)):
+            assert type(twin) is type(obj)
+            if isinstance(obj, Expression):
+                assert (twin.carrier, twin.terms) == (obj.carrier, obj.terms)
+            else:
+                assert twin == obj

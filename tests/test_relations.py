@@ -164,6 +164,20 @@ def test_weight_project_numeric_routes(boson):
             assert _close_to_orbit(piece, expr, k, boson, window), k
 
 
+def test_weight_project_route_of_a_zero_float_result(boson):
+    """A moment of non-negative exponent kills the flow, so the result is
+    zero; its float centre still makes the route numeric."""
+    expr = Expression.single(Disc(QQi(0), 8),
+                             [CircleMoment(0.3 + 0.1j, Fraction(1, 2), 1)],
+                             [B("a(-1)")])
+    assert not expr.is_exact()
+    window = DegreeWindow(0, 3)
+    for k in window.degrees():
+        piece, meta = weight_project(expr, k, boson, window)
+        assert not piece
+        assert meta == {"route": "numeric"}
+
+
 def test_weight_partition_and_idempotence(boson, window6):
     exprs = [Expression.single(D4, [DeltaJet(QQi(Fraction(3, 2)), 0)],
                                [B("a(-2)", "a(-1)")]),
