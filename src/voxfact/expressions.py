@@ -124,28 +124,25 @@ def _factor_key(f):
 def _state_key(s: GradedVector):
     return s.to_json()
 
+
 def _normalize(terms):
+    """Sort each term's coordinates, merge equal terms and sort the terms,
+    computing each factor's and each state's key once."""
     merged = {}
     for t in terms:
         if not t.coeff:
             continue
-        order = sorted(range(t.arity),
-                       key=lambda i: (_factor_key(t.atom.factors[i]),
-                                      _state_key(t.states[i])))
-        atom = AtomicFunctional(tuple(t.atom.factors[i] for i in order))
-        states = tuple(t.states[i] for i in order)
-        key = (tuple(_factor_key(f) for f in atom.factors),
-               tuple(_state_key(s) for s in states))
-        if key in merged:
-            c0, _, _ = merged[key]
-            merged[key] = (c0 + t.coeff, atom, states)
-        else:
-            merged[key] = (t.coeff, atom, states)
-    out = [Term(c, a, s) for (c, a, s) in merged.values() if c]
-    out.sort(key=lambda t: (t.arity,
-                            tuple(_factor_key(f) for f in t.atom.factors),
-                            tuple(_state_key(s) for s in t.states)))
-    return tuple(out)
+        coords = sorted(((_factor_key(f), _state_key(s), f, s)
+                         for f, s in zip(t.atom.factors, t.states)),
+                        key=lambda e: (e[0], e[1]))
+        key = (tuple(e[0] for e in coords), tuple(e[1] for e in coords))
+        old = merged.get(key)
+        merged[key] = (t.coeff if old is None else old[0] + t.coeff,
+                       AtomicFunctional(tuple(e[2] for e in coords)),
+                       tuple(e[3] for e in coords))
+    out = sorted((len(key[0]), key, Term(c, a, s))
+                 for key, (c, a, s) in merged.items() if c)
+    return tuple(e[2] for e in out)
 
 
 def _validate_term(carrier, t: Term):
@@ -260,19 +257,18 @@ def _quadrature(factors, quad_n):
     (`functionals.apply_factor_numeric`), in complex arithmetic.  It makes
     no use of the residue calculus, so it checks that route
     independently."""
-    supports = [complex(f.point) if isinstance(f, DeltaJet)
-                else complex(f.center) for f in factors]
-
     def jet_radius(idx):
-        p = supports[idx]
-        dists = [abs(p - q) for i, q in enumerate(supports) if i != idx]
-        for i, f in enumerate(factors):
-            if i != idx and isinstance(f, CircleMoment):
-                dists.append(abs(abs(p - complex(f.center)) - float(f.radius)))
+        # the other jets' points and the moments' contours are the
+        # singularities near a jet; a moment's centre is not one
+        p = complex(factors[idx].point)
+        dists = [abs(p - complex(f.point)) if isinstance(f, DeltaJet)
+                 else abs(abs(p - complex(f.center)) - float(f.radius))
+                 for i, f in enumerate(factors) if i != idx]
         base = min(dists) if dists else 1.0
         return min(0.25 * base, 0.5) if base > 0 else 0.25
 
-    radii = [jet_radius(i) for i in range(len(factors))]
+    radii = [jet_radius(i) if isinstance(f, DeltaJet) else None
+             for i, f in enumerate(factors)]
 
     def scalar(exps, j):
         def rec(idx, zs):

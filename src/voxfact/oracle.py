@@ -15,52 +15,59 @@ Extracting the coefficient of z^{-n-1} applied to b gives
 where A_s = C(s+t, t) x_{-(s+w+t)} is the z^s coefficient of the derivative
 field.  Both sums are finite by the grading bound on a' and the oscillator
 annihilation bound on b.  No iterate/binomial-transposition identity is used.
+
+The route runs on the same plain-rational tables {mono: int | Fraction} as
+`presets`, merging with `presets._acc` and reading the shared oscillator
+table `presets._gen`; it has its own memo table (``oracle``) and never
+reads ``sm``.  `QQi` enters only in `oracle_mode_mono`.
 """
 from __future__ import annotations
 
 from .graded import GradedVector, Mono, mono_degree
-from .presets import VAPreset, gen_mode_apply, gen_mode_mono
+from .presets import VAPreset, _acc, _exact_vector, _gen
 from .scalars import binom
 
+
 def oracle_mode_mono(preset: VAPreset, a: Mono, n: int, b: Mono) -> GradedVector:
+    return _exact_vector(_oracle(preset, a, n, b))
+
+
+def _oracle(preset, a, n, b) -> dict:
+    """The {mono: int | Fraction} table of a_(n) b, memoized per preset.
+    The vacuum field is the identity: no memo entry is stored for a = |0>."""
+    if not a:
+        return {b: 1} if n == -1 else {}
     memo = preset._memos["oracle"]
     key = (a, n, b)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = _oracle_impl(preset, a, n, b)
-    memo[key] = out
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _oracle_impl(preset, a, n, b)
     return out
 
 
 def _oracle_impl(preset, a, n, b):
-    if not a:
-        return GradedVector.basis(b) if n == -1 else GradedVector.zero()
     x, m = a[0]
     rest = a[1:]
     w = preset.weight(x)
     t = m - w
     deg_rest = mono_degree(rest)
     deg_b = mono_degree(b)
-    out = GradedVector.zero()
+    out = {}
     # creation part of the derivative field on the left
     for s in range(0, max(0, deg_rest + deg_b - n)):
-        inner = oracle_mode_mono(preset, rest, n + s, b)
+        inner = _oracle(preset, rest, n + s, b)
         if inner:
             coeff = binom(s + t, t)
             if coeff:
-                out = out + gen_mode_apply(preset, x, -(s + w + t),
-                                           inner).scale(coeff)
+                for mono, c in inner.items():
+                    _acc(out, _gen(preset, x, -(s + w + t), mono), c * coeff)
     # annihilation part applied to b first
     for s in range(-1, -(w + t + deg_b) - 1, -1):
         coeff = binom(s + t, t)
         if not coeff:
             continue
-        xb = gen_mode_mono(preset, x, -(s + w + t), b)
-        if not xb:
-            continue
-        acc = GradedVector.zero()
-        for mono, cf in xb.terms.items():
-            acc = acc + oracle_mode_mono(preset, rest, n + s, mono).scale(cf)
-        out = out + acc.scale(coeff)
+        for mono, c in _gen(preset, x, -(s + w + t), b).items():
+            table = _oracle(preset, rest, n + s, mono)
+            if table:
+                _acc(out, table, c * coeff)
     return out

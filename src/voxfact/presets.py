@@ -16,17 +16,26 @@ key to a dict {mono: int | Fraction} of nonzero coefficients:
 
 * ``gen``: (gen, n, mono) -> the oscillator mode gen_n applied to mono;
 * ``tr``: mono -> T mono;
-* ``sm``: (a, n, b) -> the state mode a_(n) b on basis monomials.
+* ``sm``: (a, n, b) -> the state mode a_(n) b on basis monomials, for a
+  other than the vacuum: the vacuum acts as the identity field, so
+  |0>_(n) b is answered on the spot ({b: 1} at n = -1, else empty) and
+  never stored.
 
-A coefficient is a Fraction only where c or the level makes it
-non-integral; an integral one is stored as int.  The recursion fills these
-tables in place and never builds a `QQi` or a `GradedVector`.  `QQi`
-enters only in the public functions (`gen_mode_mono`, `gen_mode_apply`,
+Beside them ``deg`` holds the degrees of the monomials the recursion was
+entered with and ``rows`` the signed binomial rows (-1)^i C(p, i) of the
+iterate expansion, one per (p, length).  A coefficient is a Fraction only
+where c or the level makes it non-integral; an integral one is stored as
+int.  The recursion fills these tables in place, reading and merging them
+directly, and never builds a `QQi` or a `GradedVector`.  `QQi` enters
+only in the public functions (`gen_mode_mono`, `gen_mode_apply`,
 `translate`, `translate_power`, `state_mode_mono`, `state_mode`), which
 lift a table, or a linear combination of tables, into one `GradedVector`
-per call: exact coefficients give `QQi`, and a term with any complex
-contribution is complex, exactly as `GradedVector.scale` and `+` would
-give.  `clear_caches` empties every table.
+per call.  That boundary works on integer triples (a, b, d) for
+(a + b*i)/d: a coefficient's triple times a table entry, summed per term
+over the lcm of the denominators, and reduced by one gcd when the `QQi`
+is built.  A term with any complex contribution is complex, exactly as
+`GradedVector.scale` and `+` would give.  `clear_caches` empties every
+table.
 
 `state_mode` peels the leading PBW factor of the acting state through the
 standard iterate expansion
@@ -41,10 +50,11 @@ n >= deg a + deg b.  An independent normal-ordered-field expansion lives in
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .graded import GradedVector, Mono, mono_degree
 from .records import FrozenRecord
-from .scalars import QQi, binom
+from .scalars import _make, _parts, _reduced, binom
 
 
 class VAPreset(FrozenRecord):
@@ -112,7 +122,8 @@ _memo_root: dict = {}
 def _shared_memos(key):
     m = _memo_root.get(key)
     if m is None:
-        m = {"gen": {}, "tr": {}, "sm": {}, "basis": {}, "oracle": {}}
+        m = {"gen": {}, "tr": {}, "sm": {}, "deg": {}, "rows": {},
+             "basis": {}, "oracle": {}}
         _memo_root[key] = m
     return m
 
@@ -225,12 +236,31 @@ def _gen(preset, gen, n, mono) -> dict:
 
 
 def _sm(preset, a, n, b) -> dict:
-    memo = preset._memos["sm"]
+    """The table of a_(n) b.  The vacuum acts as the identity field, so for
+    a = |0> this is {b: 1} at n = -1 and empty otherwise, and no memo
+    entry is stored for it."""
+    if not a:
+        return {b: 1} if n == -1 else {}
+    memos = preset._memos
     key = (a, n, b)
-    out = memo.get(key)
+    out = memos["sm"].get(key)
     if out is None:
-        out = memo[key] = _state_mode_impl(preset, a, n, b)
+        degs = memos["deg"]
+        da, db = degs.get(a), degs.get(b)
+        if da is None:
+            da = degs[a] = mono_degree(a)
+        if db is None:
+            db = degs[b] = mono_degree(b)
+        out = memos["sm"][key] = _state_mode_impl(preset, a, da, n, b, db)
     return out
+
+
+def _row(rows, p, length):
+    """The signed binomial row ((-1)^i C(p, i) for i < length), stored in
+    the `rows` table once per (p, length)."""
+    rows[(p, length)] = row = tuple(-binom(p, i) if i % 2 else binom(p, i)
+                                    for i in range(length))
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -238,33 +268,30 @@ def _sm(preset, a, n, b) -> dict:
 
 
 def _exact_parts(s):
-    """(re, im) of an exact coefficient, or None for a numeric one."""
-    if type(s) is tuple:
-        return s
-    if isinstance(s, QQi):
-        if s.d == 1:
-            return s.a, s.b
-        return _rational(s.re), _rational(s.im)
-    if isinstance(s, (int, Fraction)):
-        return s, 0
-    return None
+    """The integer triple (a, b, d), d > 0, of an exact coefficient
+    (a + b*i)/d, not necessarily in lowest terms; None for a numeric one.
+    A triple stands for itself."""
+    return s if type(s) is tuple else _parts(s)
 
 
 def _product(x, y):
-    """x * y as an (re, im) pair when both are exact, else as x * y."""
+    """x * y as a triple when both are exact, else as x * y."""
     px, py = _exact_parts(x), _exact_parts(y)
     if px is None or py is None:
         return x * y
-    return px[0] * py[0] - px[1] * py[1], px[0] * py[1] + px[1] * py[0]
+    a, b, d = px
+    e, f, g = py
+    return a * e - b * f, a * f + b * e, d * g
 
 
 def _combine(pieces) -> dict:
     """Sum of s * table over the (s, table) pairs, in order.
 
     Follows the coefficient rule of `GradedVector.scale` and `+` term by
-    term: a term stays exact, held as an (re, im) pair, until a numeric
-    contribution arrives, and is a complex from then on.  A term whose sum
-    is zero is dropped and may start afresh.
+    term: a term stays exact, held as an integer triple (a, b, d) over the
+    lcm of its denominators, until a numeric contribution arrives, and is
+    a complex from then on.  A term whose sum is zero is dropped and may
+    start afresh.
     """
     acc = {}
     for s, table in pieces:
@@ -276,28 +303,41 @@ def _combine(pieces) -> dict:
                     continue
                 old = acc.get(mono, 0)
                 if type(old) is tuple:
-                    old = complex(float(old[0]), float(old[1]))
+                    # int / int rounds the exact quotient once
+                    old = complex(old[0] / old[2], old[1] / old[2])
                 v = old + x
                 if v:
                     acc[mono] = v
                 else:
                     del acc[mono]
             continue
-        sr, si = parts
-        if not (sr or si):
+        sa, sb, sd = parts
+        if not (sa or sb):
             continue
         for mono, c in table.items():
+            if type(c) is int:
+                r, i, d = c * sa, c * sb, sd
+            else:
+                num = c.numerator
+                r, i, d = num * sa, num * sb, c.denominator * sd
             old = acc.get(mono)
             if old is None:
-                acc[mono] = (c * sr, c * si)
+                acc[mono] = (r, i, d)
             elif type(old) is tuple:
-                r, i = old[0] + c * sr, old[1] + c * si
+                r0, i0, d0 = old
+                if d0 == d:
+                    r += r0
+                    i += i0
+                else:
+                    g = gcd(d0, d)
+                    e, e0 = d0 // g, d // g
+                    r, i, d = r * e + r0 * e0, i * e + i0 * e0, d * e
                 if r or i:
-                    acc[mono] = (r, i)
+                    acc[mono] = (r, i, d)
                 else:
                     del acc[mono]
             else:
-                v = old + complex(float(c * sr), float(c * si))
+                v = old + complex(r / d, i / d)
                 if v:
                     acc[mono] = v
                 else:
@@ -307,12 +347,15 @@ def _combine(pieces) -> dict:
 
 def _vector(acc: dict) -> GradedVector:
     return GradedVector.from_nonzero(
-        {mono: QQi(v[0], v[1]) if type(v) is tuple else v
+        {mono: _reduced(v[0], v[1], v[2]) if type(v) is tuple else v
          for mono, v in acc.items()})
 
 
 def _exact_vector(table: dict) -> GradedVector:
-    return GradedVector.from_nonzero({mono: QQi(c) for mono, c in table.items()})
+    return GradedVector.from_nonzero(
+        {mono: _make(c, 0, 1) if type(c) is int
+         else _make(c.numerator, 0, c.denominator)
+         for mono, c in table.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -405,40 +448,95 @@ def state_mode_mono(preset: VAPreset, a: Mono, n: int, b: Mono) -> GradedVector:
     return _exact_vector(_sm(preset, a, n, b))
 
 
-def _state_mode_impl(preset, a, n, b):
-    if not a:
-        return {b: 1} if n == -1 else {}
+def _state_mode_impl(preset, a, da, n, b, db):
+    """a_(n) b for a nonempty basis monomial a of degree da and b of degree
+    db.  Reads the `gen` and `sm` memo tables directly, filling a missing
+    entry through its implementation, and merges into the result in place
+    with the rule of `_acc`.  Degrees are passed down: rest = a[1:] has
+    degree da - m, and x_k lowers the degree of a monomial by k."""
+    memos = preset._memos
+    gmemo, smemo, rows = memos["gen"], memos["sm"], memos["rows"]
     x, m = a[0]
     rest = a[1:]
     w = preset.weight(x)
-    p = -m + w - 1
-    deg_rest = mono_degree(rest)
-    deg_b = mono_degree(b)
+    p = w - 1 - m      # a = u_(p) rest with u = x_{-w}|0>; p <= -1
+    dr = da - m
     out = {}
     # sum_i (-1)^i C(p,i) u_(p-i) (rest_(n+i) b); rest_(k) b vanishes for
-    # k > deg rest + deg b - 1 by the grading bound
-    for i in range(0, max(0, deg_rest + deg_b - n)):
-        inner = _sm(preset, rest, n + i, b)
-        if inner:
-            coeff = (1 if i % 2 == 0 else -1) * binom(p, i)
-            if coeff:
-                # u_(j) is the oscillator mode x_{j-w+1}
-                k = (p - i) - w + 1
-                for mono, c in inner.items():
-                    _acc(out, _gen(preset, x, k, mono), c * coeff)
+    # k > deg rest + deg b - 1 by the grading bound, and for the vacuum
+    # rest at every k but -1
+    top = dr + db - n
+    if top > 0:
+        row = rows.get((p, top)) or _row(rows, p, top)
+        for i in range(top):
+            if rest:
+                key = (rest, n + i, b)
+                inner = smemo.get(key)
+                if inner is None:
+                    inner = smemo[key] = _state_mode_impl(preset, rest, dr,
+                                                          n + i, b, db)
+                if not inner:
+                    continue
+            elif n + i == -1:
+                inner = {b: 1}
+            else:
+                continue
+            # u_(j) is the oscillator mode x_{j-w+1}; p <= -1, so no entry
+            # of a row is zero
+            k = p - i - w + 1
+            coeff = row[i]
+            for mono, c in inner.items():
+                key = (x, k, mono)
+                g = gmemo.get(key)
+                if g is None:
+                    g = gmemo[key] = _gen_mode_mono_impl(preset, x, k, mono)
+                s = c * coeff
+                for mono2, c2 in g.items():
+                    v = out.get(mono2, 0) + c2 * s
+                    if v:
+                        if type(v) is Fraction and v.denominator == 1:
+                            v = v.numerator
+                        out[mono2] = v
+                    else:
+                        del out[mono2]
     # -(-1)^p sum_i (-1)^i C(p,i) rest_(p+n-i) (u_(i) b); u_(i) b vanishes
-    # once the oscillator index i-w+1 exceeds deg b
-    sign_p = 1 if p % 2 == 0 else -1
-    for i in range(0, deg_b + w):
-        coeff = binom(p, i)
-        if not coeff:
+    # once the oscillator index i-w+1 exceeds deg b, and for the vacuum
+    # rest only i = p+n+1 gives rest_(-1), the identity
+    length = db + w
+    row = rows.get((p, length)) or _row(rows, p, length)
+    sign = 1 if p % 2 else -1      # -(-1)^p
+    for i in range(length):
+        nk = p + n - i
+        if not rest and nk != -1:
             continue
-        ub = _gen(preset, x, i - w + 1, b)
+        k = i - w + 1
+        key = (x, k, b)
+        ub = gmemo.get(key)
+        if ub is None:
+            ub = gmemo[key] = _gen_mode_mono_impl(preset, x, k, b)
         if not ub:
             continue
-        coeff *= -sign_p * (1 if i % 2 == 0 else -1)
+        coeff = sign * row[i]
         for mono, c in ub.items():
-            _acc(out, _sm(preset, rest, p + n - i, mono), c * coeff)
+            if rest:
+                key = (rest, nk, mono)
+                inner = smemo.get(key)
+                if inner is None:
+                    inner = smemo[key] = _state_mode_impl(preset, rest, dr,
+                                                          nk, mono, db - k)
+                if not inner:
+                    continue
+            else:
+                inner = {mono: 1}
+            s = c * coeff
+            for mono2, c2 in inner.items():
+                v = out.get(mono2, 0) + c2 * s
+                if v:
+                    if type(v) is Fraction and v.denominator == 1:
+                        v = v.numerator
+                    out[mono2] = v
+                else:
+                    del out[mono2]
     return out
 
 

@@ -132,12 +132,8 @@ def test_arity_three_matches_quadrature(data, preset, nested, d, n, m):
                    CircleMoment(QQi(Fraction(1, 2)), Fraction(1, 4), m)]
     else:
         p, q = data.draw(_one_of(NEAR, FAR)), data.draw(_one_of(NEAR, FAR))
-        if not p:
-            # a jet at the moment's centre gets a quadrature circle of
-            # radius 1/4 whatever the other points, which can enclose q
-            p = QQi(Fraction(1, 12))
         if p == q:
-            q = -p
+            q = -p if p else QQi(Fraction(1, 6))
         factors = [DeltaJet(p, d), DeltaJet(q, 0),
                    CircleMoment(QQi(0), Fraction(1), n)]
     expr = Expression.single(AllPlane(), factors,
@@ -150,6 +146,24 @@ def test_arity_three_matches_quadrature(data, preset, nested, d, n, m):
         scale = max(got.component(k).norm_inf(), 1.0)
         assert ref.component(k).distance(
             got.component(k).to_complex()) / scale < 1e-9, k
+
+
+def test_jet_at_a_moment_centre_matches_quadrature():
+    """A jet at a moment's centre: the quadrature circle of the jet is
+    sized by the delta beside it and by the contour, not by the centre,
+    which is no singularity."""
+    p = PRESETS["affine_sl2"]
+    e, f = (GradedVector.basis(((g, 1),)) for g in ("e", "f"))
+    expr = Expression.single(
+        AllPlane(), [DeltaJet(QQi(0), 1), DeltaJet(QQi(Fraction(1, 8)), 0),
+                     CircleMoment(QQi(0), Fraction(1), 0)],
+        [f.scale(QQi(0, 1)), e, e])
+    got = evaluate_expression(expr, p, WINDOW)
+    ref = evaluate_expression(expr, p, WINDOW, force_numeric=True)
+    assert got.component(1) == e.scale(QQi(0, -128))
+    for k in WINDOW.degrees():
+        assert ref.component(k).distance(got.component(k).to_complex()) \
+            < 1e-9, k
 
 
 def test_each_power_is_raised_once(monkeypatch):

@@ -16,7 +16,8 @@ from voxfact.graded import GradedVector, mono_degree
 from voxfact.oracle import oracle_mode_mono
 from voxfact.presets import (basis, basis_upto, clear_caches, gen_mode_apply,
                              gen_mode_mono, pole_bound, preset_from_name,
-                             state_mode, state_mode_mono, translate)
+                             state_mode, state_mode_mono, translate,
+                             translate_power)
 from voxfact.scalars import QQi
 
 VAC = GradedVector.vacuum()
@@ -177,6 +178,8 @@ def test_clear_caches_empties_every_table():
 
 _PRESETS = {n: preset_from_name(n) for n in ("heisenberg", "virasoro",
                                              "affine_sl2")}
+# table coefficients with denominators 3 and 6 (c/12 (m^3 - m) = (m^3 - m)/36)
+_PRESETS["virasoro_c1/3"] = preset_from_name("virasoro", c=Fraction(1, 3))
 _rat = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 _nonzero = _rat.filter(bool)
 _exact = st.builds(QQi, _rat, _nonzero) | st.builds(QQi, _nonzero)  # non-real, real
@@ -245,6 +248,20 @@ def test_boundary_matches_linear_extension(data, name, kind, n, first):
     _same_terms(translate(p, b),
                 _extend((translate(p, GradedVector.basis(y)), bc)
                         for y, bc in b.terms.items()))
+    # at n = -1 the x x|0> terms of |0>_(-1) (x x) and x_(-1) (-x) cancel,
+    # and the boundary drops the term as `+` does
+    f = p.creation_floor(gen)
+    x = GradedVector.basis(((gen, f),))
+    xx = GradedVector.basis(((gen, f), (gen, f)))
+    _same_terms(state_mode(p, VAC + x, -1, xx - x),
+                _extend((state_mode_mono(p, s, -1, y), sc * yc)
+                        for s, sc in (VAC + x).terms.items()
+                        for y, yc in (xx - x).terms.items()))
+    # translate_power feeds its own exact triples back into the boundary
+    repeated = b
+    for j in (1, 2, 3):
+        repeated = translate(p, repeated)
+        _same_terms(translate_power(p, b, j), repeated)
 
 
 @pytest.mark.parametrize("first", [False, True])
