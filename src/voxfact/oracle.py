@@ -16,10 +16,11 @@ where A_s = C(s+t, t) x_{-(s+w+t)} is the z^s coefficient of the derivative
 field.  Both sums are finite by the grading bound on a' and the oscillator
 annihilation bound on b.  No iterate/binomial-transposition identity is used.
 
-The route runs on the same plain-rational tables {mono: int | Fraction} as
-`presets`, merging with `presets._acc` and reading the shared oscillator
-table `presets._gen`; it has its own memo table (``oracle``) and never
-reads ``sm``.  `QQi` enters only in `oracle_mode_mono`.
+The route runs on the same integer tables {mono: int} as `presets`, in the
+same basis of rescaled generators lambda*x, merging with `presets._acc` and
+reading the shared oscillator table `presets._gen`; it has its own memo
+table (``oracle``) and never reads ``sm``.  lambda and `QQi` enter only in
+`oracle_mode_mono`, through the lift `presets._exact_vector`.
 """
 from __future__ import annotations
 
@@ -29,12 +30,13 @@ from .scalars import binom
 
 
 def oracle_mode_mono(preset: VAPreset, a: Mono, n: int, b: Mono) -> GradedVector:
-    return _exact_vector(_oracle(preset, a, n, b))
+    return _exact_vector(preset, _oracle(preset, a, n, b), len(a) + len(b))
 
 
 def _oracle(preset, a, n, b) -> dict:
-    """The {mono: int | Fraction} table of a_(n) b, memoized per preset.
-    The vacuum field is the identity: no memo entry is stored for a = |0>."""
+    """The {mono: int} table of a_(n) b in the lambda*x basis, memoized per
+    preset.  The vacuum field is the identity: no memo entry is stored for
+    a = |0>."""
     if not a:
         return {b: 1} if n == -1 else {}
     memo = preset._memos["oracle"]

@@ -9,10 +9,16 @@ Three vacuum modules are provided:
   [x_m, y_n] = [x,y]_{m+n} + m kappa(x,y) delta_{m+n,0} and kappa the
   level-scaled trace form (kappa(h,h) = 2 level, kappa(e,f) = level).
 
-States live on the PBW basis of `graded.GradedVector`.  Every structure
-constant of the three presets is rational, so the mode engine works on
-plain rationals.  Its memo tables, per preset in `VAPreset._memos`, map a
-key to a dict {mono: int | Fraction} of nonzero coefficients:
+States live on the PBW basis of `graded.GradedVector`.  The mode engine
+runs in the basis of the rescaled generators lambda*x, an isomorphism of
+the vertex algebra in which a bracket coefficient is lambda times an
+integer and a central term lambda^2 times the old one.  Each preset takes
+lambda as the smallest positive integer that makes every structure
+constant integral (lambda^2 c/2 for Virasoro, as (m^3-m)/6 is an integer;
+lambda^2 level for affine sl2; 1 for Heisenberg), and `commutator`
+returns its integer constants.  The memo tables, per preset in
+`VAPreset._memos`, map a key to a dict {mono: int} of nonzero
+coefficients in the lambda*x basis:
 
 * ``gen``: (gen, n, mono) -> the oscillator mode gen_n applied to mono;
 * ``tr``: mono -> T mono;
@@ -23,19 +29,25 @@ key to a dict {mono: int | Fraction} of nonzero coefficients:
 
 Beside them ``deg`` holds the degrees of the monomials the recursion was
 entered with and ``rows`` the signed binomial rows (-1)^i C(p, i) of the
-iterate expansion, one per (p, length).  A coefficient is a Fraction only
-where c or the level makes it non-integral; an integral one is stored as
-int.  The recursion fills these tables in place, reading and merging them
-directly, and never builds a `QQi` or a `GradedVector`.  `QQi` enters
-only in the public functions (`gen_mode_mono`, `gen_mode_apply`,
-`translate`, `translate_power`, `state_mode_mono`, `state_mode`), which
-lift a table, or a linear combination of tables, into one `GradedVector`
-per call.  That boundary works on integer triples (a, b, d) for
-(a + b*i)/d: a coefficient's triple times a table entry, summed per term
-over the lcm of the denominators, and reduced by one gcd when the `QQi`
-is built.  A term with any complex contribution is complex, exactly as
-`GradedVector.scale` and `+` would give.  `clear_caches` empties every
-table.
+iterate expansion, one per (p, length).  The recursion fills these tables
+in place, reading and merging them directly, on integers only, and never
+builds a `QQi` or a `GradedVector`.
+
+lambda and `QQi` enter only in the public functions (`gen_mode_mono`,
+`gen_mode_apply`, `translate`, `translate_power`, `state_mode_mono`,
+`state_mode`, and `oracle.oracle_mode_mono` through `_exact_vector`),
+which lift a table, or a linear combination of tables, into one
+`GradedVector` per call.  A monomial of l PBW factors in the lambda*x
+basis is lambda^l times the original one, so an entry c at a monomial of
+l_out factors, for inputs of l_in factors in all (a and b of a state mode,
+the generator and b of an oscillator mode, b of T), is
+c lambda^(l_out - l_in); a commutator only removes factors, so the power
+goes into the denominator.  The boundary works on integer triples
+(a, b, d) for (a + b*i)/d, summed per term over the lcm of the
+denominators and reduced by one gcd when the `QQi` is built.  A term with
+any complex contribution is complex, exactly as `GradedVector.scale` and
+`+` would give, and its float is that of the unscaled entry.
+`clear_caches` empties every table.
 
 `state_mode` peels the leading PBW factor of the acting state through the
 standard iterate expansion
@@ -66,7 +78,10 @@ class VAPreset(FrozenRecord):
                  # per-instance memo tables shared by the mode engine (not
                  # a field, so equality and hashing still go through the
                  # structure constants)
-                 "_memos")
+                 "_memos",
+                 # lambda, and the integer central coefficients per pair of
+                 # generators in the lambda*x basis
+                 "_lam", "_central")
 
     def __init__(self, kind: str, c=Fraction(0), level=Fraction(0)):
         if kind not in ("heisenberg", "virasoro", "affine_sl2"):
@@ -75,6 +90,15 @@ class VAPreset(FrozenRecord):
         object.__setattr__(self, "c", Fraction(c))
         object.__setattr__(self, "level", Fraction(level))
         object.__setattr__(self, "_memos", _shared_memos(self.key()))
+        # the central term is q (m^3-m)/6 on Virasoro and m kappa on the
+        # currents, with kappa = q times an integer
+        q = {"heisenberg": 1, "virasoro": self.c / 2,
+             "affine_sl2": self.level}[kind]
+        lam = _scale(Fraction(q))
+        object.__setattr__(self, "_lam", lam)
+        object.__setattr__(self, "_central", {
+            pair: int(lam * lam * q * k)
+            for pair, k in _KAPPA[kind].items()})
 
     @property
     def generators(self):
@@ -91,29 +115,38 @@ class VAPreset(FrozenRecord):
         return 2 if self.kind == "virasoro" else 1
 
     def commutator(self, x: str, nx: int, y: str, ny: int):
-        """[x_nx, y_ny] as (list of (gen, mode, int coeff), central scalar);
-        the central scalar is an int, or a Fraction when c or the level
-        makes it non-integral."""
+        """[x_nx, y_ny] of the rescaled generators lambda*x as (tuple of
+        (gen, mode, int coeff), int central scalar)."""
+        if nx + ny:
+            central = 0
+        elif self.kind == "virasoro":
+            central = self._central[(x, y)] * (nx ** 3 - nx) // 6
+        else:
+            central = self._central[(x, y)] * nx
         if self.kind == "heisenberg":
-            central = nx if nx + ny == 0 else 0
             return (), central
         if self.kind == "virasoro":
-            gens = ((("L", nx + ny, nx - ny),) if nx != ny else ())
-            central = (_rational(self.c * (nx ** 3 - nx) / 12)
-                       if nx + ny == 0 else 0)
-            return gens, central
-        lie = _SL2_BRACKET[(x, y)]
-        gens = tuple((g, nx + ny, coeff) for g, coeff in lie)
-        kap = _SL2_KAPPA[(x, y)] * self.level
-        central = _rational(nx * kap) if nx + ny == 0 else 0
-        return gens, central
+            return ((("L", nx + ny, self._lam * (nx - ny)),) if nx != ny
+                    else ()), central
+        return tuple((g, nx + ny, self._lam * coeff)
+                     for g, coeff in _SL2_BRACKET[(x, y)]), central
 
     def key(self):
         return (self.kind, self.c, self.level)
 
 
-def _rational(q: Fraction):
-    return q.numerator if q.denominator == 1 else q
+def _scale(q: Fraction) -> int:
+    """The smallest lambda >= 1 with lambda^2 q an integer: the product of
+    p^ceil(e/2) over the prime powers p^e of q's denominator."""
+    d, lam, p = q.denominator, 1, 2
+    while p * p <= d:
+        e = 0
+        while d % p == 0:
+            d //= p
+            e += 1
+        lam *= p ** ((e + 1) // 2)
+        p += 1
+    return lam * d
 
 
 _memo_root: dict = {}
@@ -141,11 +174,14 @@ _SL2_BRACKET = {
     ("h", "f"): (("f", -2),), ("f", "h"): (("f", 2),),
 }
 
-_SL2_KAPPA = {
-    ("e", "e"): Fraction(0), ("h", "h"): Fraction(2), ("f", "f"): Fraction(0),
-    ("e", "f"): Fraction(1), ("f", "e"): Fraction(1),
-    ("h", "e"): Fraction(0), ("e", "h"): Fraction(0),
-    ("h", "f"): Fraction(0), ("f", "h"): Fraction(0),
+# kappa / q per pair of generators, q the preset's central parameter
+_KAPPA = {
+    "heisenberg": {("a", "a"): 1},
+    "virasoro": {("L", "L"): 1},
+    "affine_sl2": {("e", "e"): 0, ("h", "h"): 2, ("f", "f"): 0,
+                   ("e", "f"): 1, ("f", "e"): 1,
+                   ("h", "e"): 0, ("e", "h"): 0,
+                   ("h", "f"): 0, ("f", "h"): 0},
 }
 
 
@@ -210,17 +246,15 @@ def basis_upto(preset: VAPreset, max_degree: int):
 
 
 # ---------------------------------------------------------------------------
-# memo tables on plain rationals
+# memo tables on integers
 
 
-def _acc(out: dict, table: dict, s) -> None:
-    """out += s * table in place, for a nonzero rational s.  Zero sums are
-    dropped and integral Fractions are stored as int."""
+def _acc(out: dict, table: dict, s: int) -> None:
+    """out += s * table in place, for a nonzero integer s.  Zero sums are
+    dropped."""
     for mono, c in table.items():
         v = out.get(mono, 0) + c * s
         if v:
-            if type(v) is Fraction and v.denominator == 1:
-                v = v.numerator
             out[mono] = v
         else:
             del out[mono]
@@ -284,8 +318,10 @@ def _product(x, y):
     return a * e - b * f, a * f + b * e, d * g
 
 
-def _combine(pieces) -> dict:
-    """Sum of s * table over the (s, table) pairs, in order.
+def _add_lifted(acc: dict, s, table: dict, lam: int, ell: int) -> None:
+    """acc += s * table, the table lifted out of the lambda*x basis: for
+    inputs of `ell` PBW factors in all, its entry c at a monomial of l
+    factors stands for c / lambda^(ell - l).
 
     Follows the coefficient rule of `GradedVector.scale` and `+` term by
     term: a term stays exact, held as an integer triple (a, b, d) over the
@@ -293,68 +329,70 @@ def _combine(pieces) -> dict:
     a complex from then on.  A term whose sum is zero is dropped and may
     start afresh.
     """
-    acc = {}
-    for s, table in pieces:
-        parts = _exact_parts(s)
-        if parts is None:
-            for mono, c in table.items():
-                x = complex(c) * s
-                if not x:
-                    continue
-                old = acc.get(mono, 0)
-                if type(old) is tuple:
-                    # int / int rounds the exact quotient once
-                    old = complex(old[0] / old[2], old[1] / old[2])
-                v = old + x
-                if v:
-                    acc[mono] = v
-                else:
-                    del acc[mono]
-            continue
-        sa, sb, sd = parts
-        if not (sa or sb):
-            continue
+    # an entry at a monomial of l factors is divided by div[l]
+    div = None if lam == 1 else [lam ** (ell - l) for l in range(ell + 1)]
+    parts = _exact_parts(s)
+    if parts is None:
         for mono, c in table.items():
-            if type(c) is int:
-                r, i, d = c * sa, c * sb, sd
+            # the unscaled entry, int / int rounded once, is the float that
+            # complex() gave on the unscaled table
+            x = complex(c / div[len(mono)] if div else c) * s
+            if not x:
+                continue
+            old = acc.get(mono, 0)
+            if type(old) is tuple:
+                old = complex(old[0] / old[2], old[1] / old[2])
+            v = old + x
+            if v:
+                acc[mono] = v
             else:
-                num = c.numerator
-                r, i, d = num * sa, num * sb, c.denominator * sd
-            old = acc.get(mono)
-            if old is None:
+                del acc[mono]
+        return
+    sa, sb, sd = parts
+    if not (sa or sb):
+        return
+    for mono, c in table.items():
+        r, i, d = c * sa, c * sb, sd * div[len(mono)] if div else sd
+        old = acc.get(mono)
+        if old is None:
+            acc[mono] = (r, i, d)
+        elif type(old) is tuple:
+            r0, i0, d0 = old
+            if d0 == d:
+                r += r0
+                i += i0
+            else:
+                g = gcd(d0, d)
+                e, e0 = d0 // g, d // g
+                r, i, d = r * e + r0 * e0, i * e + i0 * e0, d * e
+            if r or i:
                 acc[mono] = (r, i, d)
-            elif type(old) is tuple:
-                r0, i0, d0 = old
-                if d0 == d:
-                    r += r0
-                    i += i0
-                else:
-                    g = gcd(d0, d)
-                    e, e0 = d0 // g, d // g
-                    r, i, d = r * e + r0 * e0, i * e + i0 * e0, d * e
-                if r or i:
-                    acc[mono] = (r, i, d)
-                else:
-                    del acc[mono]
             else:
-                v = old + complex(r / d, i / d)
-                if v:
-                    acc[mono] = v
-                else:
-                    del acc[mono]
-    return acc
+                del acc[mono]
+        else:
+            # int / int rounds the exact quotient once
+            v = old + complex(r / d, i / d)
+            if v:
+                acc[mono] = v
+            else:
+                del acc[mono]
 
 
 def _vector(acc: dict) -> GradedVector:
-    return GradedVector.from_nonzero(
-        {mono: _reduced(v[0], v[1], v[2]) if type(v) is tuple else v
-         for mono, v in acc.items()})
+    """The vector of an accumulator, its triples made `QQi` in place."""
+    for mono, v in acc.items():
+        if type(v) is tuple:
+            a, b, d = v
+            acc[mono] = _make(a, b, 1) if d == 1 else _reduced(a, b, d)
+    return GradedVector.from_nonzero(acc)
 
 
-def _exact_vector(table: dict) -> GradedVector:
+def _exact_vector(preset, table: dict, ell: int) -> GradedVector:
+    """The exact lift of one table whose inputs have `ell` PBW factors in
+    all (see `_add_lifted`)."""
+    lam = preset._lam
     return GradedVector.from_nonzero(
-        {mono: _make(c, 0, 1) if type(c) is int
-         else _make(c.numerator, 0, c.denominator)
+        {mono: _reduced(c, 0, lam ** (ell - len(mono)))
          for mono, c in table.items()})
 
 
@@ -364,7 +402,7 @@ def _exact_vector(table: dict) -> GradedVector:
 
 def gen_mode_mono(preset: VAPreset, gen: str, n: int, mono: Mono) -> GradedVector:
     """Apply the oscillator mode gen_n to a canonical basis monomial."""
-    return _exact_vector(_gen(preset, gen, n, mono))
+    return _exact_vector(preset, _gen(preset, gen, n, mono), len(mono) + 1)
 
 
 def _gen_mode_mono_impl(preset, gen, n, mono):
@@ -395,19 +433,25 @@ def _gen_mode_mono_impl(preset, gen, n, mono):
 
 def gen_mode_apply(preset: VAPreset, gen: str, n: int, v: GradedVector) -> GradedVector:
     """Linear extension of `gen_mode_mono` to arbitrary vectors."""
-    return _vector(_combine((coeff, _gen(preset, gen, n, mono))
-                            for mono, coeff in v.terms.items()))
+    acc = {}
+    for mono, coeff in v.terms.items():
+        table = _gen(preset, gen, n, mono)
+        if table:
+            _add_lifted(acc, coeff, table, preset._lam, len(mono) + 1)
+    return _vector(acc)
 
 
 # ---------------------------------------------------------------------------
 # translation operator
 
 
-def translate_mono(preset: VAPreset, mono: Mono) -> dict:
+def _translate_mono(preset: VAPreset, mono: Mono) -> dict:
     """T = L_{-1} on a basis monomial, by the derivation rule
-    [T, x_{-m}] = (m - w + 1) x_{-m-1} for a weight-w current.
+    [T, x_{-m}] = (m - w + 1) x_{-m-1} for a weight-w current, which holds
+    for the rescaled generators lambda*x as well.
 
-    Returns the memo table entry {mono: int | Fraction}; do not mutate it.
+    Returns the memo table entry {mono: int} in the lambda*x basis; do not
+    mutate it.
     """
     memo = preset._memos["tr"]
     out = memo.get(mono)
@@ -419,7 +463,7 @@ def translate_mono(preset: VAPreset, mono: Mono) -> dict:
         rest = mono[1:]
         # m0 >= w for every creation factor, so this coefficient is >= 1
         out[((g0, m0 + 1),) + rest] = m0 - preset.weight(g0) + 1
-        for mono2, c in translate_mono(preset, rest).items():
+        for mono2, c in _translate_mono(preset, rest).items():
             _acc(out, _gen(preset, g0, -m0, mono2), c)
     memo[mono] = out
     return out
@@ -432,10 +476,14 @@ def translate(preset: VAPreset, v: GradedVector) -> GradedVector:
 def translate_power(preset: VAPreset, v: GradedVector, j: int) -> GradedVector:
     if j <= 0:
         return v
-    terms = v.terms
+    terms, lam = v.terms, preset._lam
     for _ in range(j):
-        terms = _combine((coeff, translate_mono(preset, mono))
-                         for mono, coeff in terms.items())
+        acc = {}
+        for mono, coeff in terms.items():
+            table = _translate_mono(preset, mono)
+            if table:
+                _add_lifted(acc, coeff, table, lam, len(mono))
+        terms = acc
     return _vector(terms)
 
 
@@ -445,7 +493,7 @@ def translate_power(preset: VAPreset, v: GradedVector, j: int) -> GradedVector:
 
 def state_mode_mono(preset: VAPreset, a: Mono, n: int, b: Mono) -> GradedVector:
     """The n-th vertex operator mode of basis state a applied to basis state b."""
-    return _exact_vector(_sm(preset, a, n, b))
+    return _exact_vector(preset, _sm(preset, a, n, b), len(a) + len(b))
 
 
 def _state_mode_impl(preset, a, da, n, b, db):
@@ -494,8 +542,6 @@ def _state_mode_impl(preset, a, da, n, b, db):
                 for mono2, c2 in g.items():
                     v = out.get(mono2, 0) + c2 * s
                     if v:
-                        if type(v) is Fraction and v.denominator == 1:
-                            v = v.numerator
                         out[mono2] = v
                     else:
                         del out[mono2]
@@ -532,8 +578,6 @@ def _state_mode_impl(preset, a, da, n, b, db):
             for mono2, c2 in inner.items():
                 v = out.get(mono2, 0) + c2 * s
                 if v:
-                    if type(v) is Fraction and v.denominator == 1:
-                        v = v.numerator
                     out[mono2] = v
                 else:
                     del out[mono2]
@@ -542,11 +586,15 @@ def _state_mode_impl(preset, a, da, n, b, db):
 
 def state_mode(preset: VAPreset, a: GradedVector, n: int, b: GradedVector) -> GradedVector:
     """Bilinear extension: a_(n) b for arbitrary vectors a, b."""
-    # most pairs have an empty table; skip them before the coefficient product
-    tables = ((ac, bc, _sm(preset, am, n, bm))
-              for am, ac in a.terms.items() for bm, bc in b.terms.items())
-    return _vector(_combine((_product(ac, bc), table)
-                            for ac, bc, table in tables if table))
+    acc, lam = {}, preset._lam
+    for am, ac in a.terms.items():
+        for bm, bc in b.terms.items():
+            # most pairs have an empty table; skip them before the product
+            table = _sm(preset, am, n, bm)
+            if table:
+                _add_lifted(acc, _product(ac, bc), table, lam,
+                            len(am) + len(bm))
+    return _vector(acc)
 
 
 def pole_bound(preset: VAPreset, a: GradedVector, b: GradedVector) -> int:

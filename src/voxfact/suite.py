@@ -15,8 +15,9 @@ from .graded import GradedVector
 from .mu import (check_associativity, check_equivariance_exact,
                  check_equivariance_numeric, check_insertion_at_zero,
                  check_meromorphicity, check_permutation, check_skew_transport)
-from .oracle import oracle_mode_mono
-from .presets import VAPreset, basis_upto, preset_from_name, state_mode_mono
+from .oracle import _oracle, oracle_mode_mono
+from .presets import (VAPreset, _sm, basis_upto, preset_from_name,
+                      state_mode_mono)
 from .records import Record
 from .relations import (check_weight_idempotent, check_weight_partition,
                         check_weight_quadrature, concentric_density_check,
@@ -76,7 +77,9 @@ class SuiteConfig(Record):
 def check_mode_oracle(preset: VAPreset, max_degree: int) -> CheckReport:
     """The iterate-based state modes agree with the normal-ordered field
     oracle on every PBW basis pair, for every mode index with output in
-    the nonnegative degrees."""
+    the nonnegative degrees.  Both integer tables are in the same basis of
+    rescaled generators, so they are compared as they are; only the last
+    differing triple is lifted, for the witness."""
     states = basis_upto(preset, max_degree)
     bad = None
     count = 0
@@ -85,14 +88,18 @@ def check_mode_oracle(preset: VAPreset, max_degree: int) -> CheckReport:
         for bm in states:
             db = sum(m for _, m in bm)
             for n in range(-2, da + db + 1):
-                lhs = state_mode_mono(preset, am, n, bm)
-                rhs = oracle_mode_mono(preset, am, n, bm)
                 count += 1
-                if lhs != rhs:
-                    bad = {"a": list(map(list, am)), "b": list(map(list, bm)),
-                           "n": n}
+                if _sm(preset, am, n, bm) != _oracle(preset, am, n, bm):
+                    bad = am, n, bm
+    witness = {}
+    if bad is not None:
+        am, n, bm = bad
+        witness = {"a": list(map(list, am)), "b": list(map(list, bm)),
+                   "n": n,
+                   "iterate": state_mode_mono(preset, am, n, bm).to_obj(),
+                   "oracle": oracle_mode_mono(preset, am, n, bm).to_obj()}
     return CheckReport("mode_iterate_matches_oracle", bad is None,
-                       0.0, 0.0, bad or {},
+                       0.0, 0.0, witness,
                        {"pairs_checked": count, "max_degree": max_degree})
 
 

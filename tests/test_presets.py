@@ -6,13 +6,16 @@ free boson [a_m, a_n] = m delta_{m+n,0}; Virasoro
 the level form. The normal-ordered-field route in voxfact.oracle is the
 independent machine oracle for everything beyond these one-bracket cases.
 """
+import json
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxfact.graded import GradedVector, mono_degree
+from voxfact.graded import GradedVector, mono_degree, parse_token
 from voxfact.oracle import oracle_mode_mono
 from voxfact.presets import (basis, basis_upto, clear_caches, gen_mode_apply,
                              gen_mode_mono, pole_bound, preset_from_name,
@@ -178,8 +181,12 @@ def test_clear_caches_empties_every_table():
 
 _PRESETS = {n: preset_from_name(n) for n in ("heisenberg", "virasoro",
                                              "affine_sl2")}
-# table coefficients with denominators 3 and 6 (c/12 (m^3 - m) = (m^3 - m)/36)
+# table coefficients with denominators 3 and 6 (c/12 (m^3 - m) = (m^3 - m)/36);
+# the tables run in the basis 6L
 _PRESETS["virasoro_c1/3"] = preset_from_name("virasoro", c=Fraction(1, 3))
+# the three currents rescaled by 3, the other lambda that is not a power of 2
+_PRESETS["affine_sl2_level2/3"] = preset_from_name("affine_sl2",
+                                                   level=Fraction(2, 3))
 _rat = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 _nonzero = _rat.filter(bool)
 _exact = st.builds(QQi, _rat, _nonzero) | st.builds(QQi, _nonzero)  # non-real, real
@@ -277,3 +284,75 @@ def test_boundary_mixed_term_in_both_orders(boson, first):
                              for am, ac in a.terms.items()
                              for bm, bc in b.terms.items()))
     assert type(got.terms[((("a", 1),))]) is complex
+
+
+# --- the tables in the lambda*x basis ---------------------------------------
+
+def test_tables_hold_integers_only():
+    # lambda = 6 and 3: every structure constant is an integer only in the
+    # rescaled basis, so no memo table may hold a Fraction
+    for p in (preset_from_name("virasoro", c=Fraction(1, 3)),
+              preset_from_name("affine_sl2", level=Fraction(2, 3))):
+        states = basis_upto(p, 3)
+        for am in states:
+            for bm in states:
+                for n in range(-2, mono_degree(am) + mono_degree(bm)):
+                    state_mode_mono(p, am, n, bm)
+                    oracle_mode_mono(p, am, n, bm)
+            translate(p, GradedVector.basis(am))
+        for name in ("gen", "tr", "sm", "oracle"):
+            assert p._memos[name], (p.kind, name)
+            for table in p._memos[name].values():
+                assert all(type(c) is int for c in table.values()), (
+                    p.kind, name, table)
+
+
+# The public outputs before the tables moved to the lambda*x basis, made by
+# `scripts/mode_tables.py --json` (its docstring has the command).  The
+# oracle shares the oscillator table and the lift, so a wrong power of
+# lambda would pass it; this file does not.
+_GOLDEN = Path(__file__).resolve().parent / "data" / "parent_mode_tables.json"
+
+
+@cache
+def _golden_tables():
+    with _GOLDEN.open() as f:
+        return {(t["preset"], t["c"], t["level"]): t for t in json.load(f)}
+
+
+def _mono(tokens):
+    return tuple(parse_token(t) for t in tokens)
+
+
+def _keyed(entries, *fields):
+    return {tuple(_mono(e[f]) if f in ("a", "b") else e[f] for f in fields):
+            e["out"] for e in entries}
+
+
+@pytest.mark.parametrize("kind, c, level", [
+    ("heisenberg", 0, 0), ("virasoro", "1/2", 0), ("virasoro", "1/3", 0),
+    ("virasoro", "5", 0), ("affine_sl2", 0, "1"), ("affine_sl2", 0, "1/2"),
+    ("affine_sl2", 0, "2/3")])
+def test_public_outputs_match_parent_tables(kind, c, level):
+    p = preset_from_name(kind, c=Fraction(c), level=Fraction(level))
+    t = _golden_tables()[(p.kind, str(p.c), str(p.level))]
+    sm = _keyed(t["state_mode"], "a", "n", "b")
+    gm = _keyed(t["gen_mode"], "gen", "n", "b")
+    tr = _keyed(t["translate"], "b")
+    seen = set()
+
+    def same(got, key, table):
+        # value and type, term by term; a triple the file lacks is zero
+        seen.add(key)
+        _same_terms(got, GradedVector.from_obj(table.get(key, {"terms": []})))
+
+    for bm in basis_upto(p, t["max_degree"]):
+        db = mono_degree(bm)
+        for am in basis_upto(p, t["max_degree"]):
+            for n in range(-1, mono_degree(am) + db):
+                same(state_mode_mono(p, am, n, bm), (am, n, bm), sm)
+        for gen in p.generators:
+            for n in range(-3, db + 1):
+                same(gen_mode_mono(p, gen, n, bm), (gen, n, bm), gm)
+        same(translate(p, GradedVector.basis(bm)), (bm,), tr)
+    assert seen >= set(sm) | set(gm) | set(tr)

@@ -1,10 +1,12 @@
 """The command-line scripts under scripts/ run to completion."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _main(name):
@@ -17,10 +19,23 @@ def _main(name):
 @pytest.mark.parametrize("name, argv", [
     ("convergence_curve", []),
     ("mode_tables", ["--max-degree", "2"]),
+    ("mode_tables", ["--json", "--max-degree", "2", "--preset", "heisenberg",
+                     "affine_sl2", "--level", "1,2/3"]),
     ("run_suite", ["--presets", "heisenberg",
                    "--only", "weight_projection_partition,embedding_roundtrip",
                    "--window", "0:3", "--mode-degree", "2"]),
-], ids=["convergence_curve", "mode_tables", "run_suite"])
+], ids=["convergence_curve", "mode_tables", "mode_tables_json", "run_suite"])
 def test_script_exits_zero(name, argv, capsys):
     assert _main(name)(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_mode_tables_json_remakes_golden_file(capsys):
+    # two of the presets of tests/data/parent_mode_tables.json, remade
+    assert _main("mode_tables")(["--json", "--preset", "heisenberg",
+                                 "virasoro", "--c", "1/3"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    golden = json.loads((DATA / "parent_mode_tables.json").read_text())
+    assert got == [t for t in golden
+                   if (t["preset"], t["c"]) in {("heisenberg", "0"),
+                                                ("virasoro", "1/3")}]

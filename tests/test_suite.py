@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from voxfact.suite import (SUITE_LABELS, SuiteConfig, emit_tables, run_suite,
-                           suite_rows)
+from voxfact.presets import _sm, preset_from_name
+from voxfact.suite import (SUITE_LABELS, SuiteConfig, check_mode_oracle,
+                           emit_tables, run_suite, suite_rows)
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +52,22 @@ def test_emit_tables(tmp_path, rows):
 def test_suite_rows_shape(rows):
     table = suite_rows(rows)
     assert all(set(r) >= {"label", "preset", "pass", "max_err"} for r in table)
+
+
+def test_mode_oracle_row_fails_on_a_wrong_table():
+    # the row compares the integer tables, so a wrong entry in the iterate
+    # memo must fail it, with both sides lifted into the witness
+    p = preset_from_name("virasoro", c=7)
+    a = b = (("L", 2),)
+    key = (a, 1, b)
+    good = _sm(p, *key)
+    p._memos["sm"][key] = {mono: -c for mono, c in good.items()}
+    try:
+        rep = check_mode_oracle(p, 2)
+    finally:
+        p._memos["sm"][key] = good
+    assert not rep.passed
+    assert rep.witness["n"] == 1
+    assert rep.witness["iterate"]["terms"][0]["re"] == "-2"
+    assert rep.witness["oracle"]["terms"][0]["re"] == "2"
+    assert check_mode_oracle(p, 2).passed
