@@ -239,8 +239,8 @@ def _dispatch(args) -> int:
                 raise UsageError(f"unknown suite labels: {sorted(unknown)}")
         config = SuiteConfig(
             presets=tuple(args.presets.split(",")),
-            c=Fraction(args.c) if args.c else Fraction(1, 2),
-            level=Fraction(args.level) if args.level else Fraction(1),
+            c=Fraction(args.c) if args.c else None,
+            level=Fraction(args.level) if args.level else None,
             window=_window(args), tol=args.tol, quad_n=args.quad_n,
             seed=args.seed, mode_degree=args.mode_degree,
             only=tuple(args.only.split(",")) if args.only else None)

@@ -1,24 +1,23 @@
 """Vertex algebra presets and exact mode arithmetic on the PBW basis.
 
-Three vacuum modules are provided:
+A preset is data (`_ALGEBRAS`): a weight w_x per generator x, and the OPE
+x_(j) y, j >= 0, of each ordered pair of generators as rational multiples
+of generators z, of their derivatives T z and of the vacuum |0> (zero for
+a pair the table leaves out).  Modes are graded by weight,
+x_m = x_(m + w_x - 1), and one formula gives every bracket:
 
-* ``heisenberg``: one weight-1 current a with [a_m, a_n] = m delta_{m+n,0};
-* ``virasoro``: the stress tensor L with central charge c,
-  [L_m, L_n] = (m-n) L_{m+n} + c/12 (m^3-m) delta_{m+n,0};
-* ``affine_sl2``: currents e, h, f of weight 1 at a fixed level, with
-  [x_m, y_n] = [x,y]_{m+n} + m kappa(x,y) delta_{m+n,0} and kappa the
-  level-scaled trace form (kappa(h,h) = 2 level, kappa(e,f) = level).
+    [x_m, y_n] = sum_j C(m + w_x - 1, j) (x_(j) y)_{m+n},
+
+with (T z)_k = -(k + w_z) z_k and |0>_k = delta_{k,0}.
 
 States live on the PBW basis of `graded.GradedVector`.  The mode engine
 runs in the basis of the rescaled generators lambda*x, an isomorphism of
-the vertex algebra in which a bracket coefficient is lambda times an
-integer and a central term lambda^2 times the old one.  Each preset takes
-lambda as the smallest positive integer that makes every structure
-constant integral (lambda^2 c/2 for Virasoro, as (m^3-m)/6 is an integer;
-lambda^2 level for affine sl2; 1 for Heisenberg), and `commutator`
-returns its integer constants.  The memo tables, per preset in
-`VAPreset._memos`, map a key to a dict {mono: int} of nonzero
-coefficients in the lambda*x basis:
+the vertex algebra that multiplies each generator and T z coefficient of
+the OPE by lambda and each vacuum coefficient by lambda^2.  A preset takes
+the smallest lambda >= 1 that makes all of them integers, the lcm of their
+denominators and of `_scale` over the vacuum terms, so `commutator`
+returns integers.  The memo tables, per preset in `VAPreset._memos`, map
+a key to a dict {mono: int} of nonzero coefficients in the lambda*x basis:
 
 * ``gen``: (gen, n, mono) -> the oscillator mode gen_n applied to mono;
 * ``tr``: mono -> T mono;
@@ -62,11 +61,28 @@ n >= deg a + deg b.  An independent normal-ordered-field expansion lives in
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .graded import GradedVector, Mono, mono_degree
 from .records import FrozenRecord
 from .scalars import _make, _parts, _reduced, binom
+
+# name: (weight per generator, in generator order; the parameters the OPE
+# reads, with their defaults; the OPE {(x, y): {j: {target: coeff}}} at c
+# and level).  A target is a generator z, ("T", z) or the vacuum ().
+_ALGEBRAS = {
+    "heisenberg": ({"a": 1}, {}, lambda c, level: {
+        ("a", "a"): {1: {(): 1}}}),
+    "virasoro": ({"L": 2}, {"c": Fraction(1, 2)}, lambda c, level: {
+        ("L", "L"): {0: {("T", "L"): 1}, 1: {"L": 2}, 3: {(): c / 2}}}),
+    "affine_sl2": ({"e": 1, "h": 1, "f": 1}, {"level": Fraction(1)},
+                   lambda c, level: {
+        ("e", "f"): {0: {"h": 1}, 1: {(): level}},
+        ("f", "e"): {0: {"h": -1}, 1: {(): level}},
+        ("h", "h"): {1: {(): 2 * level}},
+        ("h", "e"): {0: {"e": 2}}, ("e", "h"): {0: {"e": -2}},
+        ("h", "f"): {0: {"f": -2}}, ("f", "h"): {0: {"f": 2}}}),
+}
 
 
 class VAPreset(FrozenRecord):
@@ -79,57 +95,76 @@ class VAPreset(FrozenRecord):
                  # a field, so equality and hashing still go through the
                  # structure constants)
                  "_memos",
-                 # lambda, and the integer central coefficients per pair of
-                 # generators in the lambda*x basis
-                 "_lam", "_central")
+                 # lambda, the generators and their weights, and the OPE in
+                 # the lambda*x basis: _ope[x][y] = (w_x - 1, ((z, w_z, [(j,
+                 # coeff of z, coeff of T z)]), ...), [(j, coeff of |0>)])
+                 "_lam", "_gens", "_weights", "_ope")
 
     def __init__(self, kind: str, c=Fraction(0), level=Fraction(0)):
-        if kind not in ("heisenberg", "virasoro", "affine_sl2"):
+        if kind not in _ALGEBRAS:
             raise ValueError(f"unknown preset {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "c", Fraction(c))
         object.__setattr__(self, "level", Fraction(level))
         object.__setattr__(self, "_memos", _shared_memos(self.key()))
-        # the central term is q (m^3-m)/6 on Virasoro and m kappa on the
-        # currents, with kappa = q times an integer
-        q = {"heisenberg": 1, "virasoro": self.c / 2,
-             "affine_sl2": self.level}[kind]
-        lam = _scale(Fraction(q))
+        weights, _, ope = _ALGEBRAS[kind]
+        terms = [(pair, j, z, Fraction(v))
+                 for pair, by_j in ope(self.c, self.level).items()
+                 for j, out in by_j.items() for z, v in out.items() if v]
+        lam = lcm(*(_scale(v) if z == () else v.denominator
+                    for _, _, z, v in terms))
+        grouped = {x: {y: ({}, []) for y in weights} for x in weights}
+        for (x, y), j, z, v in terms:
+            gens, vac = grouped[x][y]
+            if z == ():
+                vac.append((j, int(lam * lam * v)))
+            elif type(z) is tuple:
+                gens.setdefault(z[1], []).append((j, 0, int(lam * v)))
+            else:
+                gens.setdefault(z, []).append((j, int(lam * v), 0))
         object.__setattr__(self, "_lam", lam)
-        object.__setattr__(self, "_central", {
-            pair: int(lam * lam * q * k)
-            for pair, k in _KAPPA[kind].items()})
+        object.__setattr__(self, "_gens", tuple(weights))
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_ope", {x: {
+            y: (weights[x] - 1, tuple((z, weights[z], t)
+                                      for z, t in gens.items()), vac)
+            for y, (gens, vac) in row.items()} for x, row in grouped.items()})
 
     @property
     def generators(self):
-        return _GENERATORS[self.kind]
+        return self._gens
 
     def weight(self, gen: str) -> int:
-        return 2 if self.kind == "virasoro" else 1
+        return self._weights[gen]
 
     def gen_index(self, gen: str) -> int:
-        return self.generators.index(gen)
+        return self._gens.index(gen)
 
     def creation_floor(self, gen: str) -> int:
         """Smallest m with x_{-m}|0> nonzero."""
-        return 2 if self.kind == "virasoro" else 1
+        return self._weights[gen]
 
     def commutator(self, x: str, nx: int, y: str, ny: int):
         """[x_nx, y_ny] of the rescaled generators lambda*x as (tuple of
-        (gen, mode, int coeff), int central scalar)."""
-        if nx + ny:
-            central = 0
-        elif self.kind == "virasoro":
-            central = self._central[(x, y)] * (nx ** 3 - nx) // 6
-        else:
-            central = self._central[(x, y)] * nx
-        if self.kind == "heisenberg":
-            return (), central
-        if self.kind == "virasoro":
-            return ((("L", nx + ny, self._lam * (nx - ny)),) if nx != ny
-                    else ()), central
-        return tuple((g, nx + ny, self._lam * coeff)
-                     for g, coeff in _SL2_BRACKET[(x, y)]), central
+        (gen, mode, int coeff), int central scalar), by the commutator
+        formula of the module docstring."""
+        shift, gens, vac = self._ope[x][y]
+        p, k = nx + shift, nx + ny
+        out = ()
+        for z, wz, terms in gens:
+            s, kw = 0, k + wz
+            for j, a, b in terms:
+                # C(p, 0) = 1 and C(p, 1) = p, the common terms, need no call
+                c = a - kw * b
+                s += c if not j else c * p if j == 1 else c * binom(p, j)
+            if s:
+                out += ((z, k, s),)
+        if k:
+            return out, 0
+        central = 0
+        for j, v in vac:
+            central += binom(p, j) * v
+        return out, central
 
     def key(self):
         return (self.kind, self.c, self.level)
@@ -153,58 +188,30 @@ _memo_root: dict = {}
 
 
 def _shared_memos(key):
-    m = _memo_root.get(key)
-    if m is None:
-        m = {"gen": {}, "tr": {}, "sm": {}, "deg": {}, "rows": {},
-             "basis": {}, "oracle": {}}
-        _memo_root[key] = m
-    return m
-
-
-_GENERATORS = {
-    "heisenberg": ("a",),
-    "virasoro": ("L",),
-    "affine_sl2": ("e", "h", "f"),
-}
-
-_SL2_BRACKET = {
-    ("e", "e"): (), ("h", "h"): (), ("f", "f"): (),
-    ("e", "f"): (("h", 1),), ("f", "e"): (("h", -1),),
-    ("h", "e"): (("e", 2),), ("e", "h"): (("e", -2),),
-    ("h", "f"): (("f", -2),), ("f", "h"): (("f", 2),),
-}
-
-# kappa / q per pair of generators, q the preset's central parameter
-_KAPPA = {
-    "heisenberg": {("a", "a"): 1},
-    "virasoro": {("L", "L"): 1},
-    "affine_sl2": {("e", "e"): 0, ("h", "h"): 2, ("f", "f"): 0,
-                   ("e", "f"): 1, ("f", "e"): 1,
-                   ("h", "e"): 0, ("e", "h"): 0,
-                   ("h", "f"): 0, ("f", "h"): 0},
-}
-
-
-def heisenberg() -> VAPreset:
-    return VAPreset("heisenberg")
-
-
-def virasoro(c=Fraction(1, 2)) -> VAPreset:
-    return VAPreset("virasoro", c=Fraction(c))
-
-
-def affine_sl2(level=1) -> VAPreset:
-    return VAPreset("affine_sl2", level=Fraction(level))
+    return _memo_root.setdefault(key, {t: {} for t in (
+        "gen", "tr", "sm", "deg", "rows", "basis", "oracle")})
 
 
 def preset_from_name(name: str, c=None, level=None) -> VAPreset:
-    if name == "heisenberg":
-        return heisenberg()
-    if name == "virasoro":
-        return virasoro(Fraction(c) if c is not None else Fraction(1, 2))
-    if name == "affine_sl2":
-        return affine_sl2(Fraction(level) if level is not None else 1)
-    raise ValueError(f"unknown preset {name!r}")
+    """The preset `name` at the parameters its OPE reads, each taking its
+    default when None; the others are left at 0."""
+    if name not in _ALGEBRAS:
+        raise ValueError(f"unknown preset {name!r}")
+    given = {"c": c, "level": level}
+    return VAPreset(name, **{k: d if given[k] is None else given[k]
+                             for k, d in _ALGEBRAS[name][1].items()})
+
+
+def heisenberg() -> VAPreset:
+    return preset_from_name("heisenberg")
+
+
+def virasoro(c=None) -> VAPreset:
+    return preset_from_name("virasoro", c=c)
+
+
+def affine_sl2(level=None) -> VAPreset:
+    return preset_from_name("affine_sl2", level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +413,6 @@ def gen_mode_mono(preset: VAPreset, gen: str, n: int, mono: Mono) -> GradedVecto
 
 
 def _gen_mode_mono_impl(preset, gen, n, mono):
-    if preset.kind == "heisenberg" and n == 0:
-        # a_0 is central and kills the vacuum
-        return {}
     if not mono:
         if n <= -preset.creation_floor(gen):
             return {((gen, -n),): 1}
@@ -426,8 +430,7 @@ def _gen_mode_mono_impl(preset, gen, n, mono):
     if central:
         _acc(out, {rest: central}, 1)
     for g2, n2, coeff in gens:
-        if coeff:
-            _acc(out, _gen(preset, g2, n2, rest), coeff)
+        _acc(out, _gen(preset, g2, n2, rest), coeff)
     return out
 
 

@@ -55,7 +55,7 @@ class SuiteConfig(Record):
 
     def __init__(self, presets: tuple = ("heisenberg", "virasoro",
                                          "affine_sl2"),
-                 c: Fraction = Fraction(1, 2), level: Fraction = Fraction(1),
+                 c: Fraction | None = None, level: Fraction | None = None,
                  window: DegreeWindow = DegreeWindow(0, 6), tol: float = 1e-8,
                  quad_n: int | None = None, seed: int = 2024,
                  mode_degree: int = 4, only: tuple | None = None):
@@ -68,10 +68,6 @@ class SuiteConfig(Record):
         self.seed = seed
         self.mode_degree = mode_degree
         self.only = only
-
-    def preset_objs(self):
-        return [preset_from_name(p, c=self.c, level=self.level)
-                for p in self.presets]
 
 
 def check_mode_oracle(preset: VAPreset, max_degree: int) -> CheckReport:
@@ -138,7 +134,8 @@ def run_suite(config: SuiteConfig):
         dt = time.perf_counter() - t0
         results.append((label, preset_name, rep, dt))
 
-    for preset in config.preset_objs():
+    for preset in [preset_from_name(p, c=config.c, level=config.level)
+                   for p in config.presets]:
         name = preset.kind
         record("mode_iterate_matches_oracle", name,
                lambda p=preset: check_mode_oracle(p, config.mode_degree))
@@ -178,8 +175,7 @@ def run_suite(config: SuiteConfig):
         record("meromorphicity_pole_bounds", name,
                lambda p=preset: check_meromorphicity(p, config.mode_degree))
 
-    boson = config.preset_objs()[0] if "heisenberg" in config.presets \
-        else preset_from_name("heisenberg")
+    boson = preset_from_name("heisenberg")
     gen = boson.generators[0]
     a1 = GradedVector.basis(((gen, 1),))
 

@@ -307,6 +307,40 @@ def test_tables_hold_integers_only():
                     p.kind, name, table)
 
 
+# --- the OPE tables, without the oracle --------------------------------------
+
+def _bracket(p, x, m, combo):
+    """[x_m, v] through `commutator`, for v a combination {(gen, mode): coeff}
+    of generator modes and the central element ()."""
+    out = {}
+    for key, c in combo.items():
+        if key:
+            gens, central = p.commutator(x, m, *key)
+            for z, k, s in gens:
+                out[(z, k)] = out.get((z, k), 0) + c * s
+            out[()] = out.get((), 0) + c * central
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_brackets_are_skew_and_satisfy_jacobi(name):
+    # the oracle reads the same oscillator table, so a wrong OPE entry
+    # would pass it; these two laws check the tables themselves
+    p = _PRESETS[name]
+    modes = [(g, m) for g in p.generators for m in range(-3, 4)]
+    for x in modes:
+        for y in modes:
+            assert _bracket(p, *x, {y: 1}) == {
+                key: -c for key, c in _bracket(p, *y, {x: 1}).items()}, (x, y)
+            for z in modes:
+                total = {}
+                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                    for key, v in _bracket(p, *a,
+                                           _bracket(p, *b, {c: 1})).items():
+                        total[key] = total.get(key, 0) + v
+                assert not any(total.values()), (x, y, z)
+
+
 # The public outputs before the tables moved to the lambda*x basis, made by
 # `scripts/mode_tables.py --json` (its docstring has the command).  The
 # oracle shares the oscillator table and the lift, so a wrong power of

@@ -21,10 +21,7 @@ def _main(name):
     ("mode_tables", ["--max-degree", "2"]),
     ("mode_tables", ["--json", "--max-degree", "2", "--preset", "heisenberg",
                      "affine_sl2", "--level", "1,2/3"]),
-    ("run_suite", ["--presets", "heisenberg",
-                   "--only", "weight_projection_partition,embedding_roundtrip",
-                   "--window", "0:3", "--mode-degree", "2"]),
-], ids=["convergence_curve", "mode_tables", "mode_tables_json", "run_suite"])
+], ids=["convergence_curve", "mode_tables", "mode_tables_json"])
 def test_script_exits_zero(name, argv, capsys):
     assert _main(name)(argv) == 0
     assert capsys.readouterr().out

@@ -31,6 +31,17 @@ def test_only_filter():
     assert {label for label, _, _, _ in out} == {"insertion_at_zero"}
 
 
+def test_boson_rows_run_on_heisenberg_in_any_preset_order():
+    # the single-preset rows always take the free boson, also when it is
+    # not the first preset named
+    cfg = SuiteConfig(presets=("virasoro", "heisenberg"), mode_degree=2,
+                      only=("associativity_nested", "embedding_roundtrip"))
+    out = run_suite(cfg)
+    assert [(label, p, rep.passed) for label, p, rep, _ in out] == [
+        ("associativity_nested", "heisenberg", True),
+        ("embedding_roundtrip", "heisenberg", True)]
+
+
 def test_deterministic_reports():
     cfg = SuiteConfig(presets=("heisenberg",), mode_degree=2,
                       only=("equivariance_exact", "relation_kernel_exact"))
