@@ -64,10 +64,11 @@ def tables(preset, max_degree: int) -> dict:
 
 
 def _presets(names, cs, levels):
-    for name in names:
-        for c in cs if name == "virasoro" else [None]:
-            for level in levels if name == "affine_sl2" else [None]:
-                yield preset_from_name(name, c=c, level=level)
+    """The distinct presets of every (name, c, level), in order; a preset
+    keeps only the parameters its OPE reads."""
+    return list(dict.fromkeys(preset_from_name(name, c=c, level=level)
+                              for name in names for c in cs
+                              for level in levels))
 
 
 def _fractions(text):
@@ -89,8 +90,8 @@ def main(argv=None) -> int:
                          "outputs as JSON")
     args = ap.parse_args(argv)
 
-    presets = list(_presets(args.preset, _fractions(args.c),
-                            _fractions(args.level)))
+    presets = _presets(args.preset, _fractions(args.c),
+                       _fractions(args.level))
     if args.json:
         print(json.dumps([tables(p, args.max_degree) for p in presets],
                          separators=(",", ":"), sort_keys=True))

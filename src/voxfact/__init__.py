@@ -7,9 +7,7 @@ from .presets import (VAPreset, heisenberg, virasoro, affine_sl2,
                       preset_from_name, basis, basis_upto, state_mode,
                       gen_mode_apply, translate, pole_bound)
 from .mu import mu_one_point, mu_numeric, two_point_value
-from .functionals import (DeltaJet, CircleMoment, Functional,
-                          external_product, pushforward_affine,
-                          quadrature_moment)
+from .functionals import DeltaJet, CircleMoment, quadrature_moment
 from .geometry import AllPlane, Annulus, Disc, UnionSet, is_disjoint, is_subset
 from .expressions import (Expression, affine_act, evaluate_expression,
                           extend, multiply)
@@ -26,11 +24,11 @@ __all__ = [
     "VAPreset", "heisenberg", "virasoro", "affine_sl2", "preset_from_name",
     "basis", "basis_upto", "state_mode", "gen_mode_apply", "translate",
     "pole_bound", "mu_one_point", "mu_numeric", "two_point_value",
-    "DeltaJet", "CircleMoment", "Functional", "external_product",
-    "pushforward_affine", "quadrature_moment", "AllPlane", "Annulus", "Disc",
-    "UnionSet", "is_disjoint", "is_subset", "Expression", "affine_act",
-    "evaluate_expression", "extend", "multiply", "relation_kernel",
-    "weight_project", "run_counterexample", "multiplicativity_check",
-    "concentric_density_check", "weiss_cover_check", "roundtrip_check",
-    "CheckReport", "SuiteConfig", "run_suite", "emit_tables",
+    "DeltaJet", "CircleMoment", "quadrature_moment", "AllPlane", "Annulus",
+    "Disc", "UnionSet", "is_disjoint", "is_subset", "Expression",
+    "affine_act", "evaluate_expression", "extend", "multiply",
+    "relation_kernel", "weight_project", "run_counterexample",
+    "multiplicativity_check", "concentric_density_check",
+    "weiss_cover_check", "roundtrip_check", "CheckReport", "SuiteConfig",
+    "run_suite", "emit_tables",
 ]

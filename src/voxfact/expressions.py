@@ -19,9 +19,8 @@ trapezoid quadrature of the same scalars stays available under
 from __future__ import annotations
 
 from .errors import NotASubset, NotDisjoint, VoxfactError
-from .functionals import (AtomicFunctional, CircleMoment, DeltaJet,
-                          apply_factor_numeric, factor_from_obj,
-                          pushforward_factor, sqrt_of_modulus)
+from .functionals import (CircleMoment, DeltaJet, apply_factor_numeric,
+                          factor_from_obj, pushforward_factor, sqrt_of_modulus)
 from .geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
                        circle_vs_circle, is_disjoint, is_subset,
                        point_in_circle, union_of)
@@ -35,17 +34,14 @@ from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
 
 
 class Term(FrozenRecord):
-    __slots__ = ("coeff", "atom",
-                 "states")  # GradedVector per coordinate
+    __slots__ = ("coeff",
+                 "factors",  # DeltaJet or CircleMoment per coordinate
+                 "states")   # GradedVector per coordinate
 
-    def __init__(self, coeff, atom: AtomicFunctional, states: tuple):
+    def __init__(self, coeff, factors: tuple, states: tuple):
         object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "states", states)
-
-    @property
-    def arity(self):
-        return len(self.states)
 
 
 class Expression:
@@ -62,12 +58,12 @@ class Expression:
     def single(cls, carrier, factors, states, coeff=None, validate=True):
         return cls(carrier,
                    [Term(QQi(1) if coeff is None else coeff,
-                         AtomicFunctional(tuple(factors)), tuple(states))],
+                         tuple(factors), tuple(states))],
                    validate=validate)
 
     def scale(self, s):
         return Expression(self.carrier,
-                          [Term(t.coeff * s, t.atom, t.states)
+                          [Term(t.coeff * s, t.factors, t.states)
                            for t in self.terms], validate=False)
 
     def __add__(self, other):
@@ -80,7 +76,10 @@ class Expression:
         return self + other.scale(-1)
 
     def is_exact(self) -> bool:
-        return all(is_exact(t.coeff) and t.atom.is_exact()
+        return all(is_exact(t.coeff)
+                   and all(is_exact(f.point) if isinstance(f, DeltaJet)
+                           else is_exact(f.center) and is_exact(f.radius)
+                           for f in t.factors)
                    and all(s.is_exact() for s in t.states)
                    for t in self.terms)
 
@@ -88,7 +87,7 @@ class Expression:
         """All delta points and moment contours, flattened."""
         pts, circles = [], []
         for t in self.terms:
-            for f in t.atom.factors:
+            for f in t.factors:
                 if isinstance(f, DeltaJet):
                     pts.append(f.point)
                 else:
@@ -98,7 +97,7 @@ class Expression:
     def to_obj(self):
         return {"carrier": self.carrier.to_obj(),
                 "terms": [{"coeff": coeff_to_obj(t.coeff),
-                           "factors": [f.to_obj() for f in t.atom.factors],
+                           "factors": [f.to_obj() for f in t.factors],
                            "states": [s.to_obj() for s in t.states]}
                           for t in self.terms]}
 
@@ -108,8 +107,7 @@ class Expression:
         terms = []
         for e in obj["terms"]:
             terms.append(Term(coeff_from_obj(e["coeff"]),
-                              AtomicFunctional(tuple(factor_from_obj(f)
-                                                     for f in e["factors"])),
+                              tuple(factor_from_obj(f) for f in e["factors"]),
                               tuple(GradedVector.from_obj(s)
                                     for s in e["states"])))
         return cls(carrier, terms)
@@ -133,20 +131,20 @@ def _normalize(terms):
         if not t.coeff:
             continue
         coords = sorted(((_factor_key(f), _state_key(s), f, s)
-                         for f, s in zip(t.atom.factors, t.states)),
+                         for f, s in zip(t.factors, t.states)),
                         key=lambda e: (e[0], e[1]))
         key = (tuple(e[0] for e in coords), tuple(e[1] for e in coords))
         old = merged.get(key)
         merged[key] = (t.coeff if old is None else old[0] + t.coeff,
-                       AtomicFunctional(tuple(e[2] for e in coords)),
+                       tuple(e[2] for e in coords),
                        tuple(e[3] for e in coords))
-    out = sorted((len(key[0]), key, Term(c, a, s))
-                 for key, (c, a, s) in merged.items() if c)
+    out = sorted((len(key[0]), key, Term(c, f, s))
+                 for key, (c, f, s) in merged.items() if c)
     return tuple(e[2] for e in out)
 
 
 def _validate_term(carrier, t: Term):
-    factors = t.atom.factors
+    factors = t.factors
     for f in factors:
         if isinstance(f, DeltaJet):
             if not carrier.contains_point(f.point):
@@ -190,8 +188,7 @@ def multiply(x: Expression, y: Expression, target: OpenSet) -> Expression:
     terms = []
     for tx in x.terms:
         for ty in y.terms:
-            terms.append(Term(tx.coeff * ty.coeff,
-                              AtomicFunctional(tx.atom.factors + ty.atom.factors),
+            terms.append(Term(tx.coeff * ty.coeff, tx.factors + ty.factors,
                               tx.states + ty.states))
     return Expression(target, terms)
 
@@ -199,16 +196,18 @@ def multiply(x: Expression, y: Expression, target: OpenSet) -> Expression:
 def affine_act(lam, shift, expr: Expression) -> Expression:
     """The affine group action: pushforward on functionals, dilation on
     states (translations act trivially on states), image carrier."""
+    if lam == 0:
+        raise ValueError("affine scale must be invertible")
     terms = []
     for t in expr.terms:
         coeff = t.coeff
         factors = []
-        for f in t.atom.factors:
+        for f in t.factors:
             s, nf = pushforward_factor(f, lam, shift)
             coeff = coeff * s
             factors.append(nf)
         states = tuple(s.grading_act(lam) for s in t.states)
-        terms.append(Term(coeff, AtomicFunctional(tuple(factors)), states))
+        terms.append(Term(coeff, tuple(factors), states))
     return Expression(_map_set(expr.carrier, lam, shift), terms, validate=False)
 
 
@@ -244,7 +243,7 @@ def evaluate_expression(expr: Expression, preset: VAPreset,
         quad_n = 2 * window.hi + 16
     out = ProductVector(window)
     for t in expr.terms:
-        factors = t.atom.factors
+        factors = t.factors
         scalar = (_quadrature(factors, quad_n) if force_numeric
                   else Pairing(factors))
         out = out + mode_box(preset, t.states, window, scalar).scale(t.coeff)

@@ -1,15 +1,17 @@
 """Finite-rank analytic functionals: point jets and circle moments.
 
-An atomic functional on m-variable functions is a product of one factor per
+A functional on m-variable functions is a tuple of factors, one per
 coordinate, each factor either
 
 * ``DeltaJet(p, d)``: f |-> f^(d)(p) / d!, or
 * ``CircleMoment(c, r, n)``: f |-> (1/2 pi i) contour integral of (z-c)^n f over |z-c|=r,
 
-applied iteratively from the first coordinate outward.  General functionals
-are finite linear combinations of atomics.  Pushforward along an affine map
-z -> lam z + w follows from substitution in the defining pairing and forces
-the scale factors lam^d (jets) and lam^(-n-1) (moments).
+applied iteratively from the first coordinate outward.  It is held as the
+factors of an `expressions.Term`, whose coefficient makes linear
+combinations, and `expressions.multiply` / `expressions.affine_act` are its
+product and pushforward.  Pushforward along an affine map z -> lam z + w
+follows from substitution in the defining pairing and forces the scale
+factors lam^d (jets) and lam^(-n-1) (moments).
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .records import FrozenRecord
-from .scalars import (QQi, coeff_from_obj, coeff_to_obj, exact_value,
-                      is_exact, point_from_text, real_from_text, scalar_pow)
+from .scalars import (exact_value, is_exact, point_from_text, real_from_text,
+                      scalar_pow)
 
 
 class DeltaJet(FrozenRecord):
@@ -77,82 +79,8 @@ def factor_from_obj(obj):
     raise UsageError(f"bad functional factor {obj!r}")
 
 
-class AtomicFunctional(FrozenRecord):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def arity(self):
-        return len(self.factors)
-
-    def is_exact(self) -> bool:
-        for f in self.factors:
-            if isinstance(f, DeltaJet):
-                if not is_exact(f.point):
-                    return False
-            else:
-                if not (is_exact(f.center) and is_exact(f.radius)):
-                    return False
-        return True
-
-
-class Functional(FrozenRecord):
-    """Linear combination of atomic functionals of a common arity."""
-
-    __slots__ = ("arity",
-                 "atoms")  # of (coeff, AtomicFunctional)
-
-    def __init__(self, arity: int, atoms: tuple):
-        for _, atom in atoms:
-            if atom.arity != arity:
-                raise ValueError("atom arity mismatch")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "atoms", atoms)
-
-    @classmethod
-    def atomic(cls, *factors, coeff=None):
-        return cls(len(factors),
-                   ((QQi(1) if coeff is None else coeff,
-                     AtomicFunctional(tuple(factors))),))
-
-    def scale(self, s):
-        return Functional(self.arity,
-                          tuple((c * s, a) for c, a in self.atoms))
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        return Functional(self.arity, self.atoms + other.atoms)
-
-    def to_obj(self):
-        return {"arity": self.arity,
-                "atoms": [{"coeff": coeff_to_obj(c),
-                           "factors": [f.to_obj() for f in a.factors]}
-                          for c, a in self.atoms]}
-
-    @classmethod
-    def from_obj(cls, obj):
-        atoms = []
-        for entry in obj["atoms"]:
-            coeff = coeff_from_obj(entry["coeff"])
-            factors = tuple(factor_from_obj(f) for f in entry["factors"])
-            atoms.append((coeff, AtomicFunctional(factors)))
-        return cls(int(obj["arity"]), tuple(atoms))
-
-
 # ---------------------------------------------------------------------------
-# operations
-
-
-def external_product(f: Functional, g: Functional) -> Functional:
-    """(f x g)(h) = f(z -> g(w -> h(z, w))): concatenate coordinates."""
-    atoms = []
-    for cf, af in f.atoms:
-        for cg, ag in g.atoms:
-            atoms.append((cf * cg, AtomicFunctional(af.factors + ag.factors)))
-    return Functional(f.arity + g.arity, tuple(atoms))
+# pushforward
 
 
 def sqrt_of_modulus(lam):
@@ -176,22 +104,6 @@ def pushforward_factor(factor, lam, shift):
     newr = factor.radius * sqrt_of_modulus(lam)
     return scalar_pow(lam, -factor.exponent - 1), CircleMoment(newc, newr,
                                                                factor.exponent)
-
-
-def pushforward_affine(f: Functional, lam, shift) -> Functional:
-    """g_* f for g(z) = lam z + shift, applied to every coordinate."""
-    if lam == 0:
-        raise ValueError("affine scale must be invertible")
-    atoms = []
-    for c, atom in f.atoms:
-        scale = c
-        factors = []
-        for factor in atom.factors:
-            s, nf = pushforward_factor(factor, lam, shift)
-            scale = scale * s
-            factors.append(nf)
-        atoms.append((scale, AtomicFunctional(tuple(factors))))
-    return Functional(f.arity, tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ class GradedVector:
                 out.pop(mono, None)
             else:
                 out[mono] = s
-        return GradedVector(out)
+        return GradedVector.from_nonzero(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)

@@ -20,11 +20,15 @@ returns integers.  The memo tables, per preset in `VAPreset._memos`, map
 a key to a dict {mono: int} of nonzero coefficients in the lambda*x basis:
 
 * ``gen``: (gen, n, mono) -> the oscillator mode gen_n applied to mono;
-* ``tr``: mono -> T mono;
 * ``sm``: (a, n, b) -> the state mode a_(n) b on basis monomials, for a
   other than the vacuum: the vacuum acts as the identity field, so
   |0>_(n) b is answered on the spot ({b: 1} at n = -1, else empty) and
   never stored.
+
+These are the engine's two recursions, and every public function reads
+one of them.  The translation operator has no table of its own: the
+vacuum axiom Y(b, z)|0> = e^{zT} b gives T b = b_(-2)|0>, so `translate`
+reads the ``sm`` entry (b, -2, |0>).
 
 Beside them ``deg`` holds the degrees of the monomials the recursion was
 entered with and ``rows`` the signed binomial rows (-1)^i C(p, i) of the
@@ -103,11 +107,14 @@ class VAPreset(FrozenRecord):
     def __init__(self, kind: str, c=Fraction(0), level=Fraction(0)):
         if kind not in _ALGEBRAS:
             raise ValueError(f"unknown preset {kind!r}")
+        weights, params, ope = _ALGEBRAS[kind]
+        # a parameter the OPE does not read is stored as 0, so one algebra
+        # is one preset, with one memo store
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "level", Fraction(level))
+        object.__setattr__(self, "c", Fraction(c if "c" in params else 0))
+        object.__setattr__(self, "level",
+                           Fraction(level if "level" in params else 0))
         object.__setattr__(self, "_memos", _shared_memos(self.key()))
-        weights, _, ope = _ALGEBRAS[kind]
         terms = [(pair, j, z, Fraction(v))
                  for pair, by_j in ope(self.c, self.level).items()
                  for j, out in by_j.items() for z, v in out.items() if v]
@@ -189,12 +196,12 @@ _memo_root: dict = {}
 
 def _shared_memos(key):
     return _memo_root.setdefault(key, {t: {} for t in (
-        "gen", "tr", "sm", "deg", "rows", "basis", "oracle")})
+        "gen", "sm", "deg", "rows", "basis", "oracle")})
 
 
 def preset_from_name(name: str, c=None, level=None) -> VAPreset:
     """The preset `name` at the parameters its OPE reads, each taking its
-    default when None; the others are left at 0."""
+    default when None; `VAPreset` stores the others as 0."""
     if name not in _ALGEBRAS:
         raise ValueError(f"unknown preset {name!r}")
     given = {"c": c, "level": level}
@@ -448,30 +455,6 @@ def gen_mode_apply(preset: VAPreset, gen: str, n: int, v: GradedVector) -> Grade
 # translation operator
 
 
-def _translate_mono(preset: VAPreset, mono: Mono) -> dict:
-    """T = L_{-1} on a basis monomial, by the derivation rule
-    [T, x_{-m}] = (m - w + 1) x_{-m-1} for a weight-w current, which holds
-    for the rescaled generators lambda*x as well.
-
-    Returns the memo table entry {mono: int} in the lambda*x basis; do not
-    mutate it.
-    """
-    memo = preset._memos["tr"]
-    out = memo.get(mono)
-    if out is not None:
-        return out
-    out = {}
-    if mono:
-        g0, m0 = mono[0]
-        rest = mono[1:]
-        # m0 >= w for every creation factor, so this coefficient is >= 1
-        out[((g0, m0 + 1),) + rest] = m0 - preset.weight(g0) + 1
-        for mono2, c in _translate_mono(preset, rest).items():
-            _acc(out, _gen(preset, g0, -m0, mono2), c)
-    memo[mono] = out
-    return out
-
-
 def translate(preset: VAPreset, v: GradedVector) -> GradedVector:
     return translate_power(preset, v, 1)
 
@@ -483,7 +466,8 @@ def translate_power(preset: VAPreset, v: GradedVector, j: int) -> GradedVector:
     for _ in range(j):
         acc = {}
         for mono, coeff in terms.items():
-            table = _translate_mono(preset, mono)
+            # T b = b_(-2)|0>, by the vacuum axiom Y(b, z)|0> = e^{zT} b
+            table = _sm(preset, mono, -2, ())
             if table:
                 _add_lifted(acc, coeff, table, lam, len(mono))
         terms = acc

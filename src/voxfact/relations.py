@@ -20,8 +20,7 @@ from fractions import Fraction
 from .errors import NotDisjoint, VoxfactError
 from .expressions import (Expression, Term, _factor_key, _state_key,
                           affine_act, evaluate_expression, extend, multiply)
-from .functionals import (AtomicFunctional, CircleMoment, DeltaJet,
-                          quadrature_moment)
+from .functionals import CircleMoment, DeltaJet, quadrature_moment
 from .geometry import Annulus, Disc, OpenSet
 from .graded import GradedVector
 from .linalg import nullspace
@@ -171,7 +170,7 @@ def run_counterexample(m: int = 1, preset: VAPreset | None = None,
 
 
 def term_signature(t: Term):
-    return (tuple(_factor_key(f) for f in t.atom.factors),
+    return (tuple(_factor_key(f) for f in t.factors),
             tuple(_state_key(s) for s in t.states),
             scalar_key(t.coeff))
 
@@ -189,7 +188,7 @@ def support_partition(product: Expression, u: OpenSet, v: OpenSet):
     terms_u, terms_v = [], []
     for t in product.terms:
         fu, fv, su, sv = [], [], [], []
-        for f, s in zip(t.atom.factors, t.states):
+        for f, s in zip(t.factors, t.states):
             if not isinstance(f, DeltaJet):
                 raise VoxfactError("support partition needs delta factors")
             in_u = u.contains_point(f.point)
@@ -198,9 +197,9 @@ def support_partition(product: Expression, u: OpenSet, v: OpenSet):
                 raise NotDisjoint("point fails to pick a unique carrier")
             (fu if in_u else fv).append(f)
             (su if in_u else sv).append(s)
-        terms_u.append(Term(t.coeff, AtomicFunctional(tuple(fu)), tuple(su)))
-        terms_v.append(Term(QQi(1), AtomicFunctional(tuple(fv)), tuple(sv)))
-    if len({term_signature(Term(QQi(1), t.atom, t.states))
+        terms_u.append(Term(t.coeff, tuple(fu), tuple(su)))
+        terms_v.append(Term(QQi(1), tuple(fv), tuple(sv)))
+    if len({term_signature(Term(QQi(1), t.factors, t.states))
             for t in product.terms}) != len(product.terms):
         raise VoxfactError("ambiguous product terms")
     return ([Expression(u, [tu], validate=False) for tu in terms_u],

@@ -25,10 +25,3 @@ class CheckReport(Record):
 
     def to_json(self, **kw):
         return json.dumps(self.to_obj(), sort_keys=True, **kw)
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(axiom=obj["axiom"], passed=obj["pass"],
-                   max_err=obj.get("max_err", 0.0), tol=obj.get("tol", 0.0),
-                   witness=obj.get("witness", {}),
-                   truncation=obj.get("truncation", {}))

@@ -1,9 +1,9 @@
-"""Iterated residues: an atomic functional paired with the scalars of the
+"""Iterated residues: a term's functional paired with the scalars of the
 multi-point map.
 
 `mu.mode_box` writes the m-point map as state vectors times the scalars
 prod (z_i - z_k)^t * z_{m-1}^j.  `Pairing` compiles the factors of one
-atomic functional, a jet or a moment per coordinate, once:
+term, a jet or a moment per coordinate, once:
 
 * the elimination order: jets first, then moments from the innermost
   contour outward, so a jet meets only points and free variables, never a
@@ -44,7 +44,7 @@ from .scalars import QQi, binom, is_exact, scalar_pow
 
 
 class Pairing:
-    """The scalar callback of `mu.mode_box` for the atomic functional with
+    """The scalar callback of `mu.mode_box` for the functional with
     ``factors``, one per coordinate: ``pairing(exps, j)`` applies them to
     prod (z_i - z_k)^t over ``exps`` ((i, k), t), i < k, times
     z_{m-1}^j.  Values and powers are memoized for the life of the

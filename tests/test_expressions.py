@@ -90,6 +90,14 @@ def test_multiply_requires_disjoint_and_target(boson):
     prod = multiply(u, v, D4)
     assert prod.carrier == D4
     assert len(prod.terms) == 1 and len(prod.terms[0].states) == 2
+    # the arities add and the coefficients multiply: arity 1 times arity 2
+    w = Expression.single(Disc(QQi(2), Fraction(1)),
+                          [DeltaJet(QQi(2), 0),
+                           CircleMoment(QQi(2), Fraction(1, 2), 0)],
+                          [a, a], coeff=QQi(2))
+    (t,) = multiply(u, w, D4).terms
+    assert len(t.factors) == len(t.states) == 3 and t.coeff == QQi(2)
+    assert t.factors == u.terms[0].factors + w.terms[0].factors
     with pytest.raises(NotDisjoint):
         multiply(u, Expression.single(Disc(QQi(-2), Fraction(1)),
                                       [DeltaJet(QQi(Fraction(-3, 2)), 0)], [a]),
@@ -257,6 +265,26 @@ def test_affine_act_on_jet_expression(boson, window6):
                         window6)
     for k in window6.degrees():
         assert got.component(k) == want.component(k)
+    # an order-d jet beside a moment of exponent n: the points move and
+    # the coefficient picks up lam^d * lam^(-n-1)
+    e = Expression.single(D2, [DeltaJet(QQi(1), 1),
+                               CircleMoment(QQi(0), Fraction(1, 2), -2)],
+                          [a, a])
+    (t,) = affine_act(lam, QQi(1), e).terms
+    jet, mom = t.factors
+    assert jet == DeltaJet(QQi(3), 1)
+    assert mom == CircleMoment(QQi(1), Fraction(1), -2)
+    assert t.coeff == lam ** 1 * lam ** (-(-2) - 1)
+
+
+def test_affine_act_refuses_a_zero_scale():
+    # lam = 0 would move every jet onto the shift, coinciding supports
+    a = B("a(-1)")
+    e = Expression.single(D4, [DeltaJet(QQi(1), 0), DeltaJet(QQi(2), 0)],
+                          [a, a])
+    for lam in (0, QQi(0), 0j):
+        with pytest.raises(ValueError, match="invertible"):
+            affine_act(lam, QQi(0), e)
 
 
 def test_three_point_numeric(boson):

@@ -1,14 +1,12 @@
-"""Analytic functionals: jets, moments, external products, pushforwards."""
+"""Analytic functionals: jets, moments, pushforwards, quadrature."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from voxfact.functionals import (AtomicFunctional, CircleMoment, DeltaJet,
-                                 Functional, apply_factor_numeric,
-                                 external_product, factor_from_obj,
-                                 pushforward_affine, pushforward_factor,
+from voxfact.functionals import (CircleMoment, DeltaJet, apply_factor_numeric,
+                                 factor_from_obj, pushforward_factor,
                                  quadrature_moment)
 from voxfact.scalars import QQi
 
@@ -20,15 +18,6 @@ def test_factor_obj_roundtrip():
     for f in (DeltaJet(QQi(Fraction(1, 2)), 3),
               CircleMoment(QQi(1, 1), Fraction(3, 4), -2)):
         assert factor_from_obj(f.to_obj()) == f
-
-
-def test_external_product_arity():
-    f = Functional(1, [(QQi(1), AtomicFunctional((DeltaJet(QQi(0), 0),)))])
-    g = Functional(2, [(QQi(2), AtomicFunctional(
-        (DeltaJet(QQi(1), 0), CircleMoment(QQi(0), Fraction(1), 0))))])
-    h = external_product(f, g)
-    assert h.arity == 3
-    assert all(len(atom.factors) == 3 for _, atom in h.atoms)
 
 
 # pushforward defining identity: (g_* alpha)(f) = alpha(f o g) for affine
@@ -77,17 +66,6 @@ def test_moment_pushforward_irrational_scale():
     _, pushed = pushforward_factor(mom, lam, QQi(0))
     assert isinstance(pushed.radius, float)
     assert abs(pushed.radius - 2 * 2 ** 0.5) < 1e-12
-
-
-def test_pushforward_affine_functional():
-    f = Functional(2, [(QQi(1), AtomicFunctional(
-        (DeltaJet(QQi(1), 1), CircleMoment(QQi(0), Fraction(1), 0))))])
-    g = pushforward_affine(f, QQi(2), QQi(1))
-    assert g.arity == 2
-    (coeff, atom), = g.atoms
-    jet, mom = atom.factors
-    assert jet.point == QQi(3) and mom.center == QQi(1)
-    assert coeff == QQi(2) * (QQi(1) / QQi(2))  # lam^1 * lam^-1
 
 
 def test_quadrature_moment_poly_exact():

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from voxfact.graded import GradedVector, mono_degree, parse_token
 from voxfact.oracle import oracle_mode_mono
-from voxfact.presets import (basis, basis_upto, clear_caches, gen_mode_apply,
-                             gen_mode_mono, pole_bound, preset_from_name,
-                             state_mode, state_mode_mono, translate,
-                             translate_power)
+from voxfact.presets import (VAPreset, basis, basis_upto, clear_caches,
+                             gen_mode_apply, gen_mode_mono, pole_bound,
+                             preset_from_name, state_mode, state_mode_mono,
+                             translate, translate_power)
 from voxfact.scalars import QQi
 
 VAC = GradedVector.vacuum()
@@ -170,7 +170,7 @@ def test_clear_caches_empties_every_table():
         state_mode(p, GradedVector.basis(am), 0, GradedVector.basis(bm))
         translate(p, GradedVector.basis(bm))
         oracle_mode_mono(p, am, -1, bm)
-        for name in ("gen", "tr", "sm", "basis", "oracle"):
+        for name in ("gen", "sm", "basis", "oracle"):
             assert p._memos[name], (p.kind, name)
     clear_caches()
     for p in made:
@@ -300,11 +300,33 @@ def test_tables_hold_integers_only():
                     state_mode_mono(p, am, n, bm)
                     oracle_mode_mono(p, am, n, bm)
             translate(p, GradedVector.basis(am))
-        for name in ("gen", "tr", "sm", "oracle"):
+        for name in ("gen", "sm", "oracle"):
             assert p._memos[name], (p.kind, name)
             for table in p._memos[name].values():
                 assert all(type(c) is int for c in table.values()), (
                     p.kind, name, table)
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_translation_is_the_oracle_mode_minus_two_on_the_vacuum(name):
+    # T b = b_(-2)|0> by the vacuum axiom; the oracle reaches b_(-2)|0>
+    # through normal-ordered fields, without the iterate recursion
+    p = _PRESETS[name]
+    for bm in basis_upto(p, 5):
+        assert translate(p, GradedVector.basis(bm)) == \
+            oracle_mode_mono(p, bm, -2, ()), bm
+
+
+def test_unread_parameters_are_stored_as_zero():
+    # one algebra is one preset, with one memo store, whatever value is
+    # passed for a parameter its OPE does not read
+    assert VAPreset("virasoro", 1, 5) == VAPreset("virasoro", 1)
+    assert VAPreset("virasoro", 1, 5)._memos is VAPreset("virasoro", 1)._memos
+    assert VAPreset("heisenberg", Fraction(1, 2), 3) == \
+        preset_from_name("heisenberg")
+    assert repr(VAPreset("affine_sl2", 7, Fraction(2, 3))) == (
+        "VAPreset(kind='affine_sl2', c=Fraction(0, 1), "
+        "level=Fraction(2, 3))")
 
 
 # --- the OPE tables, without the oracle --------------------------------------

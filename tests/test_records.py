@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from voxfact.expressions import Expression, Term
-from voxfact.functionals import (AtomicFunctional, CircleMoment, DeltaJet,
-                                 Functional)
+from voxfact.functionals import CircleMoment, DeltaJet
 from voxfact.geometry import AllPlane, Annulus, Disc, UnionSet
 from voxfact.graded import GradedVector, ProductVector
 from voxfact.presets import VAPreset
@@ -19,12 +18,10 @@ from voxfact.suite import SuiteConfig
 _JET = DeltaJet(QQi(1, 2), 1)
 FROZEN = [
     DegreeWindow(0, 3), _JET, DeltaJet(0.5j), CircleMoment(QQi(0), 0.5, -1),
-    AtomicFunctional((_JET,)),
-    Functional(1, ((QQi(2), AtomicFunctional((_JET,))),)),
     AllPlane(), Disc(QQi(0), Fraction(1)),
     Annulus(QQi(1), Fraction(1, 3), 2.5),
     UnionSet((Disc(QQi(0), 1), Disc(QQi(5), 1))),
-    Term(QQi(1), AtomicFunctional(()), ()),
+    Term(QQi(1), (), ()),
     VAPreset("virasoro", Fraction(1, 2)),
 ]
 MUTABLE = [ProductVector(DegreeWindow(0, 2)),
@@ -81,7 +78,7 @@ def test_states_and_their_holders_copy_and_pickle():
     pickles to an equal value."""
     a = (GradedVector.vacuum().scale(QQi(Fraction(1, 2), 3))
          + GradedVector.basis((("a", 1),), 0.5j))
-    term = Term(QQi(3), AtomicFunctional((_JET,)), (a,))
+    term = Term(QQi(3), (_JET,), (a,))
     expr = Expression.single(Disc(QQi(0), 4), [_JET], [a])
     for obj in (GradedVector.vacuum(), a,
                 ProductVector.from_vector(a, DegreeWindow(0, 2)), term, expr):
