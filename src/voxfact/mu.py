@@ -12,7 +12,9 @@ to a caller-supplied callback:
 * `mu_numeric` (any arity), `two_point_value` and `mu_one_point` evaluate
   it at the points, exactly (QQi) at exact points and in complex at float
   points;
-* `expressions` pairs it with jets and moments.
+* `expressions` pairs it with jets and moments;
+* `check_associativity` reads one Laurent coefficient of it in t, with
+  inner points moved to zc + t w.
 
 Nothing is truncated and no ordering of the points is needed.
 """
@@ -26,7 +28,8 @@ from .errors import DomainViolation
 from .graded import GradedVector, ProductVector
 from .presets import VAPreset, pole_bound, state_mode, translate
 from .report import CheckReport
-from .scalars import DegreeWindow, QQi, same_point, scalar_pow, scalar_zero
+from .scalars import (DegreeWindow, QQi, binom, exact_value, same_point,
+                      scalar_pow, scalar_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -239,54 +242,68 @@ def _rel_err(u: GradedVector, v: GradedVector) -> float:
 
 
 def check_associativity(preset: VAPreset, outer, inner, insertion,
-                        window: DegreeWindow, tol: float = 1e-8,
-                        k_cap: int = 40) -> CheckReport:
-    """Composition property on the nested-configuration domain.
+                        window: DegreeWindow) -> CheckReport:
+    """Composition property, as a finite exact identity.
 
-    ``outer`` is a list of (state, point) applied directly; ``inner`` a list
-    of (state, point) with points relative to the insertion point.  Checks
-
-      mu(outer, inner shifted by insertion)
-        == sum_k mu(outer, p_k mu(inner), insertion)
-
-    with the degree sum truncated adaptively.  The convergence curve
-    (per-degree errors after each partial sum) is recorded.
+    ``outer`` is a list of (state, point) applied directly, ``inner`` a list
+    of (state, point) with points relative to the insertion point zc; every
+    point is read at its exact value.  With the inner points at zc + t w_j,
+    dilation covariance gives p_k mu(b, t w) = t^(k - D) p_k mu(b, w) for
+    homogeneous inner parts b of total degree D, so for every k the
+    t^(k - D) Laurent coefficient at t = 0 of mu(outer, inner at zc + t w)
+    equals mu(outer, p_k mu(inner, w), zc).  Both sides are compared
+    exactly on ``window`` for k = 0 .. window.hi.
     """
-    z_out = [complex(z) for _, z in outer]
-    w_in = [complex(w) for _, w in inner]
-    zc = complex(insertion)
-    if w_in:
-        sep = min(abs(z - zc) for z in z_out) if z_out else math.inf
-        if max(abs(w) for w in w_in) >= sep:
-            raise DomainViolation("inner radius reaches an outer insertion")
+    a_out, z_out = [s for s, _ in outer], [exact_value(z) for _, z in outer]
+    b_in, w_in = [s for s, _ in inner], [exact_value(w) for _, w in inner]
+    zc = exact_value(insertion)
+    # the points as a + b t, outer first, as in the left side's states
+    lines = [(z, QQi(0)) for z in z_out] + [(zc, w) for w in w_in]
+    inner_pv = mu_numeric(preset, b_in, w_in, DegreeWindow(0, window.hi))
+    parts = list(itertools.product(*([s.project(d) for d in s.degrees()]
+                                     for s in b_in)))
+    witness = {}
+    for k in range(window.hi + 1):
+        # computed first, so that coincident points raise DomainViolation
+        rhs = mu_numeric(preset, a_out + [inner_pv.component(k)],
+                         z_out + [zc], window)
+        lhs = ProductVector(window)
+        for part in parts:
+            order = k - sum(p.degree() for p in part)
+            lhs = lhs + mode_box(
+                preset, a_out + list(part), window,
+                lambda exps, j: _t_coefficient(lines, exps, j, order))
+        for d in window.degrees():
+            if lhs.component(d) != rhs.component(d):
+                witness = {"k": k, "degree": d}
+    return CheckReport("associativity", not witness, 0.0, 0.0, witness, {})
 
-    lhs = mu_numeric(preset,
-                     [s for s, _ in outer] + [s for s, _ in inner],
-                     z_out + [w + zc for w in w_in], window)
 
-    inner_window = DegreeWindow(0, k_cap)
-    inner_pv = mu_numeric(preset, [s for s, _ in inner], w_in, inner_window)
-
-    acc = ProductVector(window)
-    curve = []
-    err = math.inf
-    lhs_norm = max(lhs.norm_inf(), 1.0)
-    used = 0
-    for k in inner_window.degrees():
-        pk = inner_pv.component(k)
-        if pk:
-            part = mu_numeric(preset, [s for s, _ in outer] + [pk],
-                              z_out + [zc], window)
-            acc = acc + part
-            used = k
-        err = max(lhs.component(d).distance(acc.component(d))
-                  for d in window.degrees()) / lhs_norm
-        curve.append(err)
-        if err <= tol * 1e-1 and pk:
-            break
-    return CheckReport("associativity", err <= tol, err, tol,
-                       {"insertion": str(insertion)},
-                       {"inner_degrees_used": used, "curve": curve})
+def _t_coefficient(lines, exps, j, order):
+    """The t^order coefficient of the `mode_box` scalar prod (z_i - z_k)^e
+    * z_m^j at the points z_i = a_i + b_i t: a product of powers
+    (a + b t)^e, a monomial in t where a = 0 and a generalized binomial
+    series, cut at the one order read, where a != 0."""
+    c, series = QQi(1), []
+    m = len(lines) - 1
+    for (i, k), e in exps + (((m, None), j),):
+        a, b = lines[i]
+        if k is not None:
+            a, b = a - lines[k][0], b - lines[k][1]
+        if a:
+            series.append((a, b / a, e))
+        else:
+            c *= scalar_pow(b, e)
+            order -= e
+    if order < 0 or not c:
+        return 0
+    coeffs = [c] + [0] * order
+    for a, r, e in series:
+        c = a ** e
+        terms = [c * binom(e, i) * r ** i for i in range(order + 1)]
+        coeffs = [sum(coeffs[n - i] * terms[i] for i in range(n + 1))
+                  for n in range(order + 1)]
+    return coeffs[order]
 
 
 def check_permutation(preset: VAPreset, states, points, window: DegreeWindow,
@@ -337,5 +354,5 @@ def check_meromorphicity(preset: VAPreset, max_degree: int = 5) -> CheckReport:
                 ok = False
                 witness = {"a": a.to_obj(), "b": b.to_obj(), "pole_bound": pb}
             worst = max(worst, pb)
-    return CheckReport("meromorphicity", ok, float(worst), 0.0, witness,
-                       {"max_degree": max_degree})
+    return CheckReport("meromorphicity", ok, 0.0, 0.0, witness,
+                       {"max_degree": max_degree, "max_pole_order": worst})

@@ -67,7 +67,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graded import GradedVector, Mono, mono_degree
+from .graded import GradedVector, Mono, mono_degree, mono_token
 from .records import FrozenRecord
 from .scalars import _make, _parts, _reduced, binom
 
@@ -104,16 +104,20 @@ class VAPreset(FrozenRecord):
                  # coeff of z, coeff of T z)]), ...), [(j, coeff of |0>)])
                  "_lam", "_gens", "_weights", "_ope")
 
-    def __init__(self, kind: str, c=Fraction(0), level=Fraction(0)):
+    def __init__(self, kind: str, c=None, level=None):
         if kind not in _ALGEBRAS:
             raise ValueError(f"unknown preset {kind!r}")
         weights, params, ope = _ALGEBRAS[kind]
-        # a parameter the OPE does not read is stored as 0, so one algebra
-        # is one preset, with one memo store
+        # a parameter the OPE reads takes its table default when None; one
+        # it does not read is stored as 0, so one algebra is one preset,
+        # with one memo store
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "c", Fraction(c if "c" in params else 0))
-        object.__setattr__(self, "level",
-                           Fraction(level if "level" in params else 0))
+        for name, value in (("c", c), ("level", level)):
+            if name not in params:
+                value = 0
+            elif value is None:
+                value = params[name]
+            object.__setattr__(self, name, Fraction(value))
         object.__setattr__(self, "_memos", _shared_memos(self.key()))
         terms = [(pair, j, z, Fraction(v))
                  for pair, by_j in ope(self.c, self.level).items()
@@ -200,13 +204,8 @@ def _shared_memos(key):
 
 
 def preset_from_name(name: str, c=None, level=None) -> VAPreset:
-    """The preset `name` at the parameters its OPE reads, each taking its
-    default when None; `VAPreset` stores the others as 0."""
-    if name not in _ALGEBRAS:
-        raise ValueError(f"unknown preset {name!r}")
-    given = {"c": c, "level": level}
-    return VAPreset(name, **{k: d if given[k] is None else given[k]
-                             for k, d in _ALGEBRAS[name][1].items()})
+    """The preset `name`; see `VAPreset` for the parameters."""
+    return VAPreset(name, c, level)
 
 
 def heisenberg() -> VAPreset:
@@ -296,11 +295,22 @@ def _sm(preset, a, n, b) -> dict:
         degs = memos["deg"]
         da, db = degs.get(a), degs.get(b)
         if da is None:
-            da = degs[a] = mono_degree(a)
+            da = degs[a] = _valid_degree(preset, a)
         if db is None:
-            db = degs[b] = mono_degree(b)
+            db = degs[b] = _valid_degree(preset, b)
         out = memos["sm"][key] = _state_mode_impl(preset, a, da, n, b, db)
     return out
+
+
+def _valid_degree(preset, mono) -> int:
+    """The degree of a monomial; ValueError naming it on an unknown
+    generator or a factor x(-m) below the creation floor of x."""
+    weights = preset._weights
+    for x, m in mono:
+        if x not in weights or m < weights[x]:
+            raise ValueError(f"{''.join(map(mono_token, mono))} is not a "
+                             f"{preset.kind} basis monomial")
+    return mono_degree(mono)
 
 
 def _row(rows, p, length):

@@ -16,8 +16,8 @@ from .mu import (check_associativity, check_equivariance_exact,
                  check_equivariance_numeric, check_insertion_at_zero,
                  check_meromorphicity, check_permutation, check_skew_transport)
 from .oracle import _oracle, oracle_mode_mono
-from .presets import (VAPreset, _sm, basis_upto, preset_from_name,
-                      state_mode_mono)
+from .presets import (VAPreset, _sm, basis_upto, pole_bound,
+                      preset_from_name, state_mode_mono)
 from .records import Record
 from .relations import (check_weight_idempotent, check_weight_partition,
                         check_weight_quadrature, concentric_density_check,
@@ -160,6 +160,8 @@ def run_suite(config: SuiteConfig):
                lambda p=preset, cf=configs:
                check_equivariance_numeric(p, cf, DegreeWindow(0, 4),
                                           tol=config.tol))
+        record("associativity_nested", name,
+               lambda p=preset: _associativity_case(p))
 
         record("permutation_invariance", name,
                lambda p=preset, r=rng:
@@ -176,14 +178,7 @@ def run_suite(config: SuiteConfig):
                lambda p=preset: check_meromorphicity(p, config.mode_degree))
 
     boson = preset_from_name("heisenberg")
-    gen = boson.generators[0]
-    a1 = GradedVector.basis(((gen, 1),))
-
-    record("associativity_nested", boson.kind,
-           lambda: check_associativity(
-               boson, [(a1, 4.0 + 0.3j)],
-               [(a1, 0.3 + 0.1j), (GradedVector.basis(((gen, 2),)), -0.45)],
-               1.1 - 0.2j, DegreeWindow(0, 4), tol=config.tol))
+    a1 = GradedVector.basis(((boson.generators[0], 1),))
 
     samples = [(_random_state(rng, boson, 3),
                 _random_point(rng), rng.randrange(window.lo, window.hi + 1))
@@ -242,6 +237,21 @@ def _nonzero(rng: random.Random) -> QQi:
                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         if q:
             return q
+
+
+def _associativity_case(preset):
+    """Nested associativity: the lowest state a of the first generator
+    outside and inside, beside y_{-w_y-1}|0> for the generator y with the
+    highest pole against a (on affine_sl2 f, as e_(n) e = 0 for n >= 0)."""
+    def lowest(g, above=0):
+        return GradedVector.basis(((g, preset.weight(g) + above),))
+    a = lowest(preset.generators[0])
+    y = max(preset.generators, key=lambda g: pole_bound(preset, a, lowest(g)))
+    return check_associativity(
+        preset, [(a, QQi(4, Fraction(3, 10)))],
+        [(a, QQi(Fraction(3, 10), Fraction(1, 10))),
+         (lowest(y, 1), QQi(Fraction(-9, 20)))],
+        QQi(Fraction(11, 10), Fraction(-1, 5)), DegreeWindow(0, 4))
 
 
 def _density_case(preset, window):

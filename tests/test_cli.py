@@ -123,6 +123,14 @@ def test_bad_state_exit_code(capsys):
     assert "parse" in err
 
 
+@pytest.mark.parametrize("a", ["L(-1)", "X(-2)"])
+def test_invalid_monomial_exit_code(capsys, a):
+    code, _, err = run(capsys, "mode", "--preset", "virasoro", "--a", a,
+                       "--n", "-3", "--b", "")
+    assert code == 2
+    assert f"{a} is not a virasoro basis monomial" in err
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run(capsys, "define", "--out", str(path))

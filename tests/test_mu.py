@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxfact.errors import DomainViolation
 from voxfact.graded import GradedVector, ProductVector
@@ -253,18 +255,57 @@ def test_two_point_locality(name):
 
 
 def test_associativity_check(boson, gen_a):
+    # float points are read at their exact values, and the identity is exact
     rep = check_associativity(boson, [(gen_a, 4.0)],
                               [(gen_a, 0.3), (gen_a, -0.3)], 1.0,
-                              DegreeWindow(0, 4), tol=1e-8)
-    assert rep.passed, rep.max_err
-    assert rep.truncation["curve"][-1] <= 1e-8
+                              DegreeWindow(0, 4))
+    assert rep.passed, rep.witness
+    assert (rep.max_err, rep.tol, rep.truncation) == (0.0, 0.0, {})
 
 
 def test_associativity_domain_guard(boson, gen_a):
-    with pytest.raises(DomainViolation):
-        check_associativity(boson, [(gen_a, 1.2)],
+    # the identity in t is formal, so an inner point beyond the outer one
+    # is no longer refused; coincident points still are
+    assert check_associativity(boson, [(gen_a, 1.2)],
+                               [(gen_a, 1.5), (gen_a, -0.3)], 1.0,
+                               DegreeWindow(0, 3)).passed
+    with pytest.raises(DomainViolation):  # an outer point at zc
+        check_associativity(boson, [(gen_a, 1.0)],
                             [(gen_a, 1.5), (gen_a, -0.3)], 1.0,
                             DegreeWindow(0, 3))
+    with pytest.raises(DomainViolation):  # two equal inner points
+        check_associativity(boson, [(gen_a, 1.2)],
+                            [(gen_a, 0.5), (gen_a, 0.5)], 1.0,
+                            DegreeWindow(0, 3))
+
+
+_GRID = st.builds(lambda re, im: QQi(Fraction(re, 2), Fraction(im, 2)),
+                  st.integers(-4, 4), st.integers(-4, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(["heisenberg", "virasoro", "affine_sl2"]),
+       st.integers(0, 2), st.integers(1, 2), _GRID, st.integers(1, 3))
+def test_associativity_exact_on_random_configurations(data, name, n_outer,
+                                                      n_inner, zc, top):
+    preset = preset_from_name(name)
+    states = [GradedVector.basis(m) for m in basis_upto(preset, 2)]
+    outer_pts = data.draw(st.lists(_GRID.filter(lambda z: z != zc),
+                                   min_size=n_outer, max_size=n_outer,
+                                   unique=True))
+    inner_pts = data.draw(st.lists(_GRID, min_size=n_inner,
+                                   max_size=n_inner, unique=True))
+    pick = lambda pts: [(data.draw(st.sampled_from(states)), z) for z in pts]
+    rep = check_associativity(preset, pick(outer_pts), pick(inner_pts), zc,
+                              DegreeWindow(0, top))
+    assert rep.passed, rep.witness
+
+
+def test_meromorphicity_reports_the_pole_order_apart_from_the_error(vir):
+    # L_(3) L = c/2 |0> on L(-2)|0>: the highest pole through degree 2 is 4
+    rep = check_meromorphicity(vir, 2)
+    assert (rep.passed, rep.max_err, rep.tol) == (True, 0.0, 0.0)
+    assert rep.truncation == {"max_degree": 2, "max_pole_order": 4}
 
 
 def test_meromorphicity_check(boson, vir, sl2):

@@ -329,6 +329,23 @@ def test_unread_parameters_are_stored_as_zero():
         "level=Fraction(2, 3))")
 
 
+def test_direct_construction_takes_the_table_defaults():
+    assert VAPreset("virasoro") == preset_from_name("virasoro")
+    assert VAPreset("affine_sl2") == preset_from_name("affine_sl2")
+    assert VAPreset("virasoro").c == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("a", [B("L(-1)"), B("X(-2)"), B("L(-2)", "L(-1)")],
+                         ids=["below_floor", "unknown_generator", "mixed"])
+def test_invalid_monomials_raise_value_error(vir, a):
+    # below the creation floor, L(-1)|0> once answered 0 on some calls and
+    # raised KeyError on others; an unknown generator raised KeyError
+    with pytest.raises(ValueError, match=r"not a virasoro basis monomial"):
+        state_mode(vir, a, -3, VAC)
+    with pytest.raises(ValueError, match=r"not a virasoro basis monomial"):
+        state_mode(vir, B("L(-2)"), 1, a)
+
+
 # --- the OPE tables, without the oracle --------------------------------------
 
 def _bracket(p, x, m, combo):

@@ -17,11 +17,10 @@ def _main(name):
 
 
 @pytest.mark.parametrize("name, argv", [
-    ("convergence_curve", []),
     ("mode_tables", ["--max-degree", "2"]),
     ("mode_tables", ["--json", "--max-degree", "2", "--preset", "heisenberg",
                      "affine_sl2", "--level", "1,2/3"]),
-], ids=["convergence_curve", "mode_tables", "mode_tables_json"])
+], ids=["mode_tables", "mode_tables_json"])
 def test_script_exits_zero(name, argv, capsys):
     assert _main(name)(argv) == 0
     assert capsys.readouterr().out

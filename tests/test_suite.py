@@ -33,11 +33,12 @@ def test_only_filter():
 
 def test_boson_rows_run_on_heisenberg_in_any_preset_order():
     # the single-preset rows always take the free boson, also when it is
-    # not the first preset named
+    # not the first preset named; associativity runs once per preset
     cfg = SuiteConfig(presets=("virasoro", "heisenberg"), mode_degree=2,
                       only=("associativity_nested", "embedding_roundtrip"))
     out = run_suite(cfg)
     assert [(label, p, rep.passed) for label, p, rep, _ in out] == [
+        ("associativity_nested", "virasoro", True),
         ("associativity_nested", "heisenberg", True),
         ("embedding_roundtrip", "heisenberg", True)]
 
