@@ -16,25 +16,27 @@ the vertex algebra that multiplies each generator and T z coefficient of
 the OPE by lambda and each vacuum coefficient by lambda^2.  A preset takes
 the smallest lambda >= 1 that makes all of them integers, the lcm of their
 denominators and of `_scale` over the vacuum terms, so `commutator`
-returns integers.  The memo tables, per preset in `VAPreset._memos`, map
-a key to a dict {mono: int} of nonzero coefficients in the lambda*x basis:
+returns integers.  The memo tables, per preset in `VAPreset._memos`, hold
+dicts {mono: int} of nonzero coefficients in the lambda*x basis:
 
 * ``gen``: (gen, n, mono) -> the oscillator mode gen_n applied to mono;
-* ``sm``: (a, n, b) -> the state mode a_(n) b on basis monomials, for a
-  other than the vacuum: the vacuum acts as the identity field, so
-  |0>_(n) b is answered on the spot ({b: 1} at n = -1, else empty) and
-  never stored.
+* ``sm``: (a, b) -> the field of a pair of basis monomials, a other than
+  the vacuum: (hi, tables), tables[hi - 1 - n] the state mode a_(n) b for
+  the contiguous range hi - len(tables) <= n < hi.  hi = deg a + deg b by
+  the grading bound, and hi = 0 when b is the vacuum (a_(n)|0> = 0 for
+  n >= 0).  A request below the range extends it downward.  The vacuum
+  acts as the identity field, so |0>_(n) b is answered on the spot
+  ({b: 1} at n = -1, else empty) and never stored.
 
 These are the engine's two recursions, and every public function reads
 one of them.  The translation operator has no table of its own: the
 vacuum axiom Y(b, z)|0> = e^{zT} b gives T b = b_(-2)|0>, so `translate`
-reads the ``sm`` entry (b, -2, |0>).
+reads the field of (b, |0>) at n = -2.
 
-Beside them ``deg`` holds the degrees of the monomials the recursion was
-entered with and ``rows`` the signed binomial rows (-1)^i C(p, i) of the
-iterate expansion, one per (p, length).  The recursion fills these tables
-in place, reading and merging them directly, on integers only, and never
-builds a `QQi` or a `GradedVector`.
+Beside them ``deg`` holds the degrees of the monomials the public
+functions were entered with, each checked once.  The recursion fills these
+tables in place, reading and merging them directly, on integers only, and
+never builds a `QQi` or a `GradedVector`.
 
 lambda and `QQi` enter only in the public functions (`gen_mode_mono`,
 `gen_mode_apply`, `translate`, `translate_power`, `state_mode_mono`,
@@ -52,15 +54,24 @@ any complex contribution is complex, exactly as `GradedVector.scale` and
 `+` would give, and its float is that of the unscaled entry.
 `clear_caches` empties every table.
 
-`state_mode` peels the leading PBW factor of the acting state through the
+`state_mode` peels the leading PBW factor x(-m) of the acting state,
+a = u_(p) v with u = x_{-w}|0> and p = w - 1 - m <= -1, through the
 standard iterate expansion
 
     (u_(p) v)_(n) = sum_i (-1)^i C(p,i) (u_(p-i) v_(n+i)
                                          - (-1)^p v_(p+n-i) u_(i)),
 
 with both sums truncated by the grading bound a_(n) b = 0 for
-n >= deg a + deg b.  An independent normal-ordered-field expansion lives in
-`oracle` and is used to cross-check this recursion.
+n >= deg a + deg b.  One extension of the field of (a, b) runs both sums
+for all its new n at once: it reads the field of (v, b) once, and that of
+(v, c) once per monomial c of u_(i) b, and merges their entries by list
+index.  Each of those is asked for an upper range of its own pair, so no
+entry is filled that the range of (a, b) does not read.  For a single
+generator state a = x_{-m}|0> each sum keeps one term, and
+a_(n) = c x_{n-m+1}, with c = C(m-w+i, i) at i = -1-n for n <= -1,
+c = -(-1)^p (-1)^i C(p, i) at i = n-m+w for n >= m-w, and zero between.
+An independent normal-ordered-field expansion lives in `oracle` and is
+used to cross-check this recursion.
 """
 from __future__ import annotations
 
@@ -200,7 +211,7 @@ _memo_root: dict = {}
 
 def _shared_memos(key):
     return _memo_root.setdefault(key, {t: {} for t in (
-        "gen", "sm", "deg", "rows", "basis", "oracle")})
+        "gen", "sm", "deg", "basis", "oracle")})
 
 
 def preset_from_name(name: str, c=None, level=None) -> VAPreset:
@@ -229,8 +240,8 @@ def basis(preset: VAPreset, degree: int):
     memo = preset._memos["basis"]
     if degree in memo:
         return memo[degree]
-    floor = preset.creation_floor(preset.generators[0])
     gens = preset.generators
+    floors = [preset.creation_floor(g) for g in gens]
 
     out = []
 
@@ -238,10 +249,13 @@ def basis(preset: VAPreset, degree: int):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        # factors in weakly decreasing (m, then generator-order) sequence
-        for m in range(min(remaining, max_key[0]), floor - 1, -1):
+        # factors in weakly decreasing (m, then generator-order) sequence,
+        # each x(-m) at or above the creation floor of x
+        for m in range(min(remaining, max_key[0]), min(floors) - 1, -1):
             start = max_key[1] if m == max_key[0] else 0
             for gi in range(start, len(gens)):
+                if m < floors[gi]:
+                    continue
                 prefix.append((gens[gi], m))
                 rec(remaining - m, (m, gi), prefix)
                 prefix.pop()
@@ -283,23 +297,37 @@ def _gen(preset, gen, n, mono) -> dict:
 
 
 def _sm(preset, a, n, b) -> dict:
-    """The table of a_(n) b.  The vacuum acts as the identity field, so for
-    a = |0> this is {b: 1} at n = -1 and empty otherwise, and no memo
-    entry is stored for it."""
+    """The table of a_(n) b, read from the field of (a, b).  The vacuum acts
+    as the identity field, so for a = |0> this is {b: 1} at n = -1 and
+    empty otherwise, and no field is stored for it."""
     if not a:
         return {b: 1} if n == -1 else {}
     memos = preset._memos
-    key = (a, n, b)
-    out = memos["sm"].get(key)
-    if out is None:
+    entry = memos["sm"].get((a, b))
+    if entry is None or entry[0] - len(entry[1]) > n:
         degs = memos["deg"]
         da, db = degs.get(a), degs.get(b)
         if da is None:
             da = degs[a] = _valid_degree(preset, a)
         if db is None:
             db = degs[b] = _valid_degree(preset, b)
-        out = memos["sm"][key] = _state_mode_impl(preset, a, da, n, b, db)
-    return out
+        entry = _field(preset, a, da, b, db, n)
+    hi, tables = entry
+    return tables[hi - 1 - n] if n < hi else {}
+
+
+def _field(preset, a, da, b, db, lo):
+    """The field of (a, b) for a nonempty a of degree da and b of degree db,
+    filled down to n = lo: the pair (hi, tables), tables[hi - 1 - n] the
+    table of a_(n) b for hi - len(tables) <= n < hi."""
+    smemo = preset._memos["sm"]
+    entry = smemo.get((a, b))
+    if entry is None:
+        entry = smemo[(a, b)] = (da + db if b else 0, [])
+    hi, tables = entry
+    if hi - len(tables) > lo:
+        _extend(preset, a, da, b, db, hi, tables, lo)
+    return entry
 
 
 def _valid_degree(preset, mono) -> int:
@@ -313,11 +341,12 @@ def _valid_degree(preset, mono) -> int:
     return mono_degree(mono)
 
 
-def _row(rows, p, length):
-    """The signed binomial row ((-1)^i C(p, i) for i < length), stored in
-    the `rows` table once per (p, length)."""
-    rows[(p, length)] = row = tuple(-binom(p, i) if i % 2 else binom(p, i)
-                                    for i in range(length))
+def _row(p, length):
+    """The signed binomial row ((-1)^i C(p, i) for i < length)."""
+    row, r = [], 1
+    for i in range(length):
+        row.append(r)
+        r = r * (i - p) // (i + 1)
     return row
 
 
@@ -426,7 +455,19 @@ def _exact_vector(preset, table: dict, ell: int) -> GradedVector:
 
 def gen_mode_mono(preset: VAPreset, gen: str, n: int, mono: Mono) -> GradedVector:
     """Apply the oscillator mode gen_n to a canonical basis monomial."""
+    _check_gen_input(preset, gen, mono)
     return _exact_vector(preset, _gen(preset, gen, n, mono), len(mono) + 1)
+
+
+def _check_gen_input(preset, gen, mono) -> None:
+    """ValueError naming an unknown generator, or a monomial that
+    `_valid_degree` refuses; a valid monomial is checked once, and its
+    degree kept in the `deg` table."""
+    if gen not in preset._weights:
+        raise ValueError(f"{gen} is not a {preset.kind} generator")
+    degs = preset._memos["deg"]
+    if mono not in degs:
+        degs[mono] = _valid_degree(preset, mono)
 
 
 def _gen_mode_mono_impl(preset, gen, n, mono):
@@ -455,6 +496,7 @@ def gen_mode_apply(preset: VAPreset, gen: str, n: int, v: GradedVector) -> Grade
     """Linear extension of `gen_mode_mono` to arbitrary vectors."""
     acc = {}
     for mono, coeff in v.terms.items():
+        _check_gen_input(preset, gen, mono)
         table = _gen(preset, gen, n, mono)
         if table:
             _add_lifted(acc, coeff, table, preset._lam, len(mono) + 1)
@@ -493,42 +535,44 @@ def state_mode_mono(preset: VAPreset, a: Mono, n: int, b: Mono) -> GradedVector:
     return _exact_vector(preset, _sm(preset, a, n, b), len(a) + len(b))
 
 
-def _state_mode_impl(preset, a, da, n, b, db):
-    """a_(n) b for a nonempty basis monomial a of degree da and b of degree
-    db.  Reads the `gen` and `sm` memo tables directly, filling a missing
-    entry through its implementation, and merges into the result in place
-    with the rule of `_acc`.  Degrees are passed down: rest = a[1:] has
-    degree da - m, and x_k lowers the degree of a monomial by k."""
-    memos = preset._memos
-    gmemo, smemo, rows = memos["gen"], memos["sm"], memos["rows"]
+def _extend(preset, a, da, b, db, hi, tables, lo):
+    """Append a_(n) b to the field `tables` of (a, b) for each n from the
+    bottom of its range down to lo.  Reads the `gen` table and the fields
+    of a[1:] directly, filling them as needed, and merges into each new
+    table in place with the rule of `_acc`.  Degrees are passed down:
+    rest = a[1:] has degree da - m, and x_k lowers the degree of a
+    monomial by k."""
+    gmemo = preset._memos["gen"]
     x, m = a[0]
     rest = a[1:]
     w = preset.weight(x)
     p = w - 1 - m      # a = u_(p) rest with u = x_{-w}|0>; p <= -1
+    sign = 1 if p % 2 else -1      # -(-1)^p
+    top = hi - len(tables)
+    row = _row(p, max(hi - lo, hi, db + w))
+    if not rest:
+        # a = x_{-m}|0>: only i = -1-n of the first sum (n <= -1) and
+        # i = p+n+1 of the second (n >= -1-p) survive, so a_(n) is c times
+        # the oscillator mode x_{n-m+1}
+        for n in range(top - 1, lo - 1, -1):
+            i = -1 - n if n < 0 else p + n + 1
+            c = 0 if i < 0 else row[i] if n < 0 else sign * row[i]
+            g = _gen(preset, x, n - m + 1, b) if c else {}
+            tables.append(g if c == 1 else {mono: c * v
+                                            for mono, v in g.items()})
+        return
     dr = da - m
-    out = {}
-    # sum_i (-1)^i C(p,i) u_(p-i) (rest_(n+i) b); rest_(k) b vanishes for
-    # k > deg rest + deg b - 1 by the grading bound, and for the vacuum
-    # rest at every k but -1
-    top = dr + db - n
-    if top > 0:
-        row = rows.get((p, top)) or _row(rows, p, top)
-        for i in range(top):
-            if rest:
-                key = (rest, n + i, b)
-                inner = smemo.get(key)
-                if inner is None:
-                    inner = smemo[key] = _state_mode_impl(preset, rest, dr,
-                                                          n + i, b, db)
-                if not inner:
-                    continue
-            elif n + i == -1:
-                inner = {b: 1}
-            else:
+    new = [{} for _ in range(top - lo)]     # new[j] is a_(top-1-j) b
+    # sum_i (-1)^i C(p,i) u_(p-i) (rest_(n+i) b), where u_(p-i) is the
+    # oscillator mode x_{-m-i}, nonzero on every i since p <= -1
+    rhi, rtables = _field(preset, rest, dr, b, db, lo)
+    for j, out in enumerate(new):
+        n = top - 1 - j
+        for i in range(rhi - n):
+            inner = rtables[rhi - 1 - n - i]
+            if not inner:
                 continue
-            # u_(j) is the oscillator mode x_{j-w+1}; p <= -1, so no entry
-            # of a row is zero
-            k = p - i - w + 1
+            k = -m - i
             coeff = row[i]
             for mono, c in inner.items():
                 key = (x, k, mono)
@@ -542,16 +586,10 @@ def _state_mode_impl(preset, a, da, n, b, db):
                         out[mono2] = v
                     else:
                         del out[mono2]
-    # -(-1)^p sum_i (-1)^i C(p,i) rest_(p+n-i) (u_(i) b); u_(i) b vanishes
-    # once the oscillator index i-w+1 exceeds deg b, and for the vacuum
-    # rest only i = p+n+1 gives rest_(-1), the identity
-    length = db + w
-    row = rows.get((p, length)) or _row(rows, p, length)
-    sign = 1 if p % 2 else -1      # -(-1)^p
-    for i in range(length):
-        nk = p + n - i
-        if not rest and nk != -1:
-            continue
+    # -(-1)^p sum_i (-1)^i C(p,i) rest_(p+n-i) (u_(i) b), where u_(i) is
+    # x_{i-w+1}, zero on b once i-w+1 exceeds deg b; each monomial of
+    # u_(i) b has its field read once for all the new n
+    for i in range(db + w):
         k = i - w + 1
         key = (x, k, b)
         ub = gmemo.get(key)
@@ -561,24 +599,20 @@ def _state_mode_impl(preset, a, da, n, b, db):
             continue
         coeff = sign * row[i]
         for mono, c in ub.items():
-            if rest:
-                key = (rest, nk, mono)
-                inner = smemo.get(key)
-                if inner is None:
-                    inner = smemo[key] = _state_mode_impl(preset, rest, dr,
-                                                          nk, mono, db - k)
-                if not inner:
-                    continue
-            else:
-                inner = {mono: 1}
+            mhi, mtables = _field(preset, rest, dr, mono, db - k, p + lo - i)
+            # new[j] reads rest_(p+top-1-j-i) mono, at mtables[base + j];
+            # base < 0 only for mono = |0>, whose field ends at n = -1
+            base = mhi - p - top + i
             s = c * coeff
-            for mono2, c2 in inner.items():
-                v = out.get(mono2, 0) + c2 * s
-                if v:
-                    out[mono2] = v
-                else:
-                    del out[mono2]
-    return out
+            for j in range(max(0, -base), len(new)):
+                out = new[j]
+                for mono2, c2 in mtables[base + j].items():
+                    v = out.get(mono2, 0) + c2 * s
+                    if v:
+                        out[mono2] = v
+                    else:
+                        del out[mono2]
+    tables.extend(new)
 
 
 def state_mode(preset: VAPreset, a: GradedVector, n: int, b: GradedVector) -> GradedVector:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxfact import presets
 from voxfact.graded import GradedVector, mono_degree, parse_token
 from voxfact.oracle import oracle_mode_mono
 from voxfact.presets import (VAPreset, basis, basis_upto, clear_caches,
@@ -87,6 +88,16 @@ def test_basis_counts(boson, vir, sl2):
     assert [len(basis(vir, d)) for d in range(7)] == [1, 0, 1, 1, 2, 2, 4]
     # sl2: partitions with 3 colors
     assert [len(basis(sl2, d)) for d in range(5)] == [1, 3, 9, 22, 51]
+
+
+def test_basis_takes_each_generator_floor(monkeypatch):
+    # a commutative algebra with generators of weights 1 and 2: L(-1) lies
+    # below the creation floor of L, though a(-1) does not
+    monkeypatch.setitem(presets._ALGEBRAS, "two_weights",
+                        ({"a": 1, "L": 2}, {}, lambda c, level: {}))
+    p = VAPreset("two_weights")
+    assert sorted(basis(p, 2)) == sorted([(("a", 2),), (("a", 1), ("a", 1)),
+                                          (("L", 2),)])
 
 
 def test_basis_monomials_canonical(sl2):
@@ -302,9 +313,35 @@ def test_tables_hold_integers_only():
             translate(p, GradedVector.basis(am))
         for name in ("gen", "sm", "oracle"):
             assert p._memos[name], (p.kind, name)
-            for table in p._memos[name].values():
+            # an sm entry is the field (hi, tables) of a pair (a, b)
+            tables = ([t for _, field in p._memos[name].values()
+                       for t in field] if name == "sm"
+                      else p._memos[name].values())
+            for table in tables:
                 assert all(type(c) is int for c in table.values()), (
                     p.kind, name, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_PRESETS)))
+def test_fields_fill_alike_in_any_order(data, name):
+    # a field filled by requests in random order, each extending it down or
+    # reading it, holds what each request reads first on a cleared cache
+    p = _PRESETS[name]
+    states = basis_upto(p, 4)
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(states),
+                                         st.sampled_from(states)),
+                               min_size=1, max_size=3))
+    requests = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        am, bm = data.draw(st.sampled_from(pairs))
+        n = data.draw(st.integers(-3, mono_degree(am) + mono_degree(bm) - 1))
+        requests.append((am, n, bm))
+    clear_caches()
+    got = [state_mode_mono(p, *r) for r in requests]
+    for r, vec in zip(requests, got):
+        clear_caches()
+        _same_terms(vec, state_mode_mono(p, *r))
 
 
 @pytest.mark.parametrize("name", sorted(_PRESETS))
@@ -344,6 +381,17 @@ def test_invalid_monomials_raise_value_error(vir, a):
         state_mode(vir, a, -3, VAC)
     with pytest.raises(ValueError, match=r"not a virasoro basis monomial"):
         state_mode(vir, B("L(-2)"), 1, a)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda p: gen_mode_mono(p, "X", -2, ()), "X"),
+    (lambda p: gen_mode_mono(p, "L", -3, (("X", 2),)), r"X\(-2\)"),
+    (lambda p: gen_mode_apply(p, "L", -2, B("L(-1)")), r"L\(-1\)")],
+    ids=["unknown_generator", "unknown_factor", "below_floor"])
+def test_oscillator_modes_refuse_invalid_input(vir, call, name):
+    # once a bare KeyError, the vector L(-3)X(-2) and the vector L(-2)L(-1)
+    with pytest.raises(ValueError, match=name):
+        call(vir)
 
 
 # --- the OPE tables, without the oracle --------------------------------------

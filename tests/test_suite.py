@@ -71,13 +71,15 @@ def test_mode_oracle_row_fails_on_a_wrong_table():
     # memo must fail it, with both sides lifted into the witness
     p = preset_from_name("virasoro", c=7)
     a = b = (("L", 2),)
-    key = (a, 1, b)
-    good = _sm(p, *key)
-    p._memos["sm"][key] = {mono: -c for mono, c in good.items()}
+    _sm(p, a, -2, b)            # fills the field of (a, b) down to n = -2
+    hi, field = p._memos["sm"][(a, b)]
+    i = hi - 1 - 1              # the index of the table at n = 1
+    good = field[i]
+    field[i] = {mono: -c for mono, c in good.items()}
     try:
         rep = check_mode_oracle(p, 2)
     finally:
-        p._memos["sm"][key] = good
+        field[i] = good
     assert not rep.passed
     assert rep.witness["n"] == 1
     assert rep.witness["iterate"]["terms"][0]["re"] == "-2"
