@@ -27,13 +27,17 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     # defaults stay None here so that --config values can fill them in;
-    # the hard fallbacks live in _apply_config
-    def common(p):
-        p.add_argument("--preset", default=None,
-                       choices=["heisenberg", "virasoro", "affine_sl2"])
+    # the hard fallbacks live in _apply_config.  A subcommand offers only
+    # the options it reads.
+    def common(p, preset=True, window=True):
+        if preset:
+            p.add_argument("--preset", default=None,
+                           choices=["heisenberg", "virasoro", "affine_sl2"])
         p.add_argument("--c", default=None, help="virasoro central charge")
         p.add_argument("--level", default=None, help="affine level")
-        p.add_argument("--window", default=None, help="degree window lo:hi")
+        if window:
+            p.add_argument("--window", default=None,
+                           help="degree window lo:hi")
         p.add_argument("--out", default=None, help="write output to a file")
 
     def sampling(p):  # read by the randomized checks
@@ -44,7 +48,7 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("mode", help="apply a state mode: a_(n) b")
-    common(p)
+    common(p, window=False)
     p.add_argument("--a", required=True, help="state JSON")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--b", required=True, help="state JSON")
@@ -57,7 +61,7 @@ def build_parser():
     p.add_argument("--numeric", action="store_true")
 
     p = sub.add_parser("check", help="run a single defining-property check")
-    common(p)
+    common(p, window=False)
     p.add_argument("--axiom", required=True,
                    choices=["insertion", "meromorphicity"])
 
@@ -85,8 +89,10 @@ def build_parser():
     common(p)
     p.add_argument("--m", type=int, default=1)
 
-    p = sub.add_parser("suite", help="run the full check suite")
-    common(p)
+    # names in full only, so that --preset is refused, not read as --presets
+    p = sub.add_parser("suite", help="run the full check suite",
+                       allow_abbrev=False)
+    common(p, preset=False)
     sampling(p)
     p.add_argument("--quad-n", type=int, default=None)
     p.add_argument("--format", default=None, choices=["json", "csv"])

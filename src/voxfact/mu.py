@@ -26,7 +26,7 @@ from functools import cache
 
 from .errors import DomainViolation
 from .graded import GradedVector, ProductVector
-from .presets import VAPreset, pole_bound, state_mode, translate
+from .presets import VAPreset, pole_bound, state_mode
 from .report import CheckReport
 from .scalars import (DegreeWindow, QQi, binom, exact_value, same_point,
                       scalar_pow, scalar_zero)
@@ -50,9 +50,11 @@ def mode_box(preset: VAPreset, states, window: DegreeWindow,
     times z_m^j, from the flow e^{z_m T}.  A zero scalar drops its term.
     With no states the map is the vacuum.
     """
+    vacuum = GradedVector.vacuum()
     if not states:
-        return ProductVector.from_vector(GradedVector.vacuum(), window)
-    flow = [{} for _ in range(window.hi + 1)]  # j -> U_j / j!
+        return ProductVector.from_vector(vacuum, window)
+    # flow[j] is U_j = sum of scalar(exps, j) V_e, the state T^j / j! moves
+    flow = [{} for _ in range(window.hi + 1)]
     for parts in itertools.product(*([s.project(d) for d in s.degrees()]
                                      for s in states)):
         for exps, d, vec in _box_terms(preset, parts, window.hi):
@@ -61,15 +63,14 @@ def mode_box(preset: VAPreset, states, window: DegreeWindow,
                            window.hi - d + 1 if d else 1):
                 s = scalar(exps, j)
                 if s:
-                    if j > 1:
-                        s = s / math.factorial(j)
                     acc = flow[j]
                     for mono, c in vec.terms.items():
                         acc[mono] = acc.get(mono, 0) + c * s
-    # sum_j T^j U_j / j! by Horner's rule: one translation per order
+    # T^j U_j / j! = (U_j)_(-j-1)|0>, by the vacuum axiom
+    # Y(U, z)|0> = e^{zT} U: one state mode per order
     out = GradedVector.zero()
-    for acc in reversed(flow):
-        out = GradedVector(acc) + translate(preset, out)
+    for j, acc in enumerate(flow):
+        out = out + state_mode(preset, GradedVector(acc), -j - 1, vacuum)
     return ProductVector.from_vector(out, window)
 
 

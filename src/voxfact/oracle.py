@@ -20,17 +20,18 @@ The route runs on the same integer tables {mono: int} as `presets`, in the
 same basis of rescaled generators lambda*x, merging with `presets._acc` and
 reading the shared oscillator table `presets._gen`; it has its own memo
 table (``oracle``) and never reads ``sm``.  lambda and `QQi` enter only in
-`oracle_mode_mono`, through the lift `presets._exact_vector`.
+`oracle_mode_mono`, through the lift `presets._add_lifted`.
 """
 from __future__ import annotations
 
 from .graded import GradedVector, Mono, mono_degree
-from .presets import VAPreset, _acc, _exact_vector, _gen
+from .presets import VAPreset, _acc, _add_lifted, _gen
 from .scalars import binom
 
 
 def oracle_mode_mono(preset: VAPreset, a: Mono, n: int, b: Mono) -> GradedVector:
-    return _exact_vector(preset, _oracle(preset, a, n, b), len(a) + len(b))
+    return GradedVector.from_nonzero(_add_lifted(
+        {}, 1, _oracle(preset, a, n, b), preset._lam, len(a) + len(b)))
 
 
 def _oracle(preset, a, n, b) -> dict:

@@ -33,26 +33,24 @@ one of them.  The translation operator has no table of its own: the
 vacuum axiom Y(b, z)|0> = e^{zT} b gives T b = b_(-2)|0>, so `translate`
 reads the field of (b, |0>) at n = -2.
 
-Beside them ``deg`` holds the degrees of the monomials the public
-functions were entered with, each checked once.  The recursion fills these
-tables in place, reading and merging them directly, on integers only, and
-never builds a `QQi` or a `GradedVector`.
+Beside them ``deg`` holds the degree of each monomial the engine has met,
+checked once by `_degree`; the vacuum, which stores no field, has the
+state it acts on checked too.  The recursion fills these tables in place,
+reading and merging them directly, on integers only, and never builds a
+`QQi` or a `GradedVector`.
 
-lambda and `QQi` enter only in the public functions (`gen_mode_mono`,
-`gen_mode_apply`, `translate`, `translate_power`, `state_mode_mono`,
-`state_mode`, and `oracle.oracle_mode_mono` through `_exact_vector`),
-which lift a table, or a linear combination of tables, into one
-`GradedVector` per call.  A monomial of l PBW factors in the lambda*x
-basis is lambda^l times the original one, so an entry c at a monomial of
-l_out factors, for inputs of l_in factors in all (a and b of a state mode,
-the generator and b of an oscillator mode, b of T), is
-c lambda^(l_out - l_in); a commutator only removes factors, so the power
-goes into the denominator.  The boundary works on integer triples
-(a, b, d) for (a + b*i)/d, summed per term over the lcm of the
-denominators and reduced by one gcd when the `QQi` is built.  A term with
-any complex contribution is complex, exactly as `GradedVector.scale` and
-`+` would give, and its float is that of the unscaled entry.
-`clear_caches` empties every table.
+A table leaves the lambda*x basis only through `_add_lifted`, which every
+public function (`gen_mode_mono`, `gen_mode_apply`, `translate`,
+`translate_power`, `state_mode_mono`, `state_mode`, and
+`oracle.oracle_mode_mono`) calls to build the `GradedVector` it returns.
+A monomial of l PBW factors in the lambda*x basis is lambda^l times the
+original one, so an entry c at a monomial of l_out factors, for inputs of
+l_in factors in all (a and b of a state mode, the generator and b of an
+oscillator mode, b of T), is c lambda^(l_out - l_in); a commutator only
+removes factors, so the power goes into the denominator.  The scalar the
+table is scaled by is read once, as a `QQi` when exact and as a complex
+otherwise, and the terms are merged with `+`: the arithmetic of
+`GradedVector` itself.  `clear_caches` empties every table.
 
 `state_mode` peels the leading PBW factor x(-m) of the acting state,
 a = u_(p) v with u = x_{-w}|0> and p = w - 1 - m <= -1, through the
@@ -76,11 +74,11 @@ used to cross-check this recursion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .graded import GradedVector, Mono, mono_degree, mono_token
 from .records import FrozenRecord
-from .scalars import _make, _parts, _reduced, binom
+from .scalars import QQi, _reduced, binom, exact_value, is_exact
 
 # name: (weight per generator, in generator order; the parameters the OPE
 # reads, with their defaults; the OPE {(x, y): {j: {target: coeff}}} at c
@@ -299,19 +297,15 @@ def _gen(preset, gen, n, mono) -> dict:
 def _sm(preset, a, n, b) -> dict:
     """The table of a_(n) b, read from the field of (a, b).  The vacuum acts
     as the identity field, so for a = |0> this is {b: 1} at n = -1 and
-    empty otherwise, and no field is stored for it."""
+    empty otherwise, and no field is stored for it; b is checked all the
+    same."""
     if not a:
+        _degree(preset, b)
         return {b: 1} if n == -1 else {}
-    memos = preset._memos
-    entry = memos["sm"].get((a, b))
+    entry = preset._memos["sm"].get((a, b))
     if entry is None or entry[0] - len(entry[1]) > n:
-        degs = memos["deg"]
-        da, db = degs.get(a), degs.get(b)
-        if da is None:
-            da = degs[a] = _valid_degree(preset, a)
-        if db is None:
-            db = degs[b] = _valid_degree(preset, b)
-        entry = _field(preset, a, da, b, db, n)
+        entry = _field(preset, a, _degree(preset, a), b, _degree(preset, b),
+                       n)
     hi, tables = entry
     return tables[hi - 1 - n] if n < hi else {}
 
@@ -330,15 +324,20 @@ def _field(preset, a, da, b, db, lo):
     return entry
 
 
-def _valid_degree(preset, mono) -> int:
-    """The degree of a monomial; ValueError naming it on an unknown
-    generator or a factor x(-m) below the creation floor of x."""
-    weights = preset._weights
-    for x, m in mono:
-        if x not in weights or m < weights[x]:
-            raise ValueError(f"{''.join(map(mono_token, mono))} is not a "
-                             f"{preset.kind} basis monomial")
-    return mono_degree(mono)
+def _degree(preset, mono) -> int:
+    """The degree of a monomial, checked once and kept in the `deg` table;
+    ValueError naming it on an unknown generator or a factor x(-m) below
+    the creation floor of x."""
+    degs = preset._memos["deg"]
+    d = degs.get(mono)
+    if d is None:
+        weights = preset._weights
+        for x, m in mono:
+            if x not in weights or m < weights[x]:
+                raise ValueError(f"{''.join(map(mono_token, mono))} is not "
+                                 f"a {preset.kind} basis monomial")
+        d = degs[mono] = mono_degree(mono)
+    return d
 
 
 def _row(p, length):
@@ -354,99 +353,27 @@ def _row(p, length):
 # the public boundary: QQi / complex coefficients in GradedVectors
 
 
-def _exact_parts(s):
-    """The integer triple (a, b, d), d > 0, of an exact coefficient
-    (a + b*i)/d, not necessarily in lowest terms; None for a numeric one.
-    A triple stands for itself."""
-    return s if type(s) is tuple else _parts(s)
-
-
-def _product(x, y):
-    """x * y as a triple when both are exact, else as x * y."""
-    px, py = _exact_parts(x), _exact_parts(y)
-    if px is None or py is None:
-        return x * y
-    a, b, d = px
-    e, f, g = py
-    return a * e - b * f, a * f + b * e, d * g
-
-
-def _add_lifted(acc: dict, s, table: dict, lam: int, ell: int) -> None:
+def _add_lifted(acc: dict, s, table: dict, lam: int, ell: int) -> dict:
     """acc += s * table, the table lifted out of the lambda*x basis: for
     inputs of `ell` PBW factors in all, its entry c at a monomial of l
-    factors stands for c / lambda^(ell - l).
-
-    Follows the coefficient rule of `GradedVector.scale` and `+` term by
-    term: a term stays exact, held as an integer triple (a, b, d) over the
-    lcm of its denominators, until a numeric contribution arrives, and is
-    a complex from then on.  A term whose sum is zero is dropped and may
-    start afresh.
-    """
-    # an entry at a monomial of l factors is divided by div[l]
-    div = None if lam == 1 else [lam ** (ell - l) for l in range(ell + 1)]
-    parts = _exact_parts(s)
-    if parts is None:
-        for mono, c in table.items():
-            # the unscaled entry, int / int rounded once, is the float that
-            # complex() gave on the unscaled table
-            x = complex(c / div[len(mono)] if div else c) * s
-            if not x:
-                continue
-            old = acc.get(mono, 0)
-            if type(old) is tuple:
-                old = complex(old[0] / old[2], old[1] / old[2])
-            v = old + x
-            if v:
-                acc[mono] = v
-            else:
-                del acc[mono]
-        return
-    sa, sb, sd = parts
-    if not (sa or sb):
-        return
+    factors stands for c / lambda^(ell - l).  s is read as a `QQi` when
+    exact and as a complex otherwise, and the terms are merged with `+`,
+    so each coefficient is what `GradedVector.scale` and `+` give; a zero
+    sum is dropped.  Returns acc."""
+    if type(s) is not QQi:
+        s = exact_value(s) if is_exact(s) else complex(s)
+    if not s:
+        return acc
     for mono, c in table.items():
-        r, i, d = c * sa, c * sb, sd * div[len(mono)] if div else sd
+        k = ell - len(mono)
+        x = s * c if not k or lam == 1 else _reduced(c, 0, lam ** k) * s
         old = acc.get(mono)
-        if old is None:
-            acc[mono] = (r, i, d)
-        elif type(old) is tuple:
-            r0, i0, d0 = old
-            if d0 == d:
-                r += r0
-                i += i0
-            else:
-                g = gcd(d0, d)
-                e, e0 = d0 // g, d // g
-                r, i, d = r * e + r0 * e0, i * e + i0 * e0, d * e
-            if r or i:
-                acc[mono] = (r, i, d)
-            else:
-                del acc[mono]
-        else:
-            # int / int rounds the exact quotient once
-            v = old + complex(r / d, i / d)
-            if v:
-                acc[mono] = v
-            else:
-                del acc[mono]
-
-
-def _vector(acc: dict) -> GradedVector:
-    """The vector of an accumulator, its triples made `QQi` in place."""
-    for mono, v in acc.items():
-        if type(v) is tuple:
-            a, b, d = v
-            acc[mono] = _make(a, b, 1) if d == 1 else _reduced(a, b, d)
-    return GradedVector.from_nonzero(acc)
-
-
-def _exact_vector(preset, table: dict, ell: int) -> GradedVector:
-    """The exact lift of one table whose inputs have `ell` PBW factors in
-    all (see `_add_lifted`)."""
-    lam = preset._lam
-    return GradedVector.from_nonzero(
-        {mono: _reduced(c, 0, lam ** (ell - len(mono)))
-         for mono, c in table.items()})
+        v = x if old is None else old + x
+        if v:
+            acc[mono] = v
+        elif old is not None:
+            del acc[mono]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +383,16 @@ def _exact_vector(preset, table: dict, ell: int) -> GradedVector:
 def gen_mode_mono(preset: VAPreset, gen: str, n: int, mono: Mono) -> GradedVector:
     """Apply the oscillator mode gen_n to a canonical basis monomial."""
     _check_gen_input(preset, gen, mono)
-    return _exact_vector(preset, _gen(preset, gen, n, mono), len(mono) + 1)
+    return GradedVector.from_nonzero(_add_lifted(
+        {}, 1, _gen(preset, gen, n, mono), preset._lam, len(mono) + 1))
 
 
 def _check_gen_input(preset, gen, mono) -> None:
     """ValueError naming an unknown generator, or a monomial that
-    `_valid_degree` refuses; a valid monomial is checked once, and its
-    degree kept in the `deg` table."""
+    `_degree` refuses."""
     if gen not in preset._weights:
         raise ValueError(f"{gen} is not a {preset.kind} generator")
-    degs = preset._memos["deg"]
-    if mono not in degs:
-        degs[mono] = _valid_degree(preset, mono)
+    _degree(preset, mono)
 
 
 def _gen_mode_mono_impl(preset, gen, n, mono):
@@ -500,7 +425,7 @@ def gen_mode_apply(preset: VAPreset, gen: str, n: int, v: GradedVector) -> Grade
         table = _gen(preset, gen, n, mono)
         if table:
             _add_lifted(acc, coeff, table, preset._lam, len(mono) + 1)
-    return _vector(acc)
+    return GradedVector.from_nonzero(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +448,7 @@ def translate_power(preset: VAPreset, v: GradedVector, j: int) -> GradedVector:
             if table:
                 _add_lifted(acc, coeff, table, lam, len(mono))
         terms = acc
-    return _vector(terms)
+    return GradedVector.from_nonzero(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +457,8 @@ def translate_power(preset: VAPreset, v: GradedVector, j: int) -> GradedVector:
 
 def state_mode_mono(preset: VAPreset, a: Mono, n: int, b: Mono) -> GradedVector:
     """The n-th vertex operator mode of basis state a applied to basis state b."""
-    return _exact_vector(preset, _sm(preset, a, n, b), len(a) + len(b))
+    return GradedVector.from_nonzero(_add_lifted(
+        {}, 1, _sm(preset, a, n, b), preset._lam, len(a) + len(b)))
 
 
 def _extend(preset, a, da, b, db, hi, tables, lo):
@@ -623,9 +549,8 @@ def state_mode(preset: VAPreset, a: GradedVector, n: int, b: GradedVector) -> Gr
             # most pairs have an empty table; skip them before the product
             table = _sm(preset, am, n, bm)
             if table:
-                _add_lifted(acc, _product(ac, bc), table, lam,
-                            len(am) + len(bm))
-    return _vector(acc)
+                _add_lifted(acc, ac * bc, table, lam, len(am) + len(bm))
+    return GradedVector.from_nonzero(acc)
 
 
 def pole_bound(preset: VAPreset, a: GradedVector, b: GradedVector) -> int:

@@ -88,22 +88,27 @@ def weight_project(expr: Expression, k: int, preset: VAPreset,
     return pv.component(k), {"route": route}
 
 
-def _orbit_component(expr: Expression, k: int, preset: VAPreset,
-                     window: DegreeWindow, quad_n: int | None = None):
-    """l_k(expr) the long way, as the reference for `weight_project`:
-    sample q |-> ev(q . expr) on quad_n trapezoid nodes of a circle |q| = t
-    and extract the q^k Fourier coefficient, the moment of exponent -k-1.
-    The rule is exact below the aliasing bandwidth, so with more nodes than
-    the window is wide this agrees with `weight_project` up to rounding."""
+def _orbit_components(expr: Expression, ks, preset: VAPreset,
+                      window: DegreeWindow, quad_n: int | None = None):
+    """{k: l_k(expr)} for each k in ks, the long way, as the reference for
+    `weight_project`: sample q |-> ev(q . expr) on quad_n trapezoid nodes
+    of a circle |q| = t, each node evaluated once, and extract each q^k
+    Fourier coefficient, the moment of exponent -k-1.  The rule is exact
+    below the aliasing bandwidth, so with more nodes than the window is
+    wide this agrees with `weight_project` up to rounding."""
     if quad_n is None:
         quad_n = 2 * window.hi + 16
+    values = {}
 
     def ev(q):
-        return evaluate_expression(affine_act(q, QQi(0), expr), preset,
-                                   window).flatten()
+        if q not in values:
+            values[q] = evaluate_expression(affine_act(q, QQi(0), expr),
+                                            preset, window).flatten()
+        return values[q]
 
-    acc = quadrature_moment(ev, 0, _orbit_radius(expr), -k - 1, quad_n)
-    return acc.project(k)
+    r = _orbit_radius(expr)
+    return {k: quadrature_moment(ev, 0, r, -k - 1, quad_n).project(k)
+            for k in ks}
 
 
 def _orbit_radius(expr: Expression) -> float:
@@ -354,7 +359,7 @@ def roundtrip_check(preset: VAPreset, max_degree: int,
         r = abs(complex(z))
         big = Disc(QQi(0), Fraction(4 * (int(r) + 1)))
         expr = Expression.single(big, [DeltaJet(z, 0)], [a])
-        proj = _orbit_component(expr, k, preset, window)
+        proj = _orbit_components(expr, [k], preset, window)[k]
         direct = mu_one_point(preset, a.to_complex(), complex(z),
                               window).component(k)
         scale = max(direct.norm_inf(), 1.0)
@@ -380,8 +385,9 @@ def check_weight_partition(preset: VAPreset, exprs, window: DegreeWindow,
     witness = {}
     for num, expr in enumerate(exprs):
         total = GradedVector.zero()
-        for k in window.degrees():
-            total = total + _orbit_component(expr, k, preset, window)
+        for piece in _orbit_components(expr, window.degrees(), preset,
+                                       window).values():
+            total = total + piece
         direct = evaluate_expression(expr, preset, window,
                                      force_numeric=False).flatten()
         scale = max(direct.norm_inf(), 1.0)
@@ -407,13 +413,13 @@ def check_weight_idempotent(preset: VAPreset, exprs, window: DegreeWindow,
             if not piece:
                 continue
             embedded = state_embedding(carrier, piece)
-            again = _orbit_component(embedded, k, preset, window)
-            scale = max(piece.norm_inf(), 1.0)
-            err = again.distance(piece) / scale
             j = k + 1 if k + 1 in window else k - 1
-            if j in window:
-                cross = _orbit_component(embedded, j, preset, window)
-                err = max(err, cross.norm_inf() / scale)
+            orbit = _orbit_components(embedded, [k, j] if j in window
+                                      else [k], preset, window)
+            scale = max(piece.norm_inf(), 1.0)
+            err = orbit[k].distance(piece) / scale
+            if j in orbit:
+                err = max(err, orbit[j].norm_inf() / scale)
             if err > worst:
                 worst = err
                 witness = {"expression": num, "k": k}
@@ -433,7 +439,7 @@ def check_weight_quadrature(preset: VAPreset, samples, window: DegreeWindow,
         r = abs(complex(z))
         big = Disc(QQi(0), Fraction(4 * (int(r) + 1)))
         expr = Expression.single(big, [DeltaJet(z, 0)], [a])
-        proj = _orbit_component(expr, k, preset, window, quad_n)
+        proj = _orbit_components(expr, [k], preset, window, quad_n)[k]
         exact = mu_one_point(preset, a, z, window).component(k)
         scale = max(exact.norm_inf(), 1.0)
         err = proj.distance(exact.to_complex()) / scale

@@ -17,7 +17,7 @@ from .mu import (check_associativity, check_equivariance_exact,
                  check_meromorphicity, check_permutation, check_skew_transport)
 from .oracle import _oracle, oracle_mode_mono
 from .presets import (VAPreset, _sm, basis_upto, pole_bound,
-                      preset_from_name, state_mode_mono)
+                      preset_from_name, state_mode_mono, translate)
 from .records import Record
 from .relations import (check_weight_idempotent, check_weight_partition,
                         check_weight_quadrature, concentric_density_check,
@@ -255,13 +255,17 @@ def _associativity_case(preset):
 
 
 def _density_case(preset, window):
+    """The translation relation delta_p^(1) (x) a - delta_p (x) T a, zero
+    since d/dp mu(a, p) = mu(T a, p), along its dilation orbit; its two
+    terms scale alike only when a jet of order d is pushed forward with
+    the factor lambda^d."""
     gen = preset.generators[0]
-    a = GradedVector.basis(((gen, 1),))
+    a = GradedVector.basis(((gen, preset.creation_floor(gen)),))
     carrier = Disc(QQi(0), Fraction(3))
-    e1 = Expression.single(carrier, [DeltaJet(QQi(Fraction(1, 2)), 0)], [a])
-    e2 = Expression.single(carrier, [DeltaJet(QQi(Fraction(1, 2)), 0)], [a],
-                           coeff=QQi(-1))
-    relation = e1 + e2  # manifestly zero, stays zero along the orbit
+    p = QQi(Fraction(1, 2))
+    relation = (Expression.single(carrier, [DeltaJet(p, 1)], [a])
+                + Expression.single(carrier, [DeltaJet(p, 0)],
+                                    [translate(preset, a)], coeff=QQi(-1)))
     qs = [QQi(Fraction(1, 2)), QQi(Fraction(3, 4), Fraction(1, 4)),
           0.6 + 0.3j]
     return concentric_density_check(preset, relation, QQi(0), qs, window)

@@ -85,8 +85,7 @@ def test_npoint_coincident_points_exit_code(capsys):
 
 
 def test_check_insertion(capsys):
-    code, out, _ = run(capsys, "check", "--axiom", "insertion",
-                       "--window", "0:3")
+    code, out, _ = run(capsys, "check", "--axiom", "insertion")
     assert code == 0
     assert json.loads(out)["pass"] is True
 
@@ -152,6 +151,9 @@ def test_config_defaults(capsys, tmp_path):
     ["npoint", "--states", "a(-1)", "--points", "1", "--tol", "1e-9"],
     ["check", "--axiom", "insertion", "--seed", "1"],
     ["counterexample", "--format", "csv"],
+    ["suite", "--preset", "virasoro"],
+    ["mode", "--window", "0:1", "--a", "a(-1)", "--n", "1", "--b", "a(-1)"],
+    ["check", "--window", "0:1", "--axiom", "insertion"],
 ])
 def test_option_offered_only_where_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:

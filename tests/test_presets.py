@@ -22,7 +22,7 @@ from voxfact.presets import (VAPreset, basis, basis_upto, clear_caches,
                              gen_mode_apply, gen_mode_mono, pole_bound,
                              preset_from_name, state_mode, state_mode_mono,
                              translate, translate_power)
-from voxfact.scalars import QQi
+from voxfact.scalars import QQi, exact_value
 
 VAC = GradedVector.vacuum()
 
@@ -297,6 +297,56 @@ def test_boundary_mixed_term_in_both_orders(boson, first):
     assert type(got.terms[((("a", 1),))]) is complex
 
 
+_COEFFS = {"int": 2, "Fraction": Fraction(-2, 3),
+           "QQi": QQi(Fraction(1, 2), -1), "float": 0.75,
+           "complex": complex(0.5, -2)}
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFS))
+@pytest.mark.parametrize("name", ["heisenberg", "virasoro_c1/3"])
+def test_boundary_returns_qqi_or_complex(name, kind):
+    # an exact input coefficient comes back as a QQi and a float one as a
+    # complex, the value of the same call on the lifted input; lambda = 1
+    # and lambda = 6, where an entry at a monomial of fewer factors than
+    # the inputs is divided by a power of lambda
+    p = _PRESETS[name]
+    c = _COEFFS[kind]
+    want = QQi if kind in ("int", "Fraction", "QQi") else complex
+    gen = p.generators[0]
+    x = ((gen, p.creation_floor(gen)),)
+    monos = ((), x, x + x)
+    v = GradedVector({m: c for m in monos})
+    lifted = GradedVector({m: exact_value(c) if want is QQi else complex(c)
+                           for m in monos})
+    calls = [lambda u: translate(p, u), lambda u: translate_power(p, u, 2)]
+    calls += [lambda u, n=n: state_mode(p, u, n, u) for n in range(-2, 4)]
+    calls += [lambda u, n=n: gen_mode_apply(p, gen, n, u)
+              for n in range(-3, 3)]
+    terms = 0
+    for call in calls:
+        got = call(v)
+        terms += len(got.terms)
+        assert all(type(c) is want for c in got.terms.values()), got
+        _same_terms(got, call(lifted))
+    assert terms >= 30
+
+
+def test_boundary_pinned_values():
+    x = QQi(Fraction(1, 2), -1)
+    got = translate(preset_from_name("heisenberg"),
+                    GradedVector({(("a", 1),): 2}))
+    assert got.terms == {(("a", 2),): QQi(2)}
+    assert type(got.terms[(("a", 2),)]) is QQi
+    # L_(3) L = c/2 |0>, with c = 1/3 read in the basis 6L
+    vir = _PRESETS["virasoro_c1/3"]
+    got = state_mode(vir, B("L(-2)").scale(x), 3, B("L(-2)").scale(x))
+    assert got.terms == {(): x * x / 6}
+    assert type(got.terms[()]) is QQi
+    got = state_mode(vir, GradedVector({(("L", 2),): 0.5}), 1, B("L(-2)"))
+    assert got.terms == {(("L", 2),): complex(1.0)}
+    assert type(got.terms[(("L", 2),)]) is complex
+
+
 # --- the tables in the lambda*x basis ---------------------------------------
 
 def test_tables_hold_integers_only():
@@ -381,6 +431,16 @@ def test_invalid_monomials_raise_value_error(vir, a):
         state_mode(vir, a, -3, VAC)
     with pytest.raises(ValueError, match=r"not a virasoro basis monomial"):
         state_mode(vir, B("L(-2)"), 1, a)
+
+
+@pytest.mark.parametrize("n", [-2, -1, 0])
+def test_vacuum_acting_refuses_invalid_monomials(vir, n):
+    # the vacuum is answered without a field; it once returned X(-2) and
+    # L(-1) at n = -1, and 0 elsewhere, unchecked
+    with pytest.raises(ValueError, match=r"X\(-2\) is not a virasoro"):
+        state_mode(vir, VAC, n, B("X(-2)"))
+    with pytest.raises(ValueError, match=r"L\(-1\) is not a virasoro"):
+        state_mode_mono(vir, (), n, (("L", 1),))
 
 
 @pytest.mark.parametrize("call, name", [

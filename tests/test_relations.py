@@ -9,7 +9,7 @@ from voxfact.functionals import CircleMoment, DeltaJet
 from voxfact.geometry import Disc
 from voxfact.graded import GradedVector
 from voxfact.linalg import nullspace
-from voxfact.relations import (_orbit_component, check_weight_idempotent,
+from voxfact.relations import (_orbit_components, check_weight_idempotent,
                                check_weight_partition,
                                check_weight_quadrature,
                                concentric_density_check, find_cover_element,
@@ -119,7 +119,7 @@ STATES = {"boson": ("a(-1)", "a(-2)"), "vir": ("L(-2)", "L(-2)"),
 
 
 def _close_to_orbit(piece, expr, k, preset, window):
-    ref = _orbit_component(expr, k, preset, window)
+    ref = _orbit_components(expr, [k], preset, window)[k]
     return piece.distance(ref) <= 1e-9 * max(piece.norm_inf(), 1.0)
 
 

@@ -3,9 +3,12 @@ import json
 
 import pytest
 
+from voxfact import expressions, functionals
 from voxfact.presets import _sm, preset_from_name
-from voxfact.suite import (SUITE_LABELS, SuiteConfig, check_mode_oracle,
-                           emit_tables, run_suite, suite_rows)
+from voxfact.scalars import DegreeWindow
+from voxfact.suite import (SUITE_LABELS, SuiteConfig, _density_case,
+                           check_mode_oracle, emit_tables, run_suite,
+                           suite_rows)
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +88,22 @@ def test_mode_oracle_row_fails_on_a_wrong_table():
     assert rep.witness["iterate"]["terms"][0]["re"] == "-2"
     assert rep.witness["oracle"]["terms"][0]["re"] == "2"
     assert check_mode_oracle(p, 2).passed
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "virasoro", "affine_sl2"])
+def test_density_row_holds_and_can_fail(monkeypatch, name):
+    # the row's relation delta_p^(1) (x) a - delta_p (x) T a is zero along
+    # the orbit only if a jet of order d is pushed forward with lambda^d;
+    # a relation that normalises to the zero expression would hold
+    # whatever the pushforward did
+    p = preset_from_name(name)
+    window = DegreeWindow(0, 4)
+    assert _density_case(p, window).passed
+
+    def unscaled(factor, lam, shift):
+        s, pushed = functionals.pushforward_factor(factor, lam, shift)
+        return (1, pushed) if isinstance(factor, functionals.DeltaJet) \
+            else (s, pushed)
+
+    monkeypatch.setattr(expressions, "pushforward_factor", unscaled)
+    assert not _density_case(p, window).passed
