@@ -40,10 +40,6 @@ def build_parser():
                            help="degree window lo:hi")
         p.add_argument("--out", default=None, help="write output to a file")
 
-    def sampling(p):  # read by the randomized checks
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-
     p = sub.add_parser("define", help="describe a preset and its basis")
     common(p)
 
@@ -67,7 +63,6 @@ def build_parser():
 
     p = sub.add_parser("factor", help="expression-level operations")
     common(p)
-    sampling(p)
     fsub = p.add_subparsers(dest="factor_command", required=True)
     fm = fsub.add_parser("multiply")
     fm.add_argument("--x", required=True, help="expression JSON")
@@ -77,7 +72,6 @@ def build_parser():
     fe.add_argument("--expr", required=True, help="expression JSON")
     fk = fsub.add_parser("kernel")
     fk.add_argument("--exprs", required=True, help="JSON list of expressions")
-    fsub.add_parser("counterexample")
     fsub.add_parser("weiss")
     fsub.add_parser("roundtrip")
     fp = fsub.add_parser("project")
@@ -93,7 +87,8 @@ def build_parser():
     p = sub.add_parser("suite", help="run the full check suite",
                        allow_abbrev=False)
     common(p, preset=False)
-    sampling(p)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--quad-n", type=int, default=None)
     p.add_argument("--format", default=None, choices=["json", "csv"])
     p.add_argument("--presets", default="heisenberg,virasoro,affine_sl2")
@@ -279,10 +274,6 @@ def _dispatch_factor(args) -> int:
         payload = [[str(c) for c in vec] for vec in basis_vecs]
         _emit(args, json.dumps(payload, indent=2))
         return 0
-    if fc == "counterexample":
-        rep, _ = run_counterexample(1, preset, window)
-        _emit(args, rep.to_json(indent=2))
-        return 0 if rep.passed else 1
     if fc == "weiss":
         from .suite import _weiss_accept, _weiss_reject
         ra, rr = _weiss_accept(preset), _weiss_reject(preset)
@@ -290,13 +281,7 @@ def _dispatch_factor(args) -> int:
                                sort_keys=True, default=str))
         return 0 if (ra.passed and rr.passed) else 1
     if fc == "roundtrip":
-        import random
-        rng = random.Random(args.seed)
-        from .suite import _random_point, _random_state
-        samples = [(_random_state(rng, preset, 3), _random_point(rng),
-                    rng.randrange(window.lo, window.hi + 1))
-                   for _ in range(5)]
-        rep = roundtrip_check(preset, 4, samples, window, tol=args.tol)
+        rep = roundtrip_check(preset, 4)
         _emit(args, rep.to_json(indent=2))
         return 0 if rep.passed else 1
     if fc == "project":

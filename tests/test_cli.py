@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from voxfact.cli import main
+from voxfact.expressions import Expression
 from voxfact.functionals import DeltaJet
+from voxfact.geometry import Disc
 from voxfact.graded import GradedVector
-from voxfact.mu import two_point_value
+from voxfact.mu import mu_one_point, two_point_value
 from voxfact.presets import heisenberg
 from voxfact.scalars import DegreeWindow, QQi
 
@@ -154,6 +156,8 @@ def test_config_defaults(capsys, tmp_path):
     ["suite", "--preset", "virasoro"],
     ["mode", "--window", "0:1", "--a", "a(-1)", "--n", "1", "--b", "a(-1)"],
     ["check", "--window", "0:1", "--axiom", "insertion"],
+    ["factor", "--seed", "1", "roundtrip"],
+    ["factor", "--tol", "1e-9", "roundtrip"],
 ])
 def test_option_offered_only_where_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -184,6 +188,58 @@ def test_factor_roundtrip(capsys):
     code, out, _ = run(capsys, "factor", "--window", "0:3", "roundtrip")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+GEN = GradedVector.basis((("a", 1),))
+
+
+def _delta(carrier, point, state=GEN, coeff=1):
+    return Expression.single(carrier, [DeltaJet(QQi(point), 0)], [state],
+                             coeff=QQi(coeff))
+
+
+def test_factor_multiply(capsys):
+    x = _delta(Disc(QQi(-2), 1), -2)
+    y = _delta(Disc(QQi(2), 1), 2)
+    code, out, _ = run(capsys, "factor", "multiply",
+                       "--x", json.dumps(x.to_obj()),
+                       "--y", json.dumps(y.to_obj()),
+                       "--target", json.dumps(Disc(QQi(0), 4).to_obj()))
+    assert code == 0
+    product = Expression.from_obj(json.loads(out))
+    assert product.carrier == Disc(QQi(0), 4)
+    [term] = product.terms
+    assert sorted(f.point.re for f in term.factors) == [-2, 2]
+    assert term.states == (GEN, GEN)
+
+
+def test_factor_eval(capsys):
+    expr = _delta(Disc(QQi(0), 4), Fraction(1, 2))
+    code, out, _ = run(capsys, "factor", "--window", "0:3", "eval",
+                       "--expr", json.dumps(expr.to_obj()))
+    assert code == 0
+    want = mu_one_point(heisenberg(), GEN, QQi(Fraction(1, 2)),
+                        DegreeWindow(0, 3))
+    assert json.loads(out) == want.to_obj()
+
+
+def test_factor_kernel(capsys):
+    e = _delta(Disc(QQi(0), 1), 0)
+    exprs = [e.to_obj(), _delta(Disc(QQi(0), 1), 0, coeff=2).to_obj()]
+    code, out, _ = run(capsys, "factor", "--window", "0:4", "kernel",
+                       "--exprs", json.dumps(exprs))
+    assert code == 0
+    assert json.loads(out) == [["-2", "1"]]
+
+
+def test_factor_weiss(capsys):
+    code, out, _ = run(capsys, "factor", "weiss")
+    assert code == 0
+    accept, reject = json.loads(out)
+    assert (accept["axiom"], accept["pass"]) == ("weiss_cover", True)
+    assert accept["truncation"] == {"lifted": 2, "total": 2}
+    assert (reject["axiom"], reject["pass"]) == ("weiss_cover_reject", True)
+    assert reject["witness"]["expression"] == 0
 
 
 def test_factor_project_exact(capsys):

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxfact import mu
 from voxfact.errors import DomainViolation
 from voxfact.graded import GradedVector, ProductVector
-from voxfact.mu import (check_associativity, check_equivariance_exact,
-                        check_equivariance_numeric, check_insertion_at_zero,
-                        check_meromorphicity, check_permutation,
-                        check_skew_transport, mu_numeric, mu_one_point,
+from voxfact.mu import (check_associativity, check_equivariance,
+                        check_insertion_at_zero, check_meromorphicity,
+                        check_permutation, mu_numeric, mu_one_point,
                         two_point_value)
 from voxfact.presets import basis_upto, preset_from_name
 from voxfact.scalars import DegreeWindow, QQi
@@ -34,6 +34,15 @@ def B(*tokens):
 def test_one_point_at_zero_is_identity(boson, gen_a, window6):
     pv = mu_one_point(boson, gen_a, QQi(0), window6)
     assert pv.flatten() == gen_a
+
+
+def test_one_point_at_float_zero_is_complex(boson, gen_a):
+    # a value computed from a float point is complex, also at 0.0
+    for z in (0.0, 1e-300):
+        pv = mu_one_point(boson, gen_a, z, DegreeWindow(0, 3))
+        assert pv.component(1).terms == {(("a", 1),): 1}
+        assert all(type(c) is complex for v in pv.components.values()
+                   for c in v.terms.values()), z
 
 
 def test_one_point_is_translation_flow(boson, gen_a):
@@ -208,40 +217,113 @@ def test_insertion_at_zero_check(boson):
 def test_equivariance_exact_check(boson, vir):
     q = QQi(Fraction(2, 3), Fraction(1, 2))
     a, w = B("a(-1)"), B("L(-2)")
-    rep = check_equivariance_exact(boson, [(a, a, QQi(3), q)],
-                                   DegreeWindow(0, 5))
+    rep = check_equivariance(boson, [([a, a], [QQi(3), QQi(0)], q)],
+                             DegreeWindow(0, 5), tol=0.0)
     assert rep.passed
-    rep = check_equivariance_exact(vir, [(w, w, QQi(4), q)],
-                                   DegreeWindow(0, 5))
+    rep = check_equivariance(vir, [([w, w], [QQi(4), QQi(0)], q)],
+                             DegreeWindow(0, 5), tol=0.0)
     assert rep.passed
 
 
 def test_equivariance_numeric_check(boson, gen_a):
-    rep = check_equivariance_numeric(
+    rep = check_equivariance(
         boson, [([gen_a, gen_a, gen_a], [4.0, 1.0 + 0.2j, 0.25j],
                  0.7 + 0.1j)], DegreeWindow(0, 4), tol=1e-8)
     assert rep.passed, rep.max_err
 
 
 def test_permutation_check(boson, gen_a):
-    rep = check_permutation(boson, [gen_a, B("a(-2)")], [3.0, 0.5 - 0.2j],
+    rep = check_permutation(boson, [([gen_a, B("a(-2)")], [3.0, 0.5 - 0.2j])],
                             DegreeWindow(0, 4), tol=1e-9)
     assert rep.passed, rep.max_err
 
 
 def test_skew_transport_check(boson, vir, gen_a):
-    rep = check_skew_transport(boson, [(gen_a, B("a(-2)"))],
-                               QQi(Fraction(5, 2)), DegreeWindow(0, 5))
+    # skew-symmetry is order independence at the points (z, 0)
+    rep = check_permutation(boson, [([gen_a, B("a(-2)")],
+                                     [QQi(Fraction(5, 2)), QQi(0)])],
+                            DegreeWindow(0, 5), tol=0.0)
     assert rep.passed
     w = B("L(-2)")
-    rep = check_skew_transport(vir, [(w, w)], QQi(2), DegreeWindow(0, 6))
+    rep = check_permutation(vir, [([w, w], [QQi(2), QQi(0)])],
+                            DegreeWindow(0, 6), tol=0.0)
     assert rep.passed
+
+
+TINY = QQi(Fraction(1, 10 ** 400))   # 0.0 as a float
+
+
+def _plant(monkeypatch, off):
+    """Patch `mode_box` so that its first result has its largest
+    coefficient c replaced by off(c); later calls are left alone."""
+    real, calls = mu.mode_box, []
+
+    def planted(*args):
+        pv = real(*args)
+        calls.append(1)
+        if len(calls) > 1:
+            return pv
+        k, mono, c = max(((k, m, c) for k, v in pv.components.items()
+                          for m, c in v.terms.items()),
+                         key=lambda kmc: abs(complex(kmc[2])))
+        terms = dict(pv.component(k).terms)
+        terms[mono] = off(c)
+        out = ProductVector(pv.window, dict(pv.components))
+        out.set_component(k, GradedVector(terms))
+        return out
+
+    monkeypatch.setattr(mu, "mode_box", planted)
+
+
+EXACT_CASES = [
+    (check_equivariance, [([B("a(-1)"), B("a(-2)")], [QQi(3), QQi(0)],
+                           QQi(Fraction(2, 3), Fraction(1, 2)))]),
+    (check_permutation, [([B("a(-1)"), B("a(-2)")],
+                          [QQi(Fraction(5, 2)), QQi(0)])]),
+]
+FLOAT_CASES = [
+    (check_equivariance, [([B("a(-1)")] * 3, [4.0, 1.0 + 0.2j, 0.25j],
+                           0.7 + 0.1j)]),
+    (check_permutation, [([B("a(-1)"), B("a(-2)")], [3.0, 0.5 - 0.2j])]),
+]
+
+
+@pytest.mark.parametrize("check, configs", EXACT_CASES,
+                         ids=["equivariance", "permutation"])
+def test_merged_check_fails_on_a_planted_exact_error(boson, monkeypatch,
+                                                     check, configs):
+    # an error of 1/10^400 reads 0.0 through float, so only an exact
+    # comparison finds it, whatever the tolerance
+    assert check(boson, configs, DegreeWindow(0, 4), tol=1e-9).passed
+    _plant(monkeypatch, lambda c: c + TINY)
+    rep = check(boson, configs, DegreeWindow(0, 4), tol=1e-9)
+    assert not rep.passed and rep.witness
+
+
+@pytest.mark.parametrize("check, configs", FLOAT_CASES,
+                         ids=["equivariance", "permutation"])
+def test_merged_check_fails_on_a_planted_float_error(boson, monkeypatch,
+                                                     check, configs):
+    assert check(boson, configs, DegreeWindow(0, 4), tol=1e-9).passed
+    _plant(monkeypatch, lambda c: c * (1 + 1e-6))
+    rep = check(boson, configs, DegreeWindow(0, 4), tol=1e-9)
+    assert not rep.passed and rep.max_err > 1e-9
+
+
+def test_insertion_at_zero_fails_on_a_planted_exact_error(boson,
+                                                          monkeypatch):
+    _plant(monkeypatch, lambda c: c + TINY)
+    rep = check_insertion_at_zero(boson, 2)
+    assert not rep.passed
+    assert rep.witness == {"state": GradedVector.vacuum().to_obj(),
+                           "degree": 0}
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "virasoro", "affine_sl2"])
 def test_two_point_locality(name):
     """mu(a, z, b, w) == mu(b, w, a, z) exactly, with w != 0, for every pair
-    of basis states of degree <= 2 (check_skew_transport covers w = 0)."""
+    of basis states of degree <= 2 (the suite's skew_transport row covers
+    w = 0)."""
     preset = preset_from_name(name)
     z, w = QQi(Fraction(5, 2), 1), QQi(Fraction(-1, 3), Fraction(1, 2))
     window = DegreeWindow(0, 4)
@@ -311,3 +393,14 @@ def test_meromorphicity_reports_the_pole_order_apart_from_the_error(vir):
 def test_meromorphicity_check(boson, vir, sl2):
     for preset in (boson, vir, sl2):
         assert check_meromorphicity(preset, 3).passed
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_meromorphicity_fails_on_a_wrong_pole_bound(vir, monkeypatch, shift):
+    # N - 1 leaves a_(N-1) b != 0 at or above the bound; N + 1 claims
+    # a_(N) b != 0, which the oracle refutes
+    real = mu.pole_bound
+    monkeypatch.setattr(mu, "pole_bound",
+                        lambda p, a, b: real(p, a, b) + shift)
+    rep = check_meromorphicity(vir, 2)
+    assert not rep.passed and rep.witness

@@ -275,7 +275,8 @@ def test_boundary_matches_linear_extension(data, name, kind, n, first):
                 _extend((state_mode_mono(p, s, -1, y), sc * yc)
                         for s, sc in (VAC + x).terms.items()
                         for y, yc in (xx - x).terms.items()))
-    # translate_power feeds its own exact triples back into the boundary
+    # translate_power feeds each lifted sum back into the boundary as the
+    # next scalars; j such steps equal j public translations
     repeated = b
     for j in (1, 2, 3):
         repeated = translate(p, repeated)

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from voxfact import expressions, functionals
 from voxfact.errors import VoxfactError
 from voxfact.expressions import Expression, evaluate_expression
 from voxfact.functionals import CircleMoment, DeltaJet
 from voxfact.geometry import Disc
 from voxfact.graded import GradedVector
 from voxfact.linalg import nullspace
+from voxfact.presets import translate
 from voxfact.relations import (_orbit_components, check_weight_idempotent,
                                check_weight_partition,
                                check_weight_quadrature,
@@ -194,9 +196,12 @@ def test_weight_quadrature_check(boson, window6):
 
 
 def test_roundtrip(boson, window6):
+    rep = roundtrip_check(boson, 4)
+    assert rep.passed and rep.max_err == 0.0, rep.witness
+    # the homomorphism square at an exact and a float point
     samples = [(B("a(-1)"), QQi(Fraction(1, 2)), 2),
                (B("a(-2)"), 0.3 + 0.4j, 3)]
-    rep = roundtrip_check(boson, 4, samples, window6)
+    rep = check_weight_quadrature(boson, samples, window6)
     assert rep.passed, rep.max_err
 
 
@@ -210,13 +215,30 @@ def test_multiplicativity(boson):
     assert rep.passed
 
 
-def test_concentric_density(boson, window6):
+def test_concentric_density(boson, window6, monkeypatch):
+    # the translation relation delta_p^(1) (x) a - delta_p (x) T a: zero at
+    # every exact scale, and within rounding at the float one
     a = B("a(-1)")
-    e = Expression.single(D4, [DeltaJet(QQi(1), 0)], [a])
-    relation = e + e.scale(QQi(-1))
-    qs = [QQi(Fraction(1, 2)), QQi(Fraction(2, 3), Fraction(1, 4)), 0.9j]
-    rep = concentric_density_check(boson, relation, QQi(0), qs, window6)
+    relation = (Expression.single(D4, [DeltaJet(QQi(1), 1)], [a])
+                + Expression.single(D4, [DeltaJet(QQi(1), 0)],
+                                    [translate(boson, a)], coeff=QQi(-1)))
+    assert len(relation.terms) == 2
+    qs = [QQi(Fraction(1, 2)), QQi(Fraction(2, 3), Fraction(1, 4))]
+    rep = concentric_density_check(boson, relation, QQi(0), qs, window6,
+                                   tol=0.0)
     assert rep.passed and rep.max_err == 0.0
+    rep = concentric_density_check(boson, relation, QQi(0), qs + [0.9j],
+                                   window6)
+    assert rep.passed and rep.max_err < 1e-12
+
+    # a jet pushed forward without its factor lambda^d breaks it
+    def unscaled(factor, lam, shift):
+        s, pushed = functionals.pushforward_factor(factor, lam, shift)
+        return (1, pushed) if isinstance(factor, DeltaJet) else (s, pushed)
+
+    monkeypatch.setattr(expressions, "pushforward_factor", unscaled)
+    assert not concentric_density_check(boson, relation, QQi(0), qs,
+                                        window6, tol=0.0).passed
 
 
 def test_find_cover_element():
@@ -230,7 +252,7 @@ def test_find_cover_element():
     assert find_cover_element(cover, far) is None
 
 
-def test_weiss_cover_accept(boson):
+def test_weiss_cover_accept():
     ambient = Disc(QQi(0), Fraction(3))
     cover = [Disc(QQi(0), Fraction(1)), Disc(QQi(0), Fraction(2)),
              Disc(QQi(0), Fraction(3))]
@@ -240,19 +262,18 @@ def test_weiss_cover_accept(boson):
                                [DeltaJet(QQi(Fraction(3, 2)), 0),
                                 DeltaJet(QQi(Fraction(-1, 2)), 0)],
                                [B("a(-1)"), B("a(-2)")])]
-    rep = weiss_cover_check(boson, cover, ambient, exprs,
-                            DegreeWindow(0, 5))
+    rep = weiss_cover_check(cover, exprs)
     assert rep.passed
-    assert rep.truncation["lifted"] == len(exprs)
+    assert rep.truncation == {"lifted": len(exprs), "total": len(exprs)}
 
 
-def test_weiss_cover_reject(boson):
+def test_weiss_cover_reject():
     # two separated discs miss configurations straddling both
     ambient = Disc(QQi(0), Fraction(3))
     cover = [Disc(QQi(-2), Fraction(1)), Disc(QQi(2), Fraction(1))]
     exprs = [Expression.single(ambient,
                                [DeltaJet(QQi(-2), 0), DeltaJet(QQi(2), 0)],
                                [B("a(-1)"), B("a(-1)")])]
-    rep = weiss_cover_check(boson, cover, ambient, exprs,
-                            DegreeWindow(0, 5))
+    rep = weiss_cover_check(cover, exprs)
     assert not rep.passed
+    assert rep.witness["expression"] == 0
