@@ -18,7 +18,8 @@ from .presets import basis, preset_from_name
 from .relations import (relation_kernel, roundtrip_check, run_counterexample,
                         weight_project)
 from .scalars import DegreeWindow, parse_qqi
-from .suite import SuiteConfig, emit_tables, run_suite
+from .suite import (SUITE_LABELS, SuiteConfig, _weiss_accept, _weiss_reject,
+                    emit_tables, run_suite)
 
 
 def build_parser():
@@ -29,12 +30,13 @@ def build_parser():
     # defaults stay None here so that --config values can fill them in;
     # the hard fallbacks live in _apply_config.  A subcommand offers only
     # the options it reads.
-    def common(p, preset=True, window=True):
+    def common(p, preset=True, params=True, window=True):
         if preset:
             p.add_argument("--preset", default=None,
                            choices=["heisenberg", "virasoro", "affine_sl2"])
-        p.add_argument("--c", default=None, help="virasoro central charge")
-        p.add_argument("--level", default=None, help="affine level")
+        if params:
+            p.add_argument("--c", default=None, help="virasoro central charge")
+            p.add_argument("--level", default=None, help="affine level")
         if window:
             p.add_argument("--window", default=None,
                            help="degree window lo:hi")
@@ -62,19 +64,22 @@ def build_parser():
                    choices=["insertion", "meromorphicity"])
 
     p = sub.add_parser("factor", help="expression-level operations")
-    common(p)
     fsub = p.add_subparsers(dest="factor_command", required=True)
     fm = fsub.add_parser("multiply")
+    common(fm, preset=False, params=False, window=False)
     fm.add_argument("--x", required=True, help="expression JSON")
     fm.add_argument("--y", required=True, help="expression JSON")
     fm.add_argument("--target", required=True, help="open set JSON")
     fe = fsub.add_parser("eval")
+    common(fe)
     fe.add_argument("--expr", required=True, help="expression JSON")
     fk = fsub.add_parser("kernel")
+    common(fk)
     fk.add_argument("--exprs", required=True, help="JSON list of expressions")
-    fsub.add_parser("weiss")
-    fsub.add_parser("roundtrip")
+    common(fsub.add_parser("weiss"), preset=False, params=False, window=False)
+    common(fsub.add_parser("roundtrip"), window=False)
     fp = fsub.add_parser("project")
+    common(fp)
     fp.add_argument("--expr", required=True, help="expression JSON")
     fp.add_argument("--k", required=True, type=int)
 
@@ -233,7 +238,6 @@ def _dispatch(args) -> int:
         return 0 if rep.passed else 1
 
     if cmd == "suite":
-        from .suite import SUITE_LABELS
         if args.only:
             unknown = set(args.only.split(",")) - set(SUITE_LABELS)
             if unknown:
@@ -253,8 +257,6 @@ def _dispatch(args) -> int:
 
 
 def _dispatch_factor(args) -> int:
-    preset = _preset(args)
-    window = _window(args)
     fc = args.factor_command
     if fc == "multiply":
         x = Expression.from_obj(json.loads(args.x))
@@ -263,6 +265,17 @@ def _dispatch_factor(args) -> int:
         _emit(args, json.dumps(multiply(x, y, target).to_obj(),
                                indent=2, sort_keys=True))
         return 0
+    if fc == "weiss":
+        ra, rr = _weiss_accept(), _weiss_reject()
+        _emit(args, json.dumps([ra.to_obj(), rr.to_obj()], indent=2,
+                               sort_keys=True, default=str))
+        return 0 if (ra.passed and rr.passed) else 1
+    preset = _preset(args)
+    if fc == "roundtrip":
+        rep = roundtrip_check(preset, 4)
+        _emit(args, rep.to_json(indent=2))
+        return 0 if rep.passed else 1
+    window = _window(args)
     if fc == "eval":
         expr = Expression.from_obj(json.loads(args.expr))
         pv = evaluate_expression(expr, preset, window)
@@ -274,16 +287,6 @@ def _dispatch_factor(args) -> int:
         payload = [[str(c) for c in vec] for vec in basis_vecs]
         _emit(args, json.dumps(payload, indent=2))
         return 0
-    if fc == "weiss":
-        from .suite import _weiss_accept, _weiss_reject
-        ra, rr = _weiss_accept(preset), _weiss_reject(preset)
-        _emit(args, json.dumps([ra.to_obj(), rr.to_obj()], indent=2,
-                               sort_keys=True, default=str))
-        return 0 if (ra.passed and rr.passed) else 1
-    if fc == "roundtrip":
-        rep = roundtrip_check(preset, 4)
-        _emit(args, rep.to_json(indent=2))
-        return 0 if rep.passed else 1
     if fc == "project":
         expr = Expression.from_obj(json.loads(args.expr))
         vec, meta = weight_project(expr, args.k, preset, window)

@@ -251,7 +251,7 @@ def check_associativity(preset: VAPreset, outer, inner, insertion,
     inner_pv = mu_numeric(preset, b_in, w_in, DegreeWindow(0, window.hi))
     parts = list(itertools.product(*([s.project(d) for d in s.degrees()]
                                      for s in b_in)))
-    witness = {}
+    worst, witness = 0.0, {}
     for k in range(window.hi + 1):
         # computed first, so that coincident points raise DomainViolation
         rhs = mu_numeric(preset, a_out + [inner_pv.component(k)],
@@ -262,11 +262,12 @@ def check_associativity(preset: VAPreset, outer, inner, insertion,
             lhs = lhs + mode_box(
                 preset, a_out + list(part), window,
                 lambda exps, j: _t_coefficient(lines, exps, j, order))
-        _, bad = compare_parts([(d, lhs.component(d), rhs.component(d))
-                                for d in window.degrees()], 0.0)
+        err, bad = compare_parts([(d, lhs.component(d), rhs.component(d))
+                                  for d in window.degrees()], 0.0)
+        worst = max(worst, err)
         if bad is not None:
             witness = {"k": k, "degree": bad}
-    return CheckReport("associativity", not witness, 0.0, 0.0, witness, {})
+    return CheckReport("associativity", not witness, worst, 0.0, witness, {})
 
 
 def _t_coefficient(lines, exps, j, order):

@@ -25,7 +25,8 @@ from .geometry import Annulus, Disc, OpenSet
 from .graded import GradedVector
 from .linalg import nullspace
 from .mu import compare_parts, mu_one_point
-from .presets import VAPreset, basis_upto, heisenberg, state_mode
+from .presets import (VAPreset, basis_upto, heisenberg, pole_bound,
+                      state_mode)
 from .report import CheckReport
 from .scalars import DegreeWindow, QQi, scalar_key, scalar_zero
 
@@ -136,11 +137,17 @@ def _outer_radius(u: OpenSet):
 # the annulus obstruction
 
 
+def lowest_state(preset: VAPreset, gen: str) -> GradedVector:
+    """x_{-w}|0>, the lowest state of the generator x of weight w."""
+    return GradedVector.basis(((gen, preset.weight(gen)),))
+
+
 def run_counterexample(m: int = 1, preset: VAPreset | None = None,
                        window: DegreeWindow | None = None):
     """Evaluation kernels are not multiplicative ideals: an annulus moment
     expression with vanishing evaluation whose product with a disc
-    expression evaluates to a nonzero mode.
+    expression evaluates to the mode a_(m) a, for the lowest state a with
+    the highest pole against itself (h on affine_sl2, where e_(1) e = 0).
 
     Returns (report, data) with exact witness vectors.
     """
@@ -151,8 +158,8 @@ def run_counterexample(m: int = 1, preset: VAPreset | None = None,
     u1 = Annulus(QQi(0), Fraction(1), Fraction(2))
     u2 = Disc(QQi(0), Fraction(1))
     w = Disc(QQi(0), Fraction(2))
-    gen = preset.generators[0]
-    a = GradedVector.basis(((gen, 1),))
+    a = max((lowest_state(preset, g) for g in preset.generators),
+            key=lambda s: pole_bound(preset, s, s))
     x = Expression.single(u1, [CircleMoment(QQi(0), Fraction(3, 2), m)], [a])
     y = Expression.single(u2, [DeltaJet(QQi(0), 0)], [a])
     ev_x = evaluate_expression(x, preset, window)
@@ -211,8 +218,8 @@ def support_partition(product: Expression, u: OpenSet, v: OpenSet):
             [Expression(v, [tv], validate=False) for tv in terms_v])
 
 
-def multiplicativity_check(preset: VAPreset, u: OpenSet, v: OpenSet,
-                           target: OpenSet, exprs_u, exprs_v) -> CheckReport:
+def multiplicativity_check(u: OpenSet, v: OpenSet, target: OpenSet,
+                           exprs_u, exprs_v) -> CheckReport:
     """Pairwise products of delta families match the support-partition
     oracle exactly, and distinct pairs stay distinct."""
     ok = True

@@ -178,7 +178,7 @@ def test_roundtrip_homomorphism_square(boson):
 
 # 8 -----------------------------------------------------------------------
 
-def test_multiplicativity_support_partition(boson):
+def test_multiplicativity_support_partition():
     from voxfact.relations import multiplicativity_check
     u = Disc(QQi(-2), Fraction(1))
     v = Disc(QQi(2), Fraction(1))
@@ -195,7 +195,7 @@ def test_multiplicativity_support_partition(boson):
         Expression.single(v, [DeltaJet(QQi(Fraction(3, 2)), 0),
                               DeltaJet(QQi(Fraction(5, 2)), 0)], [s2, s1]),
     ]
-    rep = multiplicativity_check(boson, u, v, target, fam_u, fam_v)
+    rep = multiplicativity_check(u, v, target, fam_u, fam_v)
     assert rep.passed and rep.max_err == 0.0
 
 

@@ -101,6 +101,18 @@ def test_counterexample(capsys):
     assert data["witness"]["ev_x"] == {"terms": []}
 
 
+@pytest.mark.parametrize("preset", ["virasoro", "affine_sl2"])
+def test_counterexample_on_every_preset(capsys, preset):
+    # the state is a lowest state with a_(1) a != 0: L(-2) on virasoro,
+    # h(-1) on affine_sl2 (e_(1) e = 0)
+    code, out, _ = run(capsys, "counterexample", "--preset", preset)
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] is True
+    assert data["witness"]["ev_x"] == {"terms": []}
+    assert data["witness"]["expected"]["terms"]
+
+
 def test_suite_csv(capsys):
     code, out, _ = run(capsys, "suite", "--presets", "heisenberg",
                        "--only", "insertion_at_zero", "--mode-degree", "2",
@@ -147,6 +159,19 @@ def test_config_defaults(capsys, tmp_path):
     assert "3" not in json.loads(out)["basis"]
 
 
+GEN = GradedVector.basis((("a", 1),))
+
+
+def _delta(carrier, point, state=GEN, coeff=1):
+    return Expression.single(carrier, [DeltaJet(QQi(point), 0)], [state],
+                             coeff=QQi(coeff))
+
+
+MULTIPLY = ["--x", json.dumps(_delta(Disc(QQi(-2), 1), -2).to_obj()),
+            "--y", json.dumps(_delta(Disc(QQi(2), 1), 2).to_obj()),
+            "--target", json.dumps(Disc(QQi(0), 4).to_obj())]
+
+
 @pytest.mark.parametrize("argv", [
     ["define", "--quad-n", "3"],
     ["factor", "--quad-n", "3", "roundtrip"],
@@ -158,6 +183,14 @@ def test_config_defaults(capsys, tmp_path):
     ["check", "--window", "0:1", "--axiom", "insertion"],
     ["factor", "--seed", "1", "roundtrip"],
     ["factor", "--tol", "1e-9", "roundtrip"],
+    # factor takes the options after the sub-subcommand that reads them
+    ["factor", "--window", "0:1", "roundtrip"],
+    ["factor", "--window", "0:1", "--c", "3", "weiss"],
+    ["factor", "--preset", "virasoro", "--window", "0:1", "multiply",
+     *MULTIPLY],
+    ["factor", "roundtrip", "--window", "0:1"],
+    ["factor", "weiss", "--preset", "virasoro"],
+    ["factor", "multiply", "--level", "2", *MULTIPLY],
 ])
 def test_option_offered_only_where_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -185,26 +218,13 @@ def test_config_with_every_option_loads(capsys, tmp_path, argv):
 
 
 def test_factor_roundtrip(capsys):
-    code, out, _ = run(capsys, "factor", "--window", "0:3", "roundtrip")
+    code, out, _ = run(capsys, "factor", "roundtrip")
     assert code == 0
     assert json.loads(out)["pass"] is True
 
 
-GEN = GradedVector.basis((("a", 1),))
-
-
-def _delta(carrier, point, state=GEN, coeff=1):
-    return Expression.single(carrier, [DeltaJet(QQi(point), 0)], [state],
-                             coeff=QQi(coeff))
-
-
 def test_factor_multiply(capsys):
-    x = _delta(Disc(QQi(-2), 1), -2)
-    y = _delta(Disc(QQi(2), 1), 2)
-    code, out, _ = run(capsys, "factor", "multiply",
-                       "--x", json.dumps(x.to_obj()),
-                       "--y", json.dumps(y.to_obj()),
-                       "--target", json.dumps(Disc(QQi(0), 4).to_obj()))
+    code, out, _ = run(capsys, "factor", "multiply", *MULTIPLY)
     assert code == 0
     product = Expression.from_obj(json.loads(out))
     assert product.carrier == Disc(QQi(0), 4)
@@ -215,7 +235,7 @@ def test_factor_multiply(capsys):
 
 def test_factor_eval(capsys):
     expr = _delta(Disc(QQi(0), 4), Fraction(1, 2))
-    code, out, _ = run(capsys, "factor", "--window", "0:3", "eval",
+    code, out, _ = run(capsys, "factor", "eval", "--window", "0:3",
                        "--expr", json.dumps(expr.to_obj()))
     assert code == 0
     want = mu_one_point(heisenberg(), GEN, QQi(Fraction(1, 2)),
@@ -226,7 +246,7 @@ def test_factor_eval(capsys):
 def test_factor_kernel(capsys):
     e = _delta(Disc(QQi(0), 1), 0)
     exprs = [e.to_obj(), _delta(Disc(QQi(0), 1), 0, coeff=2).to_obj()]
-    code, out, _ = run(capsys, "factor", "--window", "0:4", "kernel",
+    code, out, _ = run(capsys, "factor", "kernel", "--window", "0:4",
                        "--exprs", json.dumps(exprs))
     assert code == 0
     assert json.loads(out) == [["-2", "1"]]
@@ -248,7 +268,7 @@ def test_factor_project_exact(capsys):
                        "factors": [DeltaJet(QQi(Fraction(1, 2)), 0).to_obj()],
                        "states": [{"terms": [{"mono": ["a(-1)"], "re": "1",
                                               "im": "0"}]}]}]}
-    code, out, _ = run(capsys, "factor", "--window", "0:4", "project",
+    code, out, _ = run(capsys, "factor", "project", "--window", "0:4",
                        "--expr", json.dumps(expr), "--k", "2")
     assert code == 0
     data = json.loads(out)

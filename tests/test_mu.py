@@ -345,6 +345,23 @@ def test_associativity_check(boson, gen_a):
     assert (rep.max_err, rep.tol, rep.truncation) == (0.0, 0.0, {})
 
 
+def test_associativity_reports_its_error(boson, gen_a, monkeypatch):
+    # one mode_box scalar of the left side planted off by 1 fails the
+    # check, and the report carries the distance it found
+    real, calls = mu._t_coefficient, []
+
+    def planted(*args):
+        calls.append(args)
+        return real(*args) + (1 if len(calls) == 1 else 0)
+
+    monkeypatch.setattr(mu, "_t_coefficient", planted)
+    rep = check_associativity(boson, [(gen_a, 4.0)],
+                              [(gen_a, 0.3), (gen_a, -0.3)], 1.0,
+                              DegreeWindow(0, 4))
+    assert not rep.passed
+    assert rep.max_err > 0, rep.witness
+
+
 def test_associativity_domain_guard(boson, gen_a):
     # the identity in t is formal, so an inner point beyond the outer one
     # is no longer refused; coincident points still are

@@ -11,10 +11,16 @@ from voxfact.suite import (SUITE_LABELS, SuiteConfig, _density_case,
                            suite_rows)
 
 
+PRESETS = ("heisenberg", "virasoro", "affine_sl2")
+# the labels that evaluate nothing run once, on no preset
+PRESET_FREE = ("multiplicativity_support_partition", "weiss_cover_accept",
+               "weiss_cover_reject")
+PER_PRESET = [label for label in SUITE_LABELS if label not in PRESET_FREE]
+
+
 @pytest.fixture(scope="module")
 def rows():
-    cfg = SuiteConfig(presets=("heisenberg",), mode_degree=2)
-    return run_suite(cfg)
+    return run_suite(SuiteConfig(presets=PRESETS, mode_degree=2))
 
 
 def test_all_labels_covered(rows):
@@ -34,16 +40,35 @@ def test_only_filter():
     assert {label for label, _, _, _ in out} == {"insertion_at_zero"}
 
 
-def test_boson_rows_run_on_heisenberg_in_any_preset_order():
-    # the single-preset rows always take the free boson, also when it is
-    # not the first preset named; associativity runs once per preset
-    cfg = SuiteConfig(presets=("virasoro", "heisenberg"), mode_degree=2,
-                      only=("associativity_nested", "embedding_roundtrip"))
-    out = run_suite(cfg)
-    assert [(label, p, rep.passed) for label, p, rep, _ in out] == [
-        ("associativity_nested", "virasoro", True),
-        ("associativity_nested", "heisenberg", True),
-        ("embedding_roundtrip", "heisenberg", True)]
+def test_rows_cover_each_preset_once():
+    # 15 labels per preset, then the 3 preset-free rows
+    assert len(PER_PRESET) == 15
+    out = run_suite(SuiteConfig(presets=PRESETS, mode_degree=2,
+                                only=("insertion_at_zero", *PRESET_FREE)))
+    assert [(label, p) for label, p, _, _ in out] == [
+        *(("insertion_at_zero", p) for p in PRESETS),
+        *((label, "") for label in PRESET_FREE)]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("label", PER_PRESET)
+def test_label_passes_on_every_preset(rows, label, preset):
+    [rep] = [rep for l, p, rep, _ in rows if (l, p) == (label, preset)]
+    assert rep.passed, rep.witness
+
+
+def test_preset_rows_do_not_depend_on_the_presets_before():
+    # each preset draws its inputs from its own stream, and a row names
+    # only a preset it was given
+    alone = run_suite(SuiteConfig(presets=("virasoro",), mode_degree=2))
+    after = run_suite(SuiteConfig(presets=("heisenberg", "virasoro"),
+                                  mode_degree=2))
+    assert {p for _, p, _, _ in alone} == {"virasoro", ""}
+    assert {p for _, p, _, _ in after} == {"heisenberg", "virasoro", ""}
+    reports = lambda rows: [(l, rep.to_obj()) for l, p, rep, _ in rows
+                            if p == "virasoro"]
+    assert reports(alone) == reports(after)
+    assert len(reports(alone)) == 15
 
 
 def test_deterministic_reports():
