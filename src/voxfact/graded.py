@@ -87,8 +87,8 @@ class GradedVector:
     def from_nonzero(cls, terms: dict):
         """Wrap a dict whose coefficients are all nonzero, skipping the
         cleaning pass.  The dict is taken over, not copied."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "terms", terms)
+        v = _new(cls)
+        _set_terms(v, terms)
         return v
 
     # -- linear structure ---------------------------------------------
@@ -208,6 +208,9 @@ class GradedVector:
             body = "".join(mono_token(f) for f in mono) or "|0>"
             bits.append(f"({self.terms[mono]})*{body}")
         return " + ".join(bits)
+
+
+_set_terms, _new = GradedVector.terms.__set__, object.__new__
 
 
 def _mono_sort_key(mono: Mono):

@@ -19,7 +19,8 @@ denominators and of `_scale` over the vacuum terms, so `commutator`
 returns integers.  The memo tables, per preset in `VAPreset._memos`, hold
 dicts {mono: int} of nonzero coefficients in the lambda*x basis:
 
-* ``gen``: (gen, n, mono) -> the oscillator mode gen_n applied to mono;
+* ``gen``: (gen, n, mono) -> the oscillator mode gen_n applied to mono,
+  with each `commutator` [gen_n, x_{-m}] it needs kept in ``comm``;
 * ``sm``: (a, b) -> the field of a pair of basis monomials, a other than
   the vacuum: (hi, tables), tables[hi - 1 - n] the state mode a_(n) b for
   the contiguous range hi - len(tables) <= n < hi.  hi = deg a + deg b by
@@ -37,7 +38,7 @@ Beside them ``deg`` holds the degree of each monomial the engine has met,
 checked once by `_degree`; the vacuum, which stores no field, has the
 state it acts on checked too.  The recursion fills these tables in place,
 reading and merging them directly, on integers only, and never builds a
-`QQi` or a `GradedVector`.
+`QQi` or a `GradedVector`.  `clear_caches` empties every table.
 
 A table leaves the lambda*x basis only through `_add_lifted`, which every
 public function (`gen_mode_mono`, `gen_mode_apply`, `translate`,
@@ -49,8 +50,9 @@ l_in factors in all (a and b of a state mode, the generator and b of an
 oscillator mode, b of T), is c lambda^(l_out - l_in); a commutator only
 removes factors, so the power goes into the denominator.  The scalar the
 table is scaled by is read once, as a `QQi` when exact and as a complex
-otherwise, and the terms are merged with `+`: the arithmetic of
-`GradedVector` itself.  `clear_caches` empties every table.
+otherwise.  An exact table is lifted into an empty sum in one pass of
+`scalars.scale_int`; later terms, and complex ones, are merged with `+`:
+the arithmetic of `GradedVector` itself.
 
 `state_mode` peels the leading PBW factor x(-m) of the acting state,
 a = u_(p) v with u = x_{-w}|0> and p = w - 1 - m <= -1, through the
@@ -74,11 +76,12 @@ used to cross-check this recursion.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .graded import GradedVector, Mono, mono_degree, mono_token
 from .records import FrozenRecord
-from .scalars import QQi, _reduced, binom, exact_value, is_exact
+from .scalars import QQi, _reduced, binom, exact_value, is_exact, scale_int
 
 # name: (weight per generator, in generator order; the parameters the OPE
 # reads, with their defaults; the OPE {(x, y): {j: {target: coeff}}} at c
@@ -209,7 +212,7 @@ _memo_root: dict = {}
 
 def _shared_memos(key):
     return _memo_root.setdefault(key, {t: {} for t in (
-        "gen", "sm", "deg", "basis", "oracle")})
+        "gen", "comm", "sm", "deg", "basis", "oracle")})
 
 
 def preset_from_name(name: str, c=None, level=None) -> VAPreset:
@@ -274,17 +277,6 @@ def basis_upto(preset: VAPreset, max_degree: int):
 # memo tables on integers
 
 
-def _acc(out: dict, table: dict, s: int) -> None:
-    """out += s * table in place, for a nonzero integer s.  Zero sums are
-    dropped."""
-    for mono, c in table.items():
-        v = out.get(mono, 0) + c * s
-        if v:
-            out[mono] = v
-        else:
-            del out[mono]
-
-
 def _gen(preset, gen, n, mono) -> dict:
     memo = preset._memos["gen"]
     key = (gen, n, mono)
@@ -340,13 +332,14 @@ def _degree(preset, mono) -> int:
     return d
 
 
+@lru_cache(maxsize=None)
 def _row(p, length):
-    """The signed binomial row ((-1)^i C(p, i) for i < length)."""
+    """The signed binomial row ((-1)^i C(p, i) for i < length), cached."""
     row, r = [], 1
     for i in range(length):
         row.append(r)
         r = r * (i - p) // (i + 1)
-    return row
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +350,17 @@ def _add_lifted(acc: dict, s, table: dict, lam: int, ell: int) -> dict:
     """acc += s * table, the table lifted out of the lambda*x basis: for
     inputs of `ell` PBW factors in all, its entry c at a monomial of l
     factors stands for c / lambda^(ell - l).  s is read as a `QQi` when
-    exact and as a complex otherwise, and the terms are merged with `+`,
-    so each coefficient is what `GradedVector.scale` and `+` give; a zero
-    sum is dropped.  Returns acc."""
+    exact and as a complex otherwise.  An exact s fills an empty acc
+    directly, each entry `scale_int` of s; otherwise the terms are merged
+    with `+`, so each coefficient is what `GradedVector.scale` and `+`
+    give; a zero sum is dropped.  Returns acc."""
     if type(s) is not QQi:
         s = exact_value(s) if is_exact(s) else complex(s)
     if not s:
+        return acc
+    if not acc and type(s) is QQi:
+        for mono, c in table.items():
+            acc[mono] = scale_int(s, c, lam ** (ell - len(mono)))
         return acc
     for mono, c in table.items():
         k = ell - len(mono)
@@ -405,15 +403,32 @@ def _gen_mode_mono_impl(preset, gen, n, mono):
     if n < 0 and (-n > m0 or (-n == m0
                               and preset.gen_index(gen) <= preset.gen_index(g0))):
         return {((gen, -n),) + mono: 1}
-    # not in place: commute past the first factor
-    out = {}
+    # not in place: commute past the first factor, reading the `gen` table
+    # and merging in place as `_extend` does
+    gmemo, out = preset._memos["gen"], {}
     for mono2, c in _gen(preset, gen, n, rest).items():
-        _acc(out, _gen(preset, g0, -m0, mono2), c)
-    gens, central = preset.commutator(gen, n, g0, -m0)
+        key = (g0, -m0, mono2)
+        g = gmemo.get(key)
+        if g is None:
+            g = gmemo[key] = _gen_mode_mono_impl(preset, g0, -m0, mono2)
+        for mono3, c3 in g.items():
+            out[mono3] = v = out.get(mono3, 0) + c3 * c
+            if not v:
+                del out[mono3]
+    cmemo, key = preset._memos["comm"], (gen, n, g0, m0)
+    comm = cmemo.get(key)
+    if comm is None:
+        comm = cmemo[key] = preset.commutator(gen, n, g0, -m0)
+    gens, central = comm
     if central:
-        _acc(out, {rest: central}, 1)
+        out[rest] = v = out.get(rest, 0) + central
+        if not v:
+            del out[rest]
     for g2, n2, coeff in gens:
-        _acc(out, _gen(preset, g2, n2, rest), coeff)
+        for mono3, c3 in _gen(preset, g2, n2, rest).items():
+            out[mono3] = v = out.get(mono3, 0) + c3 * coeff
+            if not v:
+                del out[mono3]
     return out
 
 
@@ -465,7 +480,7 @@ def _extend(preset, a, da, b, db, hi, tables, lo):
     """Append a_(n) b to the field `tables` of (a, b) for each n from the
     bottom of its range down to lo.  Reads the `gen` table and the fields
     of a[1:] directly, filling them as needed, and merges into each new
-    table in place with the rule of `_acc`.  Degrees are passed down:
+    table in place, a zero sum deleted.  Degrees are passed down:
     rest = a[1:] has degree da - m, and x_k lowers the degree of a
     monomial by k."""
     gmemo = preset._memos["gen"]
@@ -507,10 +522,8 @@ def _extend(preset, a, da, b, db, hi, tables, lo):
                     g = gmemo[key] = _gen_mode_mono_impl(preset, x, k, mono)
                 s = c * coeff
                 for mono2, c2 in g.items():
-                    v = out.get(mono2, 0) + c2 * s
-                    if v:
-                        out[mono2] = v
-                    else:
+                    out[mono2] = v = out.get(mono2, 0) + c2 * s
+                    if not v:
                         del out[mono2]
     # -(-1)^p sum_i (-1)^i C(p,i) rest_(p+n-i) (u_(i) b), where u_(i) is
     # x_{i-w+1}, zero on b once i-w+1 exceeds deg b; each monomial of
@@ -533,10 +546,8 @@ def _extend(preset, a, da, b, db, hi, tables, lo):
             for j in range(max(0, -base), len(new)):
                 out = new[j]
                 for mono2, c2 in mtables[base + j].items():
-                    v = out.get(mono2, 0) + c2 * s
-                    if v:
-                        out[mono2] = v
-                    else:
+                    out[mono2] = v = out.get(mono2, 0) + c2 * s
+                    if not v:
                         del out[mono2]
     tables.extend(new)
 

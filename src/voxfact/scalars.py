@@ -8,9 +8,9 @@ among exact values stays exact, and one float operand makes the result
 
 * `QQi` holds three integers (a + b*i)/d in lowest terms, d > 0 and
   gcd(a, b, d) == 1, so equal values have equal fields; its arithmetic
-  takes at most one gcd per result.  `QQi.re` and `QQi.im` read the parts
-  as `Fraction`s, and equality and hashing agree with the equal `int`,
-  `Fraction`, `float` or `complex`.
+  takes at most one gcd per result, and a small integer result is shared.
+  `QQi.re` and `QQi.im` read the parts as `Fraction`s, and equality and
+  hashing agree with the equal `int`, `Fraction`, `float` or `complex`.
 * `exact_value` is the one lift of a finite scalar to `QQi`; a float
   counts as its binary value, the value `QQi.__eq__` compares with.
 * Text is read by one rule: a value is exact iff its text is an exact
@@ -229,15 +229,31 @@ def _make(a, b, d) -> QQi:
     return q
 
 
+# -512..512, shared as CPython shares small ints: a QQi is immutable
+_SMALL = tuple(_make(v, 0, 1) for v in range(-512, 513))
+
+
 def _reduced(a, b, d) -> QQi:
-    """The QQi (a + b*i)/d, d > 0, brought to lowest terms."""
+    """The QQi (a + b*i)/d, d > 0, brought to lowest terms with at most one
+    gcd; a small integer is the shared one."""
     if d != 1:
         g = math.gcd(a, b, d)
         if g != 1:
             a //= g
             b //= g
             d //= g
-    return _make(a, b, d)
+        if d != 1:
+            return _make(a, b, d)
+    if not b and -512 <= a <= 512:
+        return _SMALL[a + 512]
+    return _make(a, b, 1)
+
+
+def scale_int(s: QQi, c: int, den: int) -> QQi:
+    """s * c / den in lowest terms, for integers c and den >= 1."""
+    if c == 1 and den == 1:
+        return s
+    return _reduced(s.a * c, s.b * c, s.d * den)
 
 
 def _parts(x):

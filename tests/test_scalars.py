@@ -3,12 +3,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from voxfact.scalars import (DegreeWindow, QQi, binom, exact_value,
-                             format_qqi, is_exact, parse_qqi, scalar_key,
-                             scalar_pow)
+from voxfact.scalars import (_SMALL, DegreeWindow, QQi, _reduced, binom,
+                             exact_value, format_qqi, is_exact, parse_qqi,
+                             scale_int, scalar_key, scalar_pow)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 qqis = st.builds(QQi, rationals, rationals)
@@ -65,6 +65,37 @@ def test_parse_forms():
     assert parse_qqi("0") == QQi(0)
     with pytest.raises(ValueError):
         parse_qqi("3/2+1/2")
+
+
+@given(qqis, st.integers(-10**6, 10**6) | st.integers(-600, 600),
+       st.sampled_from([1, 2, 3, 6]), st.integers(0, 4))
+@example(QQi(Fraction(1, 3), 2), 1, 1, 0)
+@example(QQi(Fraction(1, 3), 2), 0, 6, 2)
+@example(QQi(3), 171, 1, 0)
+@example(QQi(-1), 513, 2, 0)
+def test_scale_int_is_the_reduced_product(s, c, lam, k):
+    # the lift's primitive: s * c / lam^k, as the operator route gives it
+    got = scale_int(s, c, lam ** k)
+    want = _reduced(c, 0, lam ** k) * s
+    assert type(got) is QQi
+    assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+    assert got.re == s.re * c / lam ** k and got.im == s.im * c / lam ** k
+    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+
+
+@given(st.integers(-512, 512))
+@example(1)
+@example(-512)
+@example(512)
+def test_shared_small_integers(c):
+    shared = scale_int(QQi(2), c, 2)
+    assert shared is _SMALL[c + 512] and scale_int(shared, 1, 1) is shared
+    assert shared == QQi(c) == c and hash(shared) == hash(QQi(c)) == hash(c)
+    assert (shared.a, shared.b, shared.d) == (c, 0, 1)
+    for name in ("a", "b", "d"):
+        with pytest.raises(AttributeError):
+            setattr(shared, name, 7)
+    assert (shared.a, shared.b, shared.d) == (c, 0, 1)
 
 
 def test_conjugate_abs2():

@@ -35,3 +35,57 @@ def test_mode_tables_json_remakes_golden_file(capsys):
     assert got == [t for t in golden
                    if (t["preset"], t["c"]) in {("heisenberg", "0"),
                                                 ("virasoro", "1/3")}]
+
+
+def _run_record(ops, p50, correct=True):
+    values = {"ops_per_s": ops, "op_p50_ms": p50, "op_p90_ms": 5 * p50,
+              "ok_ratio": 1.0, "setup_s": 0.15, "peak_rss_mb": 27.0}
+    return {"correct": correct, "attempted": int(ops * 20), "failed": 0,
+            "metrics": {k: {"value": v, "unit": "u"}
+                        for k, v in values.items()}}
+
+
+def test_bench_pairs_summary_and_claim():
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    module = _main("bench_pairs").__globals__
+    parent = [450, 460, 455, 470, 440]
+    change = [560, 550, 570, 545, 430]     # behind in the last pair
+    pairs = [{"seed": 10 + i, "first": ("parent", "change")[i % 2],
+              "parent": _run_record(p, 1000 / p),
+              "change": _run_record(c, 1000 / c)}
+             for i, (p, c) in enumerate(zip(parent, change))]
+    got = module["summarize"](pairs, spec["end_to_end"])
+    assert got["seeds"] == [10, 11, 12, 13, 14] and got["pairs"] == 5
+    assert got["first_in_pair"] == ["parent", "change"] * 2 + ["parent"]
+    assert got["all_correct"] and got["failed"]["change"] == [0] * 5
+    ops = got["metrics"]["ops_per_s"]
+    assert ops["parent"] == {"median": 455, "q1": 450, "q3": 460,
+                             "runs": parent}
+    assert ops["change"]["median"] == 550 and ops["within_bound"]
+    assert ops["change_better_in_pairs"] == 4
+    assert abs(ops["relative_change_of_medians"] - 95 / 455) < 1e-12
+    # lower is better: the faster side has the smaller p50 in four pairs
+    assert got["metrics"]["op_p50_ms"]["change_better_in_pairs"] == 4
+    assert got["metrics"]["setup_s"]["change_better_in_pairs"] == 0
+    claim = module["claim_block"]({"mode_cold": got},
+                                  "mode_cold:ops_per_s:1.18")
+    assert claim["ratio_of_medians"] == 550 / 455
+    assert claim["parent_iqr"] == 10 and claim["pairs"] == 5
+    assert not claim["met"]                 # 4 of 5 pairs is below 9 in 10
+    pairs[-1]["change"] = _run_record(480, 1000 / 480)
+    got = module["summarize"](pairs, spec["end_to_end"])
+    assert module["claim_block"]({"mode_cold": got},
+                                 "mode_cold:ops_per_s:1.18")["met"]
+    assert not module["claim_block"]({"mode_cold": got},
+                                     "mode_cold:ops_per_s:1.25")["met"]
+    pairs[0]["change"] = _run_record(900, 1.0, correct=False)
+    assert not module["summarize"](pairs, spec["end_to_end"])["all_correct"]
+    # slower by more than the 25 % bound
+    slow = [dict(p, change=_run_record(300, 1000 / 300)) for p in pairs]
+    assert not module["summarize"](slow, spec["end_to_end"])[
+        "metrics"]["ops_per_s"]["within_bound"]
+
+
+def test_bench_pairs_seed_ranges():
+    module = _main("bench_pairs").__globals__
+    assert module["parse_seeds"]("2101-2103,2110") == [2101, 2102, 2103, 2110]
