@@ -12,49 +12,36 @@ The parent side is `git archive` of --parent; the change side is a copy of
 the working tree's src/ and pyproject.toml.  Both sides run the working
 tree's perfbench/, so the benchmark code is identical.  Each seed is one
 pair, `python3 perfbench/run.py --workload W --seed S --seconds T --trace
-0` on each side, the parent first in even pairs (counting from 0) and the
-change first in odd ones.  The runs go one after another, never in
-parallel.  An existing --out file keeps the workloads this call does not
-run.  Quartiles are statistics.quantiles(n=4, method='inclusive').  A
-claim WORKLOAD:METRIC:MIN_RATIO is met when the change's median is at
-least MIN_RATIO times better than the parent's, the change is better in
-at least nine pairs in ten, and the medians differ by more than the
-parent's interquartile range.
+0` on each side, T the run_seconds of BENCHMARK.json, the parent first in
+even pairs (counting from 0) and the change first in odd ones.  The runs
+go one after another, never in parallel.  An existing --out file keeps
+the workloads this call does not run; it must have been made against the
+same parent, run length and machine.  Seeds are read and each side's
+median and quartiles taken by perfbench/collect.py's parse_seeds and
+summarise.  A claim WORKLOAD:METRIC:MIN_RATIO is met when the change's
+median is at least MIN_RATIO times better than the parent's, the change
+is better in at least nine pairs in ten, and the medians differ by more
+than the parent's interquartile range.
 """
 import argparse
 import json
 import math
 import re
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from collect import parse_seeds, summarise  # noqa: E402
+
 SIDES = ("parent", "change")
 _MACHINE = re.compile(r"machine: nproc=(\S+) python=(\S+) cpu=(.*)")
 
 
-def parse_seeds(text: str):
-    """Seeds in perfbench/collect.py's syntax, e.g. "2101-2110,2120"."""
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
-
-
-def quartiles(values):
-    med = statistics.median(values)
-    if len(values) < 2:
-        return med, med, med
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return med, q1, q3
-
-
-def summarize(pairs, end_to_end):
+def summarize_pairs(pairs, end_to_end):
     """The record of one workload from its pairs: each pair is a dict with
     `seed`, `first` ("parent" or "change") and, per side, the JSON object
     that perfbench/run.py printed last.  `end_to_end` is the list of that
@@ -73,8 +60,9 @@ def summarize(pairs, end_to_end):
         runs = {s: [p[s]["metrics"][name]["value"] for p in pairs]
                 for s in SIDES}
         for s in SIDES:
-            med, q1, q3 = quartiles(runs[s])
-            row[s] = {"median": med, "q1": q1, "q3": q3, "runs": runs[s]}
+            summary = summarise(runs[s])
+            row[s] = {k: summary[k] for k in ("median", "q1", "q3")}
+            row[s]["runs"] = runs[s]
         par, chg = row["parent"]["median"], row["change"]["median"]
         row["relative_change_of_medians"] = (chg - par) / par if par else 0.0
         row["within_bound"] = (chg >= par * (1 - spec["bound"]) if higher
@@ -129,10 +117,10 @@ def _run(tree: Path, workload: str, seed: int, seconds: float):
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree.name} {workload} seed {seed} exited "
+                           f"{proc.returncode}:\n{proc.stderr}{proc.stdout}")
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{tree.name} {workload} seed {seed} printed "
-                           f"nothing (exit {proc.returncode}):\n{proc.stderr}")
     machine = next(({"nproc": int(m[1]), "python": m[2], "cpu": m[3]}
                     for m in map(_MACHINE.match, lines) if m), None)
     return json.loads(lines[-1]), machine
@@ -143,8 +131,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git rev of the parent")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", required=True, help="e.g. 2101-2110,2120")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="default: run_seconds from BENCHMARK.json")
     ap.add_argument("--claim", default=None,
                     help="WORKLOAD:METRIC:MIN_RATIO")
     ap.add_argument("--about", default=None)
@@ -152,12 +138,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent],
                          cwd=ROOT, check=True, capture_output=True,
                          text=True).stdout.strip()
+    for key, want in (("parent", rev), ("run_seconds", seconds)):
+        if record.get(key, want) != want:
+            raise SystemExit(f"{out} has {key} {record[key]!r}, not "
+                             f"{want!r}: write to a new file")
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     machine = record.get("machine")
     try:
@@ -169,14 +159,18 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side], machine = _run(trees[side], workload, seed,
-                                               seconds)
+                    pair[side], seen = _run(trees[side], workload, seed,
+                                            seconds)
+                    if machine not in (None, seen):
+                        raise SystemExit(f"machine {seen} differs from the "
+                                         f"record's {machine}")
+                    machine = seen
                     print(f"{workload} seed={seed} {side}: " + " ".join(
                         f"{k}={m['value']:.5g}"
                         for k, m in pair[side]["metrics"].items()),
                         flush=True)
                 pairs.append(pair)
-            workloads[workload] = summarize(pairs, spec["end_to_end"])
+            workloads[workload] = summarize_pairs(pairs, spec["end_to_end"])
     finally:
         shutil.rmtree(work, ignore_errors=True)
     record.update({

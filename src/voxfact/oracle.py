@@ -17,11 +17,10 @@ field.  Both sums are finite by the grading bound on a' and the oscillator
 annihilation bound on b.  No iterate/binomial-transposition identity is used.
 
 The route runs on the same integer tables {mono: int} as `presets`, in the
-same basis of rescaled generators lambda*x, reading the shared oscillator
-table ``gen`` directly (filled through `presets._gen`) and merging into
-each table in place; it has its own memo table (``oracle``) and never
-reads ``sm``.  lambda and `QQi` enter only in `oracle_mode_mono`, through
-the lift `presets._add_lifted`.
+same basis of rescaled generators lambda*x, merging with its own `_acc`
+and reading the shared oscillator table `presets._gen`; it has its own
+memo table (``oracle``) and never reads ``sm``.  lambda and `QQi` enter
+only in `oracle_mode_mono`, through the lift `presets._add_lifted`.
 """
 from __future__ import annotations
 
@@ -49,8 +48,16 @@ def _oracle(preset, a, n, b) -> dict:
     return out
 
 
+def _acc(out: dict, table: dict, s: int) -> None:
+    """out += s * table in place, for a nonzero integer s.  Zero sums are
+    dropped."""
+    for mono, c in table.items():
+        out[mono] = v = out.get(mono, 0) + c * s
+        if not v:
+            del out[mono]
+
+
 def _oracle_impl(preset, a, n, b):
-    gmemo = preset._memos["gen"]
     x, m = a[0]
     rest = a[1:]
     w = preset.weight(x)
@@ -61,27 +68,18 @@ def _oracle_impl(preset, a, n, b):
     # creation part of the derivative field on the left
     for s in range(0, max(0, deg_rest + deg_b - n)):
         inner = _oracle(preset, rest, n + s, b)
-        coeff = binom(s + t, t)
-        if inner and coeff:
-            k = -(s + w + t)
-            for mono, c in inner.items():
-                g = gmemo.get((x, k, mono))
-                if g is None:
-                    g = _gen(preset, x, k, mono)
-                c *= coeff
-                for mono2, c2 in g.items():
-                    out[mono2] = v = out.get(mono2, 0) + c2 * c
-                    if not v:
-                        del out[mono2]
+        if inner:
+            coeff = binom(s + t, t)
+            if coeff:
+                for mono, c in inner.items():
+                    _acc(out, _gen(preset, x, -(s + w + t), mono), c * coeff)
     # annihilation part applied to b first
     for s in range(-1, -(w + t + deg_b) - 1, -1):
         coeff = binom(s + t, t)
         if not coeff:
             continue
         for mono, c in _gen(preset, x, -(s + w + t), b).items():
-            c *= coeff
-            for mono2, c2 in _oracle(preset, rest, n + s, mono).items():
-                out[mono2] = v = out.get(mono2, 0) + c2 * c
-                if not v:
-                    del out[mono2]
+            table = _oracle(preset, rest, n + s, mono)
+            if table:
+                _acc(out, table, c * coeff)
     return out

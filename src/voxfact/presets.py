@@ -50,9 +50,9 @@ l_in factors in all (a and b of a state mode, the generator and b of an
 oscillator mode, b of T), is c lambda^(l_out - l_in); a commutator only
 removes factors, so the power goes into the denominator.  The scalar the
 table is scaled by is read once, as a `QQi` when exact and as a complex
-otherwise.  An exact table is lifted into an empty sum in one pass of
-`scalars.scale_int`; later terms, and complex ones, are merged with `+`:
-the arithmetic of `GradedVector` itself.
+otherwise; an exact term is scaled by `scalars.scale_int`, one gcd at
+most, and fills an empty sum with no merge.  The terms are merged with
+`+`: the arithmetic of `GradedVector` itself.
 
 `state_mode` peels the leading PBW factor x(-m) of the acting state,
 a = u_(p) v with u = x_{-w}|0> and p = w - 1 - m <= -1, through the
@@ -350,21 +350,25 @@ def _add_lifted(acc: dict, s, table: dict, lam: int, ell: int) -> dict:
     """acc += s * table, the table lifted out of the lambda*x basis: for
     inputs of `ell` PBW factors in all, its entry c at a monomial of l
     factors stands for c / lambda^(ell - l).  s is read as a `QQi` when
-    exact and as a complex otherwise.  An exact s fills an empty acc
-    directly, each entry `scale_int` of s; otherwise the terms are merged
-    with `+`, so each coefficient is what `GradedVector.scale` and `+`
-    give; a zero sum is dropped.  Returns acc."""
+    exact and as a complex otherwise; an exact term is `scale_int` of s,
+    and fills an empty acc with no merge.  The terms are merged with `+`,
+    so each coefficient is what `GradedVector.scale` and `+` give; a zero
+    sum is dropped.  Returns acc."""
     if type(s) is not QQi:
         s = exact_value(s) if is_exact(s) else complex(s)
     if not s:
         return acc
-    if not acc and type(s) is QQi:
+    exact = type(s) is QQi
+    if exact and not acc:
         for mono, c in table.items():
             acc[mono] = scale_int(s, c, lam ** (ell - len(mono)))
         return acc
     for mono, c in table.items():
         k = ell - len(mono)
-        x = s * c if not k or lam == 1 else _reduced(c, 0, lam ** k) * s
+        if exact:
+            x = scale_int(s, c, lam ** k)
+        else:
+            x = s * c if not k or lam == 1 else _reduced(c, 0, lam ** k) * s
         old = acc.get(mono)
         v = x if old is None else old + x
         if v:

@@ -54,12 +54,13 @@ def test_bench_pairs_summary_and_claim():
               "parent": _run_record(p, 1000 / p),
               "change": _run_record(c, 1000 / c)}
              for i, (p, c) in enumerate(zip(parent, change))]
-    got = module["summarize"](pairs, spec["end_to_end"])
+    got = module["summarize_pairs"](pairs, spec["end_to_end"])
     assert got["seeds"] == [10, 11, 12, 13, 14] and got["pairs"] == 5
     assert got["first_in_pair"] == ["parent", "change"] * 2 + ["parent"]
     assert got["all_correct"] and got["failed"]["change"] == [0] * 5
     ops = got["metrics"]["ops_per_s"]
-    assert ops["parent"] == {"median": 455, "q1": 450, "q3": 460,
+    # the quartiles of perfbench/collect.py (statistics.quantiles' default)
+    assert ops["parent"] == {"median": 455, "q1": 445, "q3": 465,
                              "runs": parent}
     assert ops["change"]["median"] == 550 and ops["within_bound"]
     assert ops["change_better_in_pairs"] == 4
@@ -70,22 +71,41 @@ def test_bench_pairs_summary_and_claim():
     claim = module["claim_block"]({"mode_cold": got},
                                   "mode_cold:ops_per_s:1.18")
     assert claim["ratio_of_medians"] == 550 / 455
-    assert claim["parent_iqr"] == 10 and claim["pairs"] == 5
+    assert claim["parent_iqr"] == 20 and claim["pairs"] == 5
     assert not claim["met"]                 # 4 of 5 pairs is below 9 in 10
     pairs[-1]["change"] = _run_record(480, 1000 / 480)
-    got = module["summarize"](pairs, spec["end_to_end"])
+    got = module["summarize_pairs"](pairs, spec["end_to_end"])
     assert module["claim_block"]({"mode_cold": got},
                                  "mode_cold:ops_per_s:1.18")["met"]
     assert not module["claim_block"]({"mode_cold": got},
                                      "mode_cold:ops_per_s:1.25")["met"]
     pairs[0]["change"] = _run_record(900, 1.0, correct=False)
-    assert not module["summarize"](pairs, spec["end_to_end"])["all_correct"]
+    assert not module["summarize_pairs"](pairs,
+                                         spec["end_to_end"])["all_correct"]
     # slower by more than the 25 % bound
     slow = [dict(p, change=_run_record(300, 1000 / 300)) for p in pairs]
-    assert not module["summarize"](slow, spec["end_to_end"])[
+    assert not module["summarize_pairs"](slow, spec["end_to_end"])[
         "metrics"]["ops_per_s"]["within_bound"]
 
 
 def test_bench_pairs_seed_ranges():
     module = _main("bench_pairs").__globals__
     assert module["parse_seeds"]("2101-2103,2110") == [2101, 2102, 2103, 2110]
+
+
+def test_bench_pairs_refuses_a_record_of_another_parent(tmp_path):
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"parent": "0000000", "run_seconds": 20}))
+    with pytest.raises(SystemExit, match="parent"):
+        _main("bench_pairs")(["--parent", "HEAD", "--workload", "mode_cold",
+                              "--seeds", "1", "--out", str(out)])
+
+
+def test_bench_pairs_raises_on_a_failed_run(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nprint('machine: nproc=1 python=3 cpu=x')\n"
+        "sys.exit('crashed after the machine line')\n")
+    run = _main("bench_pairs").__globals__["_run"]
+    with pytest.raises(RuntimeError, match="crashed after the machine line"):
+        run(tmp_path, "mode_cold", 1, 1)
