@@ -25,7 +25,7 @@ from .geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
                        circle_vs_circle, is_disjoint, is_subset,
                        point_in_circle, union_of)
 from .graded import GradedVector, ProductVector
-from .mu import mode_box
+from .mu import box_terms, mode_box
 from .presets import VAPreset
 from .records import FrozenRecord
 from .residues import Pairing
@@ -246,7 +246,8 @@ def evaluate_expression(expr: Expression, preset: VAPreset,
         factors = t.factors
         scalar = (_quadrature(factors, quad_n) if force_numeric
                   else Pairing(factors))
-        out = out + mode_box(preset, t.states, window, scalar).scale(t.coeff)
+        terms = box_terms(preset, t.states, window)
+        out = out + mode_box(preset, terms, window, scalar).scale(t.coeff)
     return out
 
 

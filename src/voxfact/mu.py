@@ -5,16 +5,20 @@ z_1 .. z_m to the product-space vector e^{z_m T} Y(a_1, z_1 - z_m) ...
 Y(a_{m-1}, z_{m-1} - z_m) a_m.  Each degree part is a rational function of
 the points whose pole orders are the locality orders `pole_bound`, so the
 map is a finite sum of state vectors times products of powers of the
-differences z_i - z_k and of z_m.  `mode_box` builds that sum from a
-finite box of nested state modes and hands the scalar factor of each term
-to a caller-supplied callback:
+differences z_i - z_k and of z_m.  `box_terms` reads that sum off a
+finite box of nested state modes, walking only the nonzero ones within
+degree bounds (`_box_terms`) under the pole denominator D, which is
+expanded once per tuple of orders (`_denominator`).  The terms come in
+the order a scan of the whole exponent grid gave, so float results keep
+their bits.  `mode_box` assembles them, handing the scalar factor of each
+term to a caller-supplied callback:
 
 * `mu_numeric` (any arity), `two_point_value` and `mu_one_point` evaluate
   it at the points, exactly (QQi) at exact points and in complex at float
   points;
 * `expressions` pairs it with jets and moments;
-* `check_associativity` reads one Laurent coefficient of it in t, with
-  inner points moved to zc + t w.
+* `check_associativity` reads one Laurent coefficient of it in t for
+  every k off one term list, with inner points moved to zc + t w.
 
 Nothing is truncated and no ordering of the points is needed.
 """
@@ -37,9 +41,21 @@ from .scalars import (DegreeWindow, QQi, binom, exact_value, same_point,
 # the mode box
 
 
-def mode_box(preset: VAPreset, states, window: DegreeWindow,
+def box_terms(preset: VAPreset, states, window: DegreeWindow):
+    """The terms (exps, d, V_e) of the map of ``states`` through degree
+    window.hi, part tuple by part tuple, for `mode_box` on the same
+    window; None for no states."""
+    if not states:
+        return None
+    return [term for parts in itertools.product(
+                *([s.project(d) for d in s.degrees()] for s in states))
+            for term in _box_terms(preset, parts, window.hi)]
+
+
+def mode_box(preset: VAPreset, terms, window: DegreeWindow,
              scalar) -> ProductVector:
-    """The m-point map of ``states``: sum of scalar(exps, j) T^j V_e / j!.
+    """The m-point map: sum of scalar(exps, j) T^j V_e / j! over the
+    `box_terms` of its states on this window.
 
     For homogeneous a_1 .. a_m, x_i = z_i - z_m and D(x) = prod_{i<k}
     (x_i - x_k)^N_ik with N_ik = pole_bound(a_i, a_k), Y(a_1, x_1) ... a_m
@@ -49,24 +65,22 @@ def mode_box(preset: VAPreset, states, window: DegreeWindow,
     nested modes.  ``exps`` lists ((i, k), t), i < k counted from 0, for
     prod (z_i - z_k)^t = x^e / D(x); the scalar stands for that factor
     times z_m^j, from the flow e^{z_m T}.  A zero scalar drops its term.
-    With no states the map is the vacuum.
+    A term list built once may be assembled under several callbacks.
+    With no states (``terms`` None) the map is the vacuum.
     """
     vacuum = GradedVector.vacuum()
-    if not states:
+    if terms is None:
         return ProductVector.from_vector(vacuum, window)
     # flow[j] is U_j = sum of scalar(exps, j) V_e, the state T^j / j! moves
     flow = [{} for _ in range(window.hi + 1)]
-    for parts in itertools.product(*([s.project(d) for d in s.degrees()]
-                                     for s in states)):
-        for exps, d, vec in _box_terms(preset, parts, window.hi):
-            # degree 0 holds only the vacuum, and T kills it
-            for j in range(max(0, window.lo - d),
-                           window.hi - d + 1 if d else 1):
-                s = scalar(exps, j)
-                if s:
-                    acc = flow[j]
-                    for mono, c in vec.terms.items():
-                        acc[mono] = acc.get(mono, 0) + c * s
+    for exps, d, vec in terms:
+        # degree 0 holds only the vacuum, and T kills it
+        for j in range(max(0, window.lo - d), window.hi - d + 1 if d else 1):
+            s = scalar(exps, j)
+            if s:
+                acc = flow[j]
+                for mono, c in vec.terms.items():
+                    acc[mono] = acc.get(mono, 0) + c * s
     # T^j U_j / j! = (U_j)_(-j-1)|0>, by the vacuum axiom
     # Y(U, z)|0> = e^{zT} U: one state mode per order
     out = GradedVector.zero()
@@ -77,40 +91,63 @@ def mode_box(preset: VAPreset, states, window: DegreeWindow,
 
 def _box_terms(preset, parts, top):
     """(exps, d, V_e) for the nonzero V_e of degree d <= top of the
-    homogeneous parts ``parts``; see `mode_box`."""
+    homogeneous parts ``parts``, in ascending e; see `mode_box`.
+
+    A walk over the nonzero nested modes, innermost first, finds them.
+    With v = a_{k+1}(n_{k+1}) ... a_m built, a_k(n_k) v is zero for n_k >=
+    deg a_k + deg v, and n_k = f_k - e_k - 1 < fmax_k, the largest f_k in
+    D.  So each outer a_j(n_j) adds at least deg a_j - fmax_j to the
+    degree, and d <= top needs n_k >= deg a_k + deg v - 1 - top - slack_k,
+    slack_k = sum_{j<k} (fmax_j - deg a_j).  Each V_e sums its D_f in D's
+    term order, as a scan of the whole e grid did, so float results of
+    `mode_box` keep their bits."""
     m = len(parts)
-    orders = {ik: pole_bound(preset, parts[ik[0]], parts[ik[1]])
-              for ik in itertools.combinations(range(m), 2)}
-    poly = {(0,) * m: 1}
-    for (i, k), order in orders.items():
-        for _ in range(order):
-            poly = _times_difference(poly, i, k)
-    poly = {f[:-1]: c for f, c in poly.items() if not f[-1]}  # x_m = 0
-    # V_e has degree sum deg a_i - deg D + |e|
-    low = sum(p.degree() for p in parts) - sum(orders.values())
-    memo = {(): parts[-1]}
+    pairs = list(itertools.combinations(range(m), 2))
+    orders = tuple(pole_bound(preset, parts[i], parts[k]) for i, k in pairs)
+    poly = list(_denominator(m, orders).items())
+    degs = [p.degree() for p in parts]
+    low = sum(degs) - sum(orders)  # D is homogeneous: V_e has degree low + |e|
+    fmax = [max(f[k] for f, _ in poly) for k in range(m - 1)]
+    slack = list(itertools.accumulate(
+        (fk - dk for fk, dk in zip(fmax, degs)), initial=0))
+    box = {}  # e: {index of f in D: (D_f, nested vector)}
 
-    def nested(n):  # a_k(n_k) ... a_{m-1}(n_{m-1}) a_m for n = n_k .. n_{m-1}
-        if n not in memo:
-            rest = nested(n[1:])
-            memo[n] = rest and state_mode(preset, parts[m - 1 - len(n)],
-                                          n[0], rest)
-        return memo[n]
+    def walk(k, n, v, deg):  # v = a_{k+1}(n_{k+1}) ... a_m, of degree deg
+        if k < 0:
+            for i, (f, c) in enumerate(poly):
+                e = tuple(fi - ni - 1 for fi, ni in zip(f, n))
+                if min(e, default=0) >= 0:
+                    box.setdefault(e, {})[i] = c, v
+            return
+        up = degs[k] + deg - 1
+        for nk in range(min(fmax[k] - 1, up), up - top - slack[k] - 1, -1):
+            w = state_mode(preset, parts[k], nk, v)
+            if w:
+                walk(k - 1, (nk,) + n, w, up - nk)
 
-    for e in itertools.product(range(top - low + 1), repeat=m - 1):
-        d = low + sum(e)
-        if not 0 <= d <= top:
-            continue
-        vec = GradedVector.zero()
-        for f, c in poly.items():
-            v = nested(tuple(fi - ei - 1 for fi, ei in zip(f, e)))
-            if v:
-                vec = vec + (v if c == 1 else v.scale(c))
-        if vec:
-            exps = {ik: -order for ik, order in orders.items()}
+    walk(m - 2, (), parts[-1], degs[-1])
+    for e in sorted(box):
+        d, vec, sums = low + sum(e), GradedVector.zero(), box[e]
+        for i in sorted(sums):
+            c, v = sums[i]
+            vec = vec + (v if c == 1 else v.scale(c))
+        if vec and d <= top:  # m = 1 walks no bound
+            exps = dict(zip(pairs, (-order for order in orders)))
             for i, ei in enumerate(e):
                 exps[(i, m - 1)] += ei
             yield tuple((ik, t) for ik, t in exps.items() if t), d, vec
+
+
+@cache
+def _denominator(m: int, orders: tuple) -> dict:
+    """{f: D_f} for D = prod_{i<k} (x_i - x_k)^N_ik at x_m = 0, orders N_ik
+    in `itertools.combinations` order.  Cached on integers, like `binom`:
+    the dict is shared, so no caller may change it."""
+    poly = {(0,) * m: 1}
+    for (i, k), order in zip(itertools.combinations(range(m), 2), orders):
+        for _ in range(order):
+            poly = _times_difference(poly, i, k)
+    return {f[:-1]: c for f, c in poly.items() if not f[-1]}
 
 
 def _times_difference(poly, i, j):
@@ -148,7 +185,7 @@ def mu_numeric(preset: VAPreset, states, points, window: DegreeWindow,
             return scalar_pow(points[last], t)
         return scalar_pow(points[ik[0]] - points[ik[1]], t)
 
-    return mode_box(preset, states, window,
+    return mode_box(preset, box_terms(preset, states, window), window,
                     lambda exps, j: math.prod(power(ik, t) for ik, t in exps)
                     * power(None, j))
 
@@ -249,19 +286,21 @@ def check_associativity(preset: VAPreset, outer, inner, insertion,
     # the points as a + b t, outer first, as in the left side's states
     lines = [(z, QQi(0)) for z in z_out] + [(zc, w) for w in w_in]
     inner_pv = mu_numeric(preset, b_in, w_in, DegreeWindow(0, window.hi))
-    parts = list(itertools.product(*([s.project(d) for d in s.degrees()]
-                                     for s in b_in)))
+    # each homogeneous inner part's box, built once and read at every k
+    boxes = [(sum(p.degree() for p in part),
+              box_terms(preset, a_out + list(part), window))
+             for part in itertools.product(
+                 *([s.project(d) for d in s.degrees()] for s in b_in))]
     worst, witness = 0.0, {}
     for k in range(window.hi + 1):
         # computed first, so that coincident points raise DomainViolation
         rhs = mu_numeric(preset, a_out + [inner_pv.component(k)],
                          z_out + [zc], window)
         lhs = ProductVector(window)
-        for part in parts:
-            order = k - sum(p.degree() for p in part)
+        for degree, terms in boxes:
             lhs = lhs + mode_box(
-                preset, a_out + list(part), window,
-                lambda exps, j: _t_coefficient(lines, exps, j, order))
+                preset, terms, window,
+                lambda exps, j: _t_coefficient(lines, exps, j, k - degree))
         err, bad = compare_parts([(d, lhs.component(d), rhs.component(d))
                                   for d in window.degrees()], 0.0)
         worst = max(worst, err)

@@ -421,3 +421,121 @@ def test_meromorphicity_fails_on_a_wrong_pole_bound(vir, monkeypatch, shift):
                         lambda p, a, b: real(p, a, b) + shift)
     rep = check_meromorphicity(vir, 2)
     assert not rep.passed and rep.witness
+
+
+# ---------------------------------------------------------------------------
+# the mode box walk against the grid scan it replaced
+
+
+def _grid_box_terms(preset, parts, top):
+    """The e-grid scan that `mu._box_terms` replaced, kept as a reference:
+    every e in range(top - low + 1)^(m-1), every term of D expanded afresh."""
+    m = len(parts)
+    orders = {ik: mu.pole_bound(preset, parts[ik[0]], parts[ik[1]])
+              for ik in itertools.combinations(range(m), 2)}
+    poly = {(0,) * m: 1}
+    for (i, k), order in orders.items():
+        for _ in range(order):
+            poly = mu._times_difference(poly, i, k)
+    poly = {f[:-1]: c for f, c in poly.items() if not f[-1]}
+    low = sum(p.degree() for p in parts) - sum(orders.values())
+    memo = {(): parts[-1]}
+
+    def nested(n):
+        if n not in memo:
+            rest = nested(n[1:])
+            memo[n] = rest and mu.state_mode(preset, parts[m - 1 - len(n)],
+                                             n[0], rest)
+        return memo[n]
+
+    for e in itertools.product(range(top - low + 1), repeat=m - 1):
+        d = low + sum(e)
+        if not 0 <= d <= top:
+            continue
+        vec = GradedVector.zero()
+        for f, c in poly.items():
+            v = nested(tuple(fi - ei - 1 for fi, ei in zip(f, e)))
+            if v:
+                vec = vec + (v if c == 1 else v.scale(c))
+        if vec:
+            exps = {ik: -order for ik, order in orders.items()}
+            for i, ei in enumerate(e):
+                exps[(i, m - 1)] += ei
+            yield tuple((ik, t) for ik, t in exps.items() if t), d, vec
+
+
+_SMALL_QQI = st.builds(lambda re, im: QQi(re, im), st.integers(-3, 3),
+                       st.integers(-2, 2)).filter(bool)
+
+
+def _exact_state(data, preset, max_degree):
+    """A nonzero exact state, often with several homogeneous parts."""
+    monos = data.draw(st.lists(st.sampled_from(basis_upto(preset,
+                                                          max_degree)),
+                               min_size=1, max_size=2, unique=True))
+    return GradedVector({mono: data.draw(_SMALL_QQI) for mono in monos})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(PRESETS + ["heisenberg4"]),
+       st.integers(0, 5))
+def test_box_walk_matches_grid(data, name, top):
+    # the same (exps, d, V_e) in the same order, V_e's terms in the same
+    # order with equal values, so float results keep their bits
+    arity = 4 if name == "heisenberg4" else data.draw(st.integers(1, 3))
+    preset = preset_from_name(name.rstrip("4"))
+    states = [_exact_state(data, preset, 2) for _ in range(arity)]
+    for parts in itertools.product(*([s.project(d) for d in s.degrees()]
+                                     for s in states)):
+        got = [(exps, d, list(v.terms.items()))
+               for exps, d, v in mu._box_terms(preset, parts, top)]
+        want = [(exps, d, list(v.terms.items()))
+                for exps, d, v in _grid_box_terms(preset, parts, top)]
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_denominator_is_the_expanded_product(data, m):
+    sympy = pytest.importorskip("sympy")
+    pairs = list(itertools.combinations(range(m), 2))
+    orders = tuple(data.draw(st.integers(0, 4)) for _ in pairs)
+    x = sympy.symbols(f"x0:{m}")
+    gens = x[:-1] or x    # a Poly needs a generator; x_m = 0 leaves m - 1
+    product = sympy.Poly(1, *gens)
+    for (i, k), n in zip(pairs, orders):
+        product *= sympy.Poly((x[i] - x[k]).subs(x[-1], 0), *gens) ** n
+    want = {f[:m - 1]: int(c) for f, c in product.as_dict().items()}
+    assert mu._denominator(m, orders) == want
+    # the cached dict is shared, so the box must leave it as it was
+    preset = preset_from_name(data.draw(st.sampled_from(PRESETS)))
+    states = [GradedVector.basis(data.draw(st.sampled_from(
+        basis_upto(preset, 2)[1:]))) for _ in range(m)]
+    used = tuple(mu.pole_bound(preset, states[i], states[k])
+                 for i, k in pairs)
+    shared = mu._denominator(m, used)
+    before = dict(shared)
+    points = [QQi(2 * i + 1, i) for i in range(m)]
+    mu_numeric(preset, states, points, DegreeWindow(0, 4))
+    assert mu._denominator(m, used) is shared and shared == before
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("points", [(QQi(1, 2), QQi(-1, 3)), (0.5, -0.25)])
+def test_int_coefficients_map_like_their_qqi_values(name, points):
+    # GradedVector keeps int coefficients as given; the map must read
+    # them as the exact values they are, at exact and at float points
+    preset = preset_from_name(name)
+    a, b = basis_upto(preset, 3)[1:3]
+    window = DegreeWindow(0, 4)
+    for states in ([{a: 2}], [{a: 2, b: -1}, {b: 3}]):
+        got = mu_numeric(preset, [GradedVector(s) for s in states],
+                         points[:len(states)], window)
+        want = mu_numeric(preset, [GradedVector({k: QQi(c) for k, c in
+                                                 s.items()}) for s in states],
+                          points[:len(states)], window)
+        for d in window.degrees():
+            u, v = got.component(d).terms, want.component(d).terms
+            assert u == v
+            assert [type(c) for c in u.values()] == \
+                [type(c) for c in v.values()]

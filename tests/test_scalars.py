@@ -1,5 +1,6 @@
 """Exact scalar arithmetic and the exact/approx coercion rule."""
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -214,3 +215,15 @@ def test_exact_value_is_the_value_eq_compares(q, re, im):
     assert exact_value(3) == QQi(3) and exact_value(Fraction(1, 3)) == \
         QQi(Fraction(1, 3))
     assert exact_value(1 / 3) != QQi(Fraction(1, 3))
+
+
+@given(exactish, floats, floats)
+@example(QQi(Fraction(1, 3), Fraction(-2, 7)), 1e308, -1e-308)
+def test_qqi_times_float_is_its_complex_value_times_it(q, re, im):
+    """q * s == complex(q) * s to the bit for a complex or float s: an
+    exact value meets a float as its complex value, in either order."""
+    bits = lambda z: struct.pack("<dd", z.real, z.imag)
+    for s in (complex(re, im), re):
+        assert type(q * s) is complex
+        assert bits(q * s) == bits(complex(q) * s)
+        assert bits(s * q) == bits(complex(q) * s)

@@ -2,6 +2,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -93,12 +94,18 @@ def test_bench_pairs_seed_ranges():
     assert module["parse_seeds"]("2101-2103,2110") == [2101, 2102, 2103, 2110]
 
 
-def test_bench_pairs_refuses_a_record_of_another_parent(tmp_path):
+def test_bench_pairs_refuses_a_record_of_another_parent(tmp_path,
+                                                       monkeypatch):
+    # the rev lookup is stubbed, so the test runs outside a git checkout
+    main = _main("bench_pairs")
+    git = lambda args, **kw: SimpleNamespace(stdout="1234567\n")
+    monkeypatch.setitem(main.__globals__, "subprocess",
+                        SimpleNamespace(run=git))
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"parent": "0000000", "run_seconds": 20}))
-    with pytest.raises(SystemExit, match="parent"):
-        _main("bench_pairs")(["--parent", "HEAD", "--workload", "mode_cold",
-                              "--seeds", "1", "--out", str(out)])
+    with pytest.raises(SystemExit, match="parent '0000000', not '1234567'"):
+        main(["--parent", "HEAD", "--workload", "mode_cold", "--seeds", "1",
+              "--out", str(out)])
 
 
 def test_bench_pairs_raises_on_a_failed_run(tmp_path):
