@@ -23,13 +23,9 @@ import json
 import sys
 from fractions import Fraction
 
-from voxfact.graded import GradedVector, mono_degree, mono_token
+from voxfact.graded import GradedVector, mono_degree, mono_text, mono_token
 from voxfact.presets import (basis_upto, gen_mode_mono, preset_from_name,
                              state_mode_mono, translate)
-
-
-def fmt(mono) -> str:
-    return "".join(f"{g}(-{m})" for g, m in mono) or "|0>"
 
 
 def _tokens(mono):
@@ -107,7 +103,7 @@ def main(argv=None) -> int:
                     out = state_mode_mono(preset, am, n, bm)
                     if args.nonzero_only and not out:
                         continue
-                    print(f"{fmt(am)} _({n}) {fmt(bm)} = {out}")
+                    print(f"{mono_text(am)} _({n}) {mono_text(bm)} = {out}")
     return 0
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import UsageError, VoxfactError
 from .expressions import Expression, evaluate_expression, multiply
 from .geometry import OpenSet
-from .graded import GradedVector
+from .graded import GradedVector, mono_text, parse_mono
 from .mu import check_insertion_at_zero, check_meromorphicity, mu_numeric
 from .presets import basis, preset_from_name
 from .relations import (relation_kernel, roundtrip_check, run_counterexample,
@@ -150,14 +150,10 @@ def _load_state(text):
     text = text.strip()
     if text.startswith("{"):
         return GradedVector.from_obj(json.loads(text))
-    if text in ("", "|0>"):
-        return GradedVector.vacuum()
-    import re
-    toks = re.findall(r"[A-Za-z]+\(-\d+\)", text)
-    if "".join(toks) != text.replace(" ", ""):
-        raise UsageError(f"cannot parse state {text!r}")
-    from .graded import parse_token
-    return GradedVector.basis(tuple(parse_token(t) for t in toks))
+    try:
+        return GradedVector.basis(parse_mono(text))
+    except ValueError:
+        raise UsageError(f"cannot parse state {text!r}") from None
 
 
 def _load_states(text):
@@ -194,8 +190,7 @@ def _dispatch(args) -> int:
         payload = {"preset": preset.kind,
                    "generators": list(preset.generators),
                    "c": str(preset.c), "level": str(preset.level),
-                   "basis": {str(d): ["".join(f"{g}(-{m})" for g, m in mono)
-                                      or "|0>" for mono in basis(preset, d)]
+                   "basis": {str(d): list(map(mono_text, basis(preset, d)))
                              for d in window.degrees()}}
         _emit(args, json.dumps(payload, indent=2, sort_keys=True))
         return 0

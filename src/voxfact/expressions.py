@@ -22,8 +22,7 @@ from .errors import NotASubset, NotDisjoint, VoxfactError
 from .functionals import (CircleMoment, DeltaJet, apply_factor_numeric,
                           factor_from_obj, pushforward_factor, sqrt_of_modulus)
 from .geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
-                       circle_vs_circle, is_disjoint, is_subset,
-                       point_in_circle, union_of)
+                       circle_vs_circle, is_subset, point_in_circle, union_of)
 from .graded import GradedVector, ProductVector
 from .mu import box_terms, mode_box
 from .presets import VAPreset
@@ -55,11 +54,9 @@ class Expression:
                 _validate_term(carrier, t)
 
     @classmethod
-    def single(cls, carrier, factors, states, coeff=None, validate=True):
-        return cls(carrier,
-                   [Term(QQi(1) if coeff is None else coeff,
-                         tuple(factors), tuple(states))],
-                   validate=validate)
+    def single(cls, carrier, factors, states, coeff=None):
+        return cls(carrier, [Term(QQi(1) if coeff is None else coeff,
+                                  tuple(factors), tuple(states))])
 
     def scale(self, s):
         return Expression(self.carrier,
@@ -180,8 +177,6 @@ def extend(expr: Expression, target: OpenSet) -> Expression:
 
 
 def multiply(x: Expression, y: Expression, target: OpenSet) -> Expression:
-    if not is_disjoint(x.carrier, y.carrier):
-        raise NotDisjoint("carriers overlap")
     both = union_of(x.carrier, y.carrier)
     if not is_subset(both, target):
         raise NotASubset("carrier union does not sit inside the target")

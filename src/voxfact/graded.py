@@ -11,14 +11,13 @@ import json
 import re
 
 from .records import Record
-from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
-                      is_exact, scalar_zero)
+from .scalars import DegreeWindow, QQi, coeff_from_obj, coeff_to_obj, is_exact
 
 Mono = tuple  # tuple[tuple[str, int], ...]
 
 VACUUM: Mono = ()
 
-_TOKEN_RE = re.compile(r"^([A-Za-z]+)\(-(\d+)\)$")
+_TOKEN_RE = re.compile(r"([A-Za-z]+)\(-(\d+)\)")
 
 
 def mono_degree(mono: Mono) -> int:
@@ -31,10 +30,26 @@ def mono_token(factor) -> str:
 
 
 def parse_token(tok: str):
-    m = _TOKEN_RE.match(tok)
+    m = _TOKEN_RE.fullmatch(tok)
     if not m:
         raise ValueError(f"bad generator token {tok!r}")
     return (m.group(1), int(m.group(2)))
+
+
+def mono_text(mono: Mono) -> str:
+    """The text of a monomial, 'a(-2)a(-1)', and '|0>' for the vacuum."""
+    return "".join(map(mono_token, mono)) or "|0>"
+
+
+def parse_mono(text: str) -> Mono:
+    """Inverse of `mono_text`; also reads '' as the vacuum and allows
+    spaces between factors.  ValueError on any other text."""
+    if text == "|0>":
+        return VACUUM
+    factors = _TOKEN_RE.findall(text)
+    if "".join(map(mono_token, factors)) != text.replace(" ", ""):
+        raise ValueError(f"bad monomial {text!r}")
+    return tuple((gen, int(m)) for gen, m in factors)
 
 
 class GradedVector:
@@ -50,11 +65,11 @@ class GradedVector:
         cleaned = {}
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                if scalar_zero(coeff):
+                if not coeff:
                     continue
                 if mono in cleaned:
                     s = cleaned[mono] + coeff
-                    if scalar_zero(s):
+                    if not s:
                         del cleaned[mono]
                     else:
                         cleaned[mono] = s
@@ -101,7 +116,7 @@ class GradedVector:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             s = out.get(mono, 0) + coeff
-            if scalar_zero(s):
+            if not s:
                 out.pop(mono, None)
             else:
                 out[mono] = s
@@ -114,7 +129,7 @@ class GradedVector:
         return self.scale(-1)
 
     def scale(self, s):
-        if scalar_zero(s):
+        if not s:
             return GradedVector()
         return GradedVector({m: c * s for m, c in self.terms.items()})
 
@@ -203,11 +218,8 @@ class GradedVector:
     def __repr__(self):
         if not self.terms:
             return "GradedVector(0)"
-        bits = []
-        for mono in sorted(self.terms, key=_mono_sort_key):
-            body = "".join(mono_token(f) for f in mono) or "|0>"
-            bits.append(f"({self.terms[mono]})*{body}")
-        return " + ".join(bits)
+        return " + ".join(f"({self.terms[mono]})*{mono_text(mono)}"
+                          for mono in sorted(self.terms, key=_mono_sort_key))
 
 
 _set_terms, _new = GradedVector.terms.__set__, object.__new__

@@ -208,13 +208,14 @@ def two_point_value(preset: VAPreset, a: GradedVector, b: GradedVector,
 # defining-property checks
 
 
-def compare_parts(pairs, tol: float):
-    """(err, key) over ``pairs`` of (key, u, v), vectors that should agree:
-    err is the largest distance |u - v| / max(|u|, |v|, 1), key that of
-    the last pair that disagrees, or None.  Two exact vectors agree only
-    when they are equal, decided on their coefficients and never through
-    float; other vectors agree when their distance is at most tol."""
-    worst, bad = 0.0, None
+def compare_parts(axiom: str, pairs, tol: float,
+                  truncation=None) -> CheckReport:
+    """The report of check ``axiom`` on a stream of (witness, u, v), vectors
+    that should agree: max_err the largest |u - v| / max(|u|, |v|, 1), the
+    witness that of the last pair that disagrees, or {}, and a pass iff no
+    pair disagrees.  Exact vectors agree only when equal, decided on their
+    coefficients and never through float; others when within tol."""
+    worst, witness, passed = 0.0, {}, True
     for key, u, v in pairs:
         exact = u.is_exact() and v.is_exact()
         if exact and u == v:
@@ -222,25 +223,33 @@ def compare_parts(pairs, tol: float):
         err = u.distance(v) / max(u.norm_inf(), v.norm_inf(), 1.0)
         worst = max(worst, err)
         if exact or err > tol:
-            bad = key
-    return worst, bad
+            witness, passed = key, False
+    return CheckReport(axiom, passed, worst, tol, witness, truncation)
+
+
+def check_identity_on_basis(axiom: str, preset: VAPreset, max_degree: int,
+                            route) -> CheckReport:
+    """route(a, window) == a on the nose, degree by degree, for every basis
+    state a of degree <= max_degree, on the window 0 .. max_degree;
+    witness {"state", "degree"}."""
+    window = DegreeWindow(0, max_degree)
+
+    def pairs():
+        for mono in basis_upto(preset, max_degree):
+            a = GradedVector.basis(mono)
+            got, state = route(a, window), a.to_obj()
+            for k in window.degrees():
+                yield ({"state": state, "degree": k}, got.component(k),
+                       a.project(k))
+    return compare_parts(axiom, pairs(), 0.0, {"max_degree": max_degree})
 
 
 def check_insertion_at_zero(preset: VAPreset, max_degree: int = 6) -> CheckReport:
     """The flow exp(zT) a at z = 0 returns a on the nose for every basis
     state, compared exactly."""
-    worst, witness = 0.0, {}
-    for mono in basis_upto(preset, max_degree):
-        a = GradedVector.basis(mono)
-        window = DegreeWindow(0, max(a.degree(), max_degree))
-        got = mu_one_point(preset, a, QQi(0), window)
-        err, bad = compare_parts([(k, got.component(k), a.project(k))
-                                  for k in window.degrees()], 0.0)
-        worst = max(worst, err)
-        if bad is not None:
-            witness = {"state": a.to_obj(), "degree": bad}
-    return CheckReport("insertion_at_zero", not witness, worst, 0.0, witness,
-                       {"max_degree": max_degree})
+    return check_identity_on_basis(
+        "insertion_at_zero", preset, max_degree,
+        lambda a, window: mu_one_point(preset, a, QQi(0), window))
 
 
 def check_equivariance(preset: VAPreset, configs, window: DegreeWindow,
@@ -252,19 +261,17 @@ def check_equivariance(preset: VAPreset, configs, window: DegreeWindow,
 
     on ``window``, exactly on exact data and within a relative tol
     otherwise."""
-    worst, witness = 0.0, {}
-    for states, points, q in configs:
-        lhs = mu_numeric(preset, [s.grading_act(q) for s in states],
-                         [q * z for z in points], window)
-        rhs = mu_numeric(preset, states, points, window)
-        err, bad = compare_parts(
-            [(k, lhs.component(k), rhs.component(k).scale(scalar_pow(q, k)))
-             for k in window.degrees()], tol)
-        worst = max(worst, err)
-        if bad is not None:
-            witness = {"q": str(q), "degree": bad,
-                       "points": [str(z) for z in points]}
-    return CheckReport("equivariance", not witness, worst, tol, witness, {})
+    def pairs():
+        for states, points, q in configs:
+            lhs = mu_numeric(preset, [s.grading_act(q) for s in states],
+                             [q * z for z in points], window)
+            rhs = mu_numeric(preset, states, points, window)
+            shown = [str(z) for z in points]
+            for k in window.degrees():
+                yield ({"q": str(q), "degree": k, "points": shown},
+                       lhs.component(k),
+                       rhs.component(k).scale(scalar_pow(q, k)))
+    return compare_parts("equivariance", pairs(), tol)
 
 
 def check_associativity(preset: VAPreset, outer, inner, insertion,
@@ -291,22 +298,20 @@ def check_associativity(preset: VAPreset, outer, inner, insertion,
               box_terms(preset, a_out + list(part), window))
              for part in itertools.product(
                  *([s.project(d) for d in s.degrees()] for s in b_in))]
-    worst, witness = 0.0, {}
-    for k in range(window.hi + 1):
-        # computed first, so that coincident points raise DomainViolation
-        rhs = mu_numeric(preset, a_out + [inner_pv.component(k)],
-                         z_out + [zc], window)
-        lhs = ProductVector(window)
-        for degree, terms in boxes:
-            lhs = lhs + mode_box(
-                preset, terms, window,
-                lambda exps, j: _t_coefficient(lines, exps, j, k - degree))
-        err, bad = compare_parts([(d, lhs.component(d), rhs.component(d))
-                                  for d in window.degrees()], 0.0)
-        worst = max(worst, err)
-        if bad is not None:
-            witness = {"k": k, "degree": bad}
-    return CheckReport("associativity", not witness, worst, 0.0, witness, {})
+
+    def pairs():
+        for k in range(window.hi + 1):
+            # computed first, so that coincident points raise DomainViolation
+            rhs = mu_numeric(preset, a_out + [inner_pv.component(k)],
+                             z_out + [zc], window)
+            lhs = ProductVector(window)
+            for degree, terms in boxes:
+                lhs = lhs + mode_box(
+                    preset, terms, window,
+                    lambda exps, j: _t_coefficient(lines, exps, j, k - degree))
+            for d in window.degrees():
+                yield {"k": k, "degree": d}, lhs.component(d), rhs.component(d)
+    return compare_parts("associativity", pairs(), 0.0)
 
 
 def _t_coefficient(lines, exps, j, order):
@@ -342,17 +347,14 @@ def check_permutation(preset: VAPreset, configs, window: DegreeWindow,
     in reverse order gives the same value on ``window``, exactly on exact
     data and within a relative tol otherwise.  At two points (z, 0) this is
     skew-symmetry, Y(a, z) b = e^{zT} Y(b, -z) a."""
-    worst, witness = 0.0, {}
-    for num, (states, points) in enumerate(configs):
-        fwd = mu_numeric(preset, states, points, window)
-        rev = mu_numeric(preset, states[::-1], points[::-1], window)
-        err, bad = compare_parts([(k, fwd.component(k), rev.component(k))
-                                  for k in window.degrees()], tol)
-        worst = max(worst, err)
-        if bad is not None:
-            witness = {"config": num, "degree": bad}
-    return CheckReport("permutation_invariance", not witness, worst, tol,
-                       witness, {})
+    def pairs():
+        for num, (states, points) in enumerate(configs):
+            fwd = mu_numeric(preset, states, points, window)
+            rev = mu_numeric(preset, states[::-1], points[::-1], window)
+            for k in window.degrees():
+                yield ({"config": num, "degree": k}, fwd.component(k),
+                       rev.component(k))
+    return compare_parts("permutation_invariance", pairs(), tol)
 
 
 def check_meromorphicity(preset: VAPreset, max_degree: int = 5) -> CheckReport:
@@ -361,8 +363,7 @@ def check_meromorphicity(preset: VAPreset, max_degree: int = 5) -> CheckReport:
     a_(N-1) b != 0 when N > 0 and a_(n) b = 0 for N <= n < deg a + deg b
     (above that a_(n) b would have negative degree).  The oracle's integer
     tables are empty exactly when the mode is zero, so none is lifted."""
-    worst = 0
-    witness = {}
+    witness, max_order = {}, 0
     states = basis_upto(preset, max_degree)
     for am in states:
         a = GradedVector.basis(am)
@@ -373,6 +374,6 @@ def check_meromorphicity(preset: VAPreset, max_degree: int = 5) -> CheckReport:
             if (pb > 0 and not _oracle(preset, am, pb - 1, bm)) \
                     or any(_oracle(preset, am, n, bm) for n in range(pb, top)):
                 witness = {"a": a.to_obj(), "b": b.to_obj(), "pole_bound": pb}
-            worst = max(worst, pb)
+            max_order = max(max_order, pb)
     return CheckReport("meromorphicity", not witness, 0.0, 0.0, witness,
-                       {"max_degree": max_degree, "max_pole_order": worst})
+                       {"max_degree": max_degree, "max_pole_order": max_order})

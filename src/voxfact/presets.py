@@ -79,7 +79,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .graded import GradedVector, Mono, mono_degree, mono_token
+from .graded import GradedVector, Mono, mono_degree, mono_text
 from .records import FrozenRecord
 from .scalars import QQi, _reduced, binom, exact_value, is_exact, scale_int
 
@@ -326,7 +326,7 @@ def _degree(preset, mono) -> int:
         weights = preset._weights
         for x, m in mono:
             if x not in weights or m < weights[x]:
-                raise ValueError(f"{''.join(map(mono_token, mono))} is not "
+                raise ValueError(f"{mono_text(mono)} is not "
                                  f"a {preset.kind} basis monomial")
         d = degs[mono] = mono_degree(mono)
     return d

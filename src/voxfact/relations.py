@@ -24,11 +24,10 @@ from .functionals import CircleMoment, DeltaJet, quadrature_moment
 from .geometry import Annulus, Disc, OpenSet
 from .graded import GradedVector
 from .linalg import nullspace
-from .mu import compare_parts, mu_one_point
-from .presets import (VAPreset, basis_upto, heisenberg, pole_bound,
-                      state_mode)
+from .mu import check_identity_on_basis, compare_parts, mu_one_point
+from .presets import VAPreset, heisenberg, pole_bound, state_mode
 from .report import CheckReport
-from .scalars import DegreeWindow, QQi, scalar_key, scalar_zero
+from .scalars import DegreeWindow, QQi, scalar_key
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +125,9 @@ def _orbit_radius(expr: Expression) -> float:
 
 
 def _outer_radius(u: OpenSet):
-    if isinstance(u, Disc) and scalar_zero(u.center):
+    if isinstance(u, Disc) and not u.center:
         return float(u.radius)
-    if isinstance(u, Annulus) and scalar_zero(u.center):
+    if isinstance(u, Annulus) and not u.center:
         return float(u.outer)
     return None
 
@@ -256,18 +255,15 @@ def concentric_density_check(preset: VAPreset, expr: Expression, center,
     """A relation on a disc evaluates to zero along its whole dilation
     orbit about the disc center: exactly at exact scales, within tol at
     float ones; q = 1 is the relation itself."""
-    worst, witness = 0.0, {}
-    zero = GradedVector.zero()
-    for q in (QQi(1), *qs):
-        scaled = affine_act(q, (1 - q) * center, expr)
-        val = evaluate_expression(scaled, preset, window)
-        err, bad = compare_parts([(k, val.component(k), zero)
-                                  for k in window.degrees()], tol)
-        worst = max(worst, err)
-        if bad is not None:
-            witness = {"q": str(q), "degree": bad}
-    return CheckReport("concentric_density", not witness, worst, tol,
-                       witness, {"samples": len(qs)})
+    def pairs():
+        for q in (QQi(1), *qs):
+            val = evaluate_expression(affine_act(q, (1 - q) * center, expr),
+                                      preset, window)
+            for k in window.degrees():
+                yield ({"q": str(q), "degree": k}, val.component(k),
+                       GradedVector.zero())
+    return compare_parts("concentric_density", pairs(), tol,
+                         {"samples": len(qs)})
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +313,10 @@ def roundtrip_check(preset: VAPreset, max_degree: int) -> CheckReport:
     """ev(state_embedding(a)) == a exactly, degree by degree, for every
     basis state a of degree <= max_degree."""
     carrier = Disc(QQi(0), Fraction(1))
-    worst, witness = 0.0, {}
-    for mono in basis_upto(preset, max_degree):
-        a = GradedVector.basis(mono)
-        window = DegreeWindow(0, max(a.degree(), max_degree))
-        got = evaluate_expression(state_embedding(carrier, a), preset, window)
-        err, bad = compare_parts([(k, got.component(k), a.project(k))
-                                  for k in window.degrees()], 0.0)
-        worst = max(worst, err)
-        if bad is not None:
-            witness = {"state": a.to_obj(), "degree": bad}
-    return CheckReport("embedding_roundtrip", not witness, worst, 0.0,
-                       witness, {"max_degree": max_degree})
+    return check_identity_on_basis(
+        "embedding_roundtrip", preset, max_degree,
+        lambda a, window: evaluate_expression(state_embedding(carrier, a),
+                                              preset, window))
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +327,14 @@ def check_weight_partition(preset: VAPreset, exprs, window: DegreeWindow,
                            tol: float = 1e-9) -> CheckReport:
     """sum_k l_k recovers the full evaluation on windowed expressions, with
     each l_k read off the dilation orbit by the trapezoid rule."""
-    worst = 0.0
-    witness = {}
-    for num, expr in enumerate(exprs):
-        total = GradedVector.zero()
-        for piece in _orbit_components(expr, window.degrees(), preset,
-                                       window).values():
-            total = total + piece
-        direct = evaluate_expression(expr, preset, window,
-                                     force_numeric=False).flatten()
-        err, bad = compare_parts([(num, total, direct)], tol)
-        worst = max(worst, err)
-        if bad is not None:
-            witness = {"expression": num}
-    return CheckReport("weight_projection_partition", not witness, worst,
-                       tol, witness, {"count": len(exprs)})
+    def pairs():
+        for num, expr in enumerate(exprs):
+            parts = _orbit_components(expr, window.degrees(), preset, window)
+            total = sum(parts.values(), GradedVector.zero())
+            yield ({"expression": num}, total,
+                   evaluate_expression(expr, preset, window).flatten())
+    return compare_parts("weight_projection_partition", pairs(), tol,
+                         {"count": len(exprs)})
 
 
 def check_weight_idempotent(preset: VAPreset, exprs, window: DegreeWindow,
@@ -361,27 +342,24 @@ def check_weight_idempotent(preset: VAPreset, exprs, window: DegreeWindow,
     """l_k o l_k = l_k and l_j o l_k = 0 for j != k, on embedded outputs:
     the inner l_k is `weight_project`, the outer ones are read off the
     dilation orbit by the trapezoid rule."""
-    worst = 0.0
-    witness = {}
     carrier = Disc(QQi(0), Fraction(1))
-    for num, expr in enumerate(exprs):
-        for k in window.degrees():
-            piece, _ = weight_project(expr, k, preset, window)
-            if not piece:
-                continue
-            embedded = state_embedding(carrier, piece)
-            j = k + 1 if k + 1 in window else k - 1
-            orbit = _orbit_components(embedded, [k, j] if j in window
-                                      else [k], preset, window)
-            pairs = [(k, orbit[k], piece)]
-            if j in orbit:
-                pairs.append((j, orbit[j], GradedVector.zero()))
-            err, bad = compare_parts(pairs, tol)
-            worst = max(worst, err)
-            if bad is not None:
+
+    def pairs():
+        for num, expr in enumerate(exprs):
+            for k in window.degrees():
+                piece, _ = weight_project(expr, k, preset, window)
+                if not piece:
+                    continue
+                j = k + 1 if k + 1 in window else k - 1
+                orbit = _orbit_components(state_embedding(carrier, piece),
+                                          [k, j] if j in window else [k],
+                                          preset, window)
                 witness = {"expression": num, "k": k}
-    return CheckReport("weight_projection_idempotent", not witness, worst,
-                       tol, witness, {"count": len(exprs)})
+                yield witness, orbit[k], piece
+                if j in orbit:
+                    yield witness, orbit[j], GradedVector.zero()
+    return compare_parts("weight_projection_idempotent", pairs(), tol,
+                         {"count": len(exprs)})
 
 
 def check_weight_quadrature(preset: VAPreset, samples, window: DegreeWindow,
@@ -391,17 +369,12 @@ def check_weight_quadrature(preset: VAPreset, samples, window: DegreeWindow,
     against the degree parts of the one-point map, the homomorphism square
     l_k [delta_z (x) a] = p_k mu(a, z); the latter are exact at exact
     sample points."""
-    worst = 0.0
-    witness = {}
-    for a, z, k in samples:
-        r = abs(complex(z))
-        big = Disc(QQi(0), Fraction(4 * (int(r) + 1)))
-        expr = Expression.single(big, [DeltaJet(z, 0)], [a])
-        proj = _orbit_components(expr, [k], preset, window, quad_n)[k]
-        exact = mu_one_point(preset, a, z, window).component(k)
-        err, bad = compare_parts([(k, proj, exact)], tol)
-        worst = max(worst, err)
-        if bad is not None:
-            witness = {"z": str(z), "k": k}
-    return CheckReport("weight_projection_quadrature", not witness, worst,
-                       tol, witness, {"samples": len(samples)})
+    def pairs():
+        for a, z, k in samples:
+            big = Disc(QQi(0), Fraction(4 * (int(abs(complex(z))) + 1)))
+            expr = Expression.single(big, [DeltaJet(z, 0)], [a])
+            yield ({"z": str(z), "k": k},
+                   _orbit_components(expr, [k], preset, window, quad_n)[k],
+                   mu_one_point(preset, a, z, window).component(k))
+    return compare_parts("weight_projection_quadrature", pairs(), tol,
+                         {"samples": len(samples)})

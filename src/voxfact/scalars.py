@@ -373,12 +373,6 @@ def exact_value(x) -> QQi:
     return QQi(Fraction(z.real), Fraction(z.imag))
 
 
-def scalar_zero(x) -> bool:
-    if isinstance(x, QQi):
-        return not x
-    return x == 0
-
-
 def same_point(p, q) -> bool:
     """p == q: exactly when both are exact, else as complex numbers."""
     if is_exact(p) and is_exact(q):
@@ -442,7 +436,7 @@ def scalar_pow(base, e: int):
     if e == 0:
         return QQi(1) if is_exact(base) else complex(1)
     b = QQi(base) if isinstance(base, (int, Fraction)) else base
-    if scalar_zero(b):
+    if not b:
         if e > 0:
             return QQi(0) if is_exact(b) else complex(0)
         raise ZeroDivisionError("0 raised to a negative power")

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from voxfact.graded import GradedVector, ProductVector, parse_token
+from voxfact.graded import (GradedVector, ProductVector, mono_text, parse_mono,
+                            parse_token)
 from voxfact.scalars import DegreeWindow, QQi
 
 monos = st.lists(
@@ -67,6 +68,22 @@ def test_token_parse():
     assert parse_token("a(-3)") == ("a", 3)
     with pytest.raises(ValueError):
         parse_token("a(3)")
+
+
+@given(monos)
+def test_mono_text_roundtrip(mono):
+    assert parse_mono(mono_text(mono)) == mono
+
+
+def test_mono_text_forms():
+    assert mono_text(()) == "|0>" and parse_mono("") == ()
+    assert mono_text((("a", 2), ("b", 1))) == "a(-2)b(-1)"
+    assert parse_mono("a(-2) b(-1)") == (("a", 2), ("b", 1))
+    for bad in ("a(2)", "a (-2)", "a(-1)|0>", "a(-1)\n"):
+        with pytest.raises(ValueError):
+            parse_mono(bad)
+    with pytest.raises(ValueError):
+        parse_token("a(-3)\n")
 
 
 def test_product_vector_components():

@@ -319,6 +319,40 @@ def test_insertion_at_zero_fails_on_a_planted_exact_error(boson,
                            "degree": 0}
 
 
+def test_compare_parts_reports_the_last_failing_witness():
+    # two exact pairs disagree, the first by more; a float pair after them
+    # agrees within tol
+    a, b = B("a(-1)"), B("a(-2)")
+    rep = mu.compare_parts("synthetic", iter([
+        ({"case": 1}, a, b),                  # error 1
+        ({"case": 2}, b, b),
+        ({"case": 3}, a, a.scale(2)),         # error 1/2
+        ({"case": 4}, a.to_complex(), a.scale(1 + 1e-12)),
+    ]), 1e-9)
+    assert rep.axiom == "synthetic" and rep.tol == 1e-9
+    assert not rep.passed
+    assert rep.max_err == 1.0
+    assert rep.witness == {"case": 3}
+    assert rep.truncation == {}
+
+
+def test_compare_parts_passes_an_empty_stream():
+    rep = mu.compare_parts("empty", iter(()), 0.0)
+    assert rep.passed and rep.max_err == 0.0
+    assert rep.witness == {} and rep.truncation == {}
+
+
+def test_identity_on_basis_reports_the_last_basis_state(boson):
+    # a route that doubles its state fails every basis state at its degree
+    rep = mu.check_identity_on_basis(
+        "planted", boson, 3,
+        lambda a, window: ProductVector.from_vector(a.scale(2), window))
+    last = GradedVector.basis(basis_upto(boson, 3)[-1])
+    assert not rep.passed and rep.max_err == 0.5
+    assert rep.witness == {"state": last.to_obj(), "degree": 3}
+    assert rep.truncation == {"max_degree": 3}
+
+
 @pytest.mark.parametrize("name", ["heisenberg", "virasoro", "affine_sl2"])
 def test_two_point_locality(name):
     """mu(a, z, b, w) == mu(b, w, a, z) exactly, with w != 0, for every pair
