@@ -17,7 +17,7 @@ from .mu import check_insertion_at_zero, check_meromorphicity, mu_numeric
 from .presets import basis, preset_from_name
 from .relations import (relation_kernel, roundtrip_check, run_counterexample,
                         weight_project)
-from .scalars import DegreeWindow, parse_qqi
+from .scalars import DegreeWindow, point_from_text
 from .suite import (SUITE_LABELS, SuiteConfig, _weiss_accept, _weiss_reject,
                     emit_tables, run_suite)
 
@@ -55,7 +55,7 @@ def build_parser():
     common(p)
     p.add_argument("--states", required=True, help="JSON list of states")
     p.add_argument("--points", required=True,
-                   help="JSON list of points (Gaussian rational strings)")
+                   help="points as text, ';'-separated or a JSON list")
     p.add_argument("--numeric", action="store_true")
 
     p = sub.add_parser("check", help="run a single defining-property check")
@@ -165,9 +165,8 @@ def _load_states(text):
 
 def _load_points(text):
     text = text.strip()
-    if text.startswith("["):
-        return [parse_qqi(p) for p in json.loads(text)]
-    return [parse_qqi(p) for p in text.split(";")]
+    parts = json.loads(text) if text.startswith("[") else text.split(";")
+    return [point_from_text(p) for p in parts]
 
 
 def main(argv=None) -> int:

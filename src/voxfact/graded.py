@@ -11,7 +11,8 @@ import json
 import re
 
 from .records import Record
-from .scalars import DegreeWindow, QQi, coeff_from_obj, coeff_to_obj, is_exact
+from .scalars import (DegreeWindow, QQi, coeff_from_obj, coeff_to_obj,
+                      is_exact, scalar_pow)
 
 Mono = tuple  # tuple[tuple[str, int], ...]
 
@@ -173,7 +174,6 @@ class GradedVector:
 
     def grading_act(self, q) -> "GradedVector":
         """Scale each homogeneous component of degree k by q**k."""
-        from .scalars import scalar_pow
         return GradedVector({m: c * scalar_pow(q, mono_degree(m))
                              for m, c in self.terms.items()})
 

@@ -141,8 +141,8 @@ def _box_terms(preset, parts, top):
 @cache
 def _denominator(m: int, orders: tuple) -> dict:
     """{f: D_f} for D = prod_{i<k} (x_i - x_k)^N_ik at x_m = 0, orders N_ik
-    in `itertools.combinations` order.  Cached on integers, like `binom`:
-    the dict is shared, so no caller may change it."""
+    in `itertools.combinations` order.  Cached (point_maps p90 0.768 ->
+    0.696 ms, BENCH_22.json): the dict is shared; no caller may change it."""
     poly = {(0,) * m: 1}
     for (i, k), order in zip(itertools.combinations(range(m), 2), orders):
         for _ in range(order):

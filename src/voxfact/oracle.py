@@ -17,15 +17,15 @@ field.  Both sums are finite by the grading bound on a' and the oscillator
 annihilation bound on b.  No iterate/binomial-transposition identity is used.
 
 The route runs on the same integer tables {mono: int} as `presets`, in the
-same basis of rescaled generators lambda*x, merging with its own `_acc`
-and reading the shared oscillator table `presets._gen`; it has its own
-memo table (``oracle``) and never reads ``sm``.  lambda and `QQi` enter
-only in `oracle_mode_mono`, through the lift `presets._add_lifted`.
+same basis of rescaled generators lambda*x, sharing only the oscillator
+table `presets._gen` and the merge `presets._acc` with the engine; it has
+its own memo table (``oracle``) and never reads ``sm``.  lambda and `QQi`
+enter only in `oracle_mode_mono`, through the lift `presets._add_lifted`.
 """
 from __future__ import annotations
 
 from .graded import GradedVector, Mono, mono_degree
-from .presets import VAPreset, _add_lifted, _gen
+from .presets import VAPreset, _acc, _add_lifted, _gen
 from .scalars import binom
 
 
@@ -46,15 +46,6 @@ def _oracle(preset, a, n, b) -> dict:
     if out is None:
         out = memo[key] = _oracle_impl(preset, a, n, b)
     return out
-
-
-def _acc(out: dict, table: dict, s: int) -> None:
-    """out += s * table in place, for a nonzero integer s.  Zero sums are
-    dropped."""
-    for mono, c in table.items():
-        out[mono] = v = out.get(mono, 0) + c * s
-        if not v:
-            del out[mono]
 
 
 def _oracle_impl(preset, a, n, b):

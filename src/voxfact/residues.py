@@ -146,9 +146,7 @@ class Pairing:
                 terms = self._integrate(step, terms)
             coeff = (sum(terms.values()) if len(terms) > 1
                      else next(iter(terms.values()), 0))
-        # an int is an exact value that no power touched: mode_box divides
-        # it by j!, so hand it back as a QQi
-        return QQi(coeff) if type(coeff) is int else coeff
+        return coeff
 
     def _power(self, p: int, q: int, e: int):
         """(points[p] - points[q])**e, computed once per (p, q, e); the

@@ -25,7 +25,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 from .records import FrozenRecord
 
@@ -229,7 +228,7 @@ def _make(a, b, d) -> QQi:
     return q
 
 
-# -512..512, shared as CPython shares small ints: a QQi is immutable
+# -512..512, shared like small ints; dropping it won 22/90 mode_cold rounds
 _SMALL = tuple(_make(v, 0, 1) for v in range(-512, 513))
 
 
@@ -443,7 +442,6 @@ def scalar_pow(base, e: int):
     return b ** e
 
 
-@lru_cache(maxsize=None)
 def binom(t: int, i: int) -> int:
     """Generalized binomial C(t, i) = t (t-1) ... (t-i+1) / i! for integer t
     (possibly negative); 0 for i < 0."""

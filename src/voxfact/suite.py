@@ -115,9 +115,9 @@ def _random_state(rng: random.Random, preset: VAPreset, max_degree: int,
     return out
 
 
-def _random_point(rng: random.Random, scale: int = 2) -> QQi:
-    return QQi(Fraction(rng.randint(-2 * scale, 2 * scale), rng.randint(2, 5)),
-               Fraction(rng.randint(-2 * scale, 2 * scale), rng.randint(2, 5)))
+def _random_point(rng: random.Random) -> QQi:
+    return QQi(Fraction(rng.randint(-4, 4), rng.randint(2, 5)),
+               Fraction(rng.randint(-4, 4), rng.randint(2, 5)))
 
 
 def run_suite(config: SuiteConfig):

@@ -61,6 +61,18 @@ def test_npoint_numeric(capsys):
     assert abs(float(data["by_degree"]["1"]["terms"][0]["re"]) - 1.96) < 1e-6
 
 
+def test_npoint_points_follow_the_text_rule(capsys):
+    # a point is exact iff its text is an exact literal, in either form;
+    # 1/(1/2)^2 = 4 at degree 0
+    for points, want in (("1/2;0", "4"), ('["1/2", 0]', "4"),
+                         ("0.5;0", "4.0"), ('["(0.5+0j)", "0"]', "4.0")):
+        code, out, _ = run(capsys, "npoint", "--states", "a(-1);a(-1)",
+                           "--points", points, "--window", "0:2")
+        assert code == 0, points
+        data = json.loads(out)
+        assert data["by_degree"]["0"]["terms"][0]["re"] == want, points
+
+
 def test_npoint_three_exact_points(capsys):
     code, out, _ = run(capsys, "npoint", "--states", "a(-1);a(-1);a(-1)",
                        "--points", "4;1;1/4", "--window", "0:2")

@@ -1,8 +1,10 @@
 """No module of the package imports a name it never uses, no function
-outside a class takes a parameter it never reads, no module-level private
-name is left without a reference, no public module-level function or class
-goes unnamed in the package, its tests, its scripts and its benchmark, and
-importing the package loads no heavy standard module."""
+outside a class takes a parameter it never reads, no module-level function
+keeps a process-wide cache that is not listed with its reason, no
+module-level private name is left without a reference, no public
+module-level function or class goes unnamed in the package, its tests, its
+scripts and its benchmark, and importing the package loads no heavy
+standard module."""
 import ast
 import os
 import subprocess
@@ -90,6 +92,52 @@ def test_finder_sees_unread_parameters():
            "def g(n):\n    n += 1\n    return 0\n")
     assert _unread_parameters(src) == [("f", "args"), ("f", "b"),
                                        ("g", "n"), ("inner", "y")]
+
+
+def _process_wide_caches(source: str):
+    """Sorted names of the module-level functions decorated with `cache` or
+    `lru_cache`, by bare name or as an attribute, called or not."""
+    out = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in stmt.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                name = d.attr if isinstance(d, ast.Attribute) \
+                    else getattr(d, "id", None)
+                if name in ("cache", "lru_cache"):
+                    out.append(stmt.name)
+    return sorted(out)
+
+
+# (module, function) allowed a cache that lives as long as the process,
+# with the measurement that keeps it; every other memo is a table of a
+# preset's store, which `presets.clear_caches` empties
+PROCESS_WIDE_CACHES = {
+    # point_maps op_p90_ms 0.768 -> 0.696 ms, 10/10 pairs (BENCH_22.json)
+    ("mu.py", "_denominator"),
+    # 3,035 hits on 46 entries in a mode_cold round (seed 7)
+    ("presets.py", "_row"),
+}
+
+
+def test_process_wide_caches_are_listed():
+    found = {(p.name, f) for p in PACKAGE
+             for f in _process_wide_caches(p.read_text())}
+    assert found == PROCESS_WIDE_CACHES
+
+
+def test_finder_sees_process_wide_caches():
+    src = ("import functools\nfrom functools import cache, lru_cache\n"
+           "@cache\ndef a(n):\n    return n\n"
+           "@lru_cache(maxsize=None)\ndef b(n):\n    return n\n"
+           "@functools.lru_cache(maxsize=8)\ndef c(n):\n    return n\n"
+           "@functools.cache\ndef d(n):\n    return n\n"
+           "@staticmethod\ndef e(n):\n    return n\n"
+           "class K:\n    @cache\n    def method(self):\n        return 0\n"
+           "def outer():\n    @cache\n    def inner():\n        return 0\n"
+           "    return inner\n")
+    # a method or a nested function is not module-level
+    assert _process_wide_caches(src) == ["a", "b", "c", "d"]
 
 
 def _private_defs(tree):

@@ -172,9 +172,9 @@ def test_gen_mode_annihilates_vacuum(boson):
 
 
 def test_clear_caches_empties_every_table():
-    # each cold benchmark op relies on this, so no op inherits a memo entry
-    # (the commutators included), and the oracle's memo must not grow the
-    # process from one round to the next
+    # each cold benchmark op relies on this, so no op inherits a memo entry,
+    # and the oracle's memo must not grow the process from one round to the
+    # next
     made = [preset_from_name(n) for n in ("heisenberg", "virasoro",
                                           "affine_sl2")]
     for p in made:
@@ -182,9 +182,9 @@ def test_clear_caches_empties_every_table():
         state_mode(p, GradedVector.basis(am), 0, GradedVector.basis(bm))
         translate(p, GradedVector.basis(bm))
         oracle_mode_mono(p, am, -1, bm)
-        for name in ("gen", "comm", "sm", "deg", "basis", "oracle"):
+        for name in ("gen", "sm", "deg", "basis", "oracle"):
             assert p._memos[name], (p.kind, name)
-        assert set(p._memos) == {"gen", "comm", "sm", "deg", "basis",
+        assert set(p._memos) == {"gen", "sm", "deg", "basis",
                                  "oracle"}, p.kind
     clear_caches()
     for p in made:
