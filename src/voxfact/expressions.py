@@ -18,6 +18,9 @@ trapezoid quadrature of the same scalars stays available under
 """
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 from .errors import NotASubset, NotDisjoint, VoxfactError
 from .functionals import (CircleMoment, DeltaJet, apply_factor_numeric,
                           factor_from_obj, pushforward_factor, sqrt_of_modulus)
@@ -122,22 +125,33 @@ def _state_key(s: GradedVector):
 
 def _normalize(terms):
     """Sort each term's coordinates, merge equal terms and sort the terms,
-    computing each factor's and each state's key once."""
-    merged = {}
+    all by (factor keys, state keys).  A state's key, its JSON text, is
+    computed only where factor keys tie: between coordinates of one term,
+    or between terms with the same factor keys."""
+    entries = []  # (factor keys, coeff, factors, states)
     for t in terms:
         if not t.coeff:
             continue
-        coords = sorted(((_factor_key(f), _state_key(s), f, s)
-                         for f, s in zip(t.factors, t.states)),
-                        key=lambda e: (e[0], e[1]))
-        key = (tuple(e[0] for e in coords), tuple(e[1] for e in coords))
-        old = merged.get(key)
-        merged[key] = (t.coeff if old is None else old[0] + t.coeff,
-                       tuple(e[2] for e in coords),
-                       tuple(e[3] for e in coords))
-    out = sorted((len(key[0]), key, Term(c, f, s))
-                 for key, (c, f, s) in merged.items() if c)
-    return tuple(e[2] for e in out)
+        coords = sorted(zip(map(_factor_key, t.factors), t.factors, t.states),
+                        key=itemgetter(0))
+        if any(e[0] == g[0] for e, g in zip(coords, coords[1:])):
+            coords.sort(key=lambda e: (e[0], _state_key(e[2])))
+        keys, factors, states = zip(*coords) if coords else ((), (), ())
+        entries.append((keys, t.coeff, factors, states))
+    # a stable sort keeps terms with equal factor keys in input order
+    entries.sort(key=lambda e: (len(e[0]), e[0]))
+    out = []
+    for _, run in groupby(entries, key=itemgetter(0)):
+        run = [e[1:] for e in run]
+        if len(run) > 1:
+            merged = {}
+            for c, f, s in run:
+                key = tuple(map(_state_key, s))
+                old = merged.get(key)
+                merged[key] = (c if old is None else old[0] + c, f, s)
+            run = [merged[k] for k in sorted(merged) if merged[k][0]]
+        out += [Term(*e) for e in run]
+    return tuple(out)
 
 
 def _validate_term(carrier, t: Term):

@@ -5,60 +5,56 @@ concentric-or-not hole is *not* general here: an annulus is a genuine
 {ri < |z - z0| < ro}), the whole plane, and finite unions.  Every
 predicate here -- a point in a set or against a circle, a contour inside
 another, sets nested or apart -- is exact on every input; a float counts
-as its binary value.  Squared distances come from `scalars.exact_value`
-lifts (`_dist2`) and radii from `Fraction(r)`, and comparisons of the form
-sqrt(A) + sqrt(B) <> C are resolved by repeated squaring.  Subset tests on
-unions are conservative: a positive answer is always correct, a negative
-answer may reject a decomposable containment.
+as its binary value.  Each is decided in integer arithmetic on pairs
+(num, den), den > 0: squared distances are read off the
+`scalars.exact_value` lifts of the points (`_dist2`), each radius (an
+int, Fraction or float) is lifted once by `as_integer_ratio`, and a
+decision sqrt(A) + r <> C, r a radius, is sqrt(A) <> C - r, which
+`cmp_sqrt` settles by one cross-multiplication.  Subset tests on unions
+are conservative: a positive answer is always correct, a negative answer
+may reject a decomposable containment.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .records import FrozenRecord
 from .scalars import exact_value, point_from_text, real_from_text
 
 
-def _dist2(p, q) -> Fraction:
-    """|p - q|^2 of the exact values of two points."""
-    return (exact_value(p) - exact_value(q)).abs2()
+def _dist2(p, q) -> tuple:
+    """|p - q|^2 of the exact values of two points, as (num, den)."""
+    p, q = exact_value(p), exact_value(q)
+    x, y = p.a * q.d - q.a * p.d, p.b * q.d - q.b * p.d
+    return x * x + y * y, (p.d * q.d) ** 2
 
 
-def cmp_frac(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-def cmp_sqrt_sum(A, B, C) -> int:
-    """Compare sqrt(A) + sqrt(B) with C; A, B >= 0."""
-    if C < 0:
-        return 1
-    S = A + B
-    D = C * C - S
-    if D < 0:
-        return 1
-    return cmp_frac(4 * A * B, D * D)
+def _plus(r, s, sign=1) -> tuple:
+    """r + sign * s, on pairs (num, den)."""
+    return r[0] * s[1] + sign * s[0] * r[1], r[1] * s[1]
 
 
 def cmp_sqrt(A, C) -> int:
-    """Compare sqrt(A) with C; A >= 0."""
-    if C < 0:
+    """Compare sqrt(A) with C, both pairs (num, den); A >= 0."""
+    (an, ad), (cn, cd) = A, C
+    if cn < 0:
         return 1
-    return cmp_frac(A, C * C)
+    x, y = an * cd * cd, cn * cn * ad
+    return (x > y) - (x < y)
 
 
 def point_in_circle(p, center, radius) -> int:
     """-1 inside, 0 on the circle, +1 outside."""
-    return cmp_frac(_dist2(p, center), Fraction(radius) ** 2)
+    return cmp_sqrt(_dist2(p, center), radius.as_integer_ratio())
 
 
 def circle_vs_circle(c1, r1, c2, r2):
     """Position of contour 1 relative to the open disc of contour 2:
     True if inside, False if outside, None if the contours meet."""
-    A, r1, r2 = _dist2(c1, c2), Fraction(r1), Fraction(r2)
-    if cmp_sqrt_sum(A, r1 * r1, r2) < 0:
+    A, r1, r2 = _dist2(c1, c2), r1.as_integer_ratio(), r2.as_integer_ratio()
+    if cmp_sqrt(A, _plus(r2, r1, -1)) < 0:
         return True
-    if cmp_sqrt(A, r1 + r2) > 0 or cmp_sqrt_sum(A, r2 * r2, r1) < 0:
+    if cmp_sqrt(A, _plus(r1, r2)) > 0 or cmp_sqrt(A, _plus(r1, r2, -1)) < 0:
         return False  # apart, or contour 1 encircles contour 2
     return None
 
@@ -139,8 +135,8 @@ class Annulus(OpenSet):
         object.__setattr__(self, "outer", outer)
 
     def contains_point(self, p):
-        ri, ro = _radii(self)
-        return ri * ri < _dist2(p, self.center) < ro * ro
+        A, (ri, ro) = _dist2(p, self.center), _radii(self)
+        return cmp_sqrt(A, ri) > 0 and cmp_sqrt(A, ro) < 0
 
     def contains_circle(self, center, radius):
         outer = circle_vs_circle(center, radius, self.center, self.outer)
@@ -183,10 +179,10 @@ def union_of(u: OpenSet, v: OpenSet) -> OpenSet:
 
 
 def _radii(u):
-    """(inner, outer) radii of a disc (inner None) or an annulus, exact."""
+    """(inner, outer) radii of a disc (inner None) or an annulus, lifted."""
     if isinstance(u, Disc):
-        return None, Fraction(u.radius)
-    return Fraction(u.inner), Fraction(u.outer)
+        return None, u.radius.as_integer_ratio()
+    return u.inner.as_integer_ratio(), u.outer.as_integer_ratio()
 
 
 def is_subset(u: OpenSet, v: OpenSet) -> bool:
@@ -201,15 +197,15 @@ def is_subset(u: OpenSet, v: OpenSet) -> bool:
         return any(is_subset(u, m) for m in v.members)
     A = _dist2(u.center, v.center)
     (ui, uo), (vi, vo) = _radii(u), _radii(v)
-    if cmp_sqrt_sum(A, uo * uo, vo) > 0:
+    if cmp_sqrt(A, _plus(vo, uo, -1)) > 0:
         return False  # u reaches past the outer circle of v
     if vi is None:
         return True
-    if ui is None:
-        return cmp_sqrt(A, vi + uo) >= 0  # the disc u keeps clear of the hole
+    if ui is None:  # the disc u keeps clear of the hole
+        return cmp_sqrt(A, _plus(vi, uo)) >= 0
     # every point of u keeps distance >= vi from the centre of v when the
     # hole of u shields it: ui - |centres| >= vi
-    return cmp_sqrt_sum(A, vi * vi, ui) <= 0
+    return cmp_sqrt(A, _plus(ui, vi, -1)) <= 0
 
 
 def is_disjoint(u: OpenSet, v: OpenSet) -> bool:
@@ -223,6 +219,6 @@ def is_disjoint(u: OpenSet, v: OpenSet) -> bool:
     A = _dist2(u.center, v.center)
     (ui, uo), (vi, vo) = _radii(u), _radii(v)
     # far apart, or one inside the hole of the other
-    return (cmp_sqrt(A, uo + vo) >= 0
-            or (vi is not None and cmp_sqrt_sum(A, uo * uo, vi) <= 0)
-            or (ui is not None and cmp_sqrt_sum(A, vo * vo, ui) <= 0))
+    return (cmp_sqrt(A, _plus(uo, vo)) >= 0
+            or (vi is not None and cmp_sqrt(A, _plus(vi, uo, -1)) <= 0)
+            or (ui is not None and cmp_sqrt(A, _plus(ui, vo, -1)) <= 0))

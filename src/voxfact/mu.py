@@ -33,8 +33,8 @@ from .graded import GradedVector, ProductVector
 from .oracle import _oracle
 from .presets import VAPreset, basis_upto, pole_bound, state_mode
 from .report import CheckReport
-from .scalars import (DegreeWindow, QQi, binom, exact_value, same_point,
-                      scalar_pow)
+from .scalars import (DegreeWindow, QQi, binom, exact_value, is_exact,
+                      same_point, scalar_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +100,14 @@ def _box_terms(preset, parts, top):
     degree, and d <= top needs n_k >= deg a_k + deg v - 1 - top - slack_k,
     slack_k = sum_{j<k} (fmax_j - deg a_j).  Each V_e sums its D_f in D's
     term order, as a scan of the whole e grid did, so float results of
-    `mode_box` keep their bits."""
+    `mode_box` keep their bits.  A one-point map has nothing to walk: its
+    one term is the part itself, at e = ()."""
     m = len(parts)
+    if m == 1:
+        d = parts[0].degree()
+        if parts[0] and d <= top:
+            yield (), d, parts[0]
+        return
     pairs = list(itertools.combinations(range(m), 2))
     orders = tuple(pole_bound(preset, parts[i], parts[k]) for i, k in pairs)
     poly = list(_denominator(m, orders).items())
@@ -131,7 +137,7 @@ def _box_terms(preset, parts, top):
         for i in sorted(sums):
             c, v = sums[i]
             vec = vec + (v if c == 1 else v.scale(c))
-        if vec and d <= top:  # m = 1 walks no bound
+        if vec and d <= top:
             exps = dict(zip(pairs, (-order for order in orders)))
             for i, ei in enumerate(e):
                 exps[(i, m - 1)] += ei
@@ -168,12 +174,16 @@ def mu_numeric(preset: VAPreset, states, points, window: DegreeWindow,
                tol: float = 1e-10) -> ProductVector:
     """mu(a_1, z_1, ..., a_m, z_m) for any arity m: `mode_box` with each
     scalar evaluated at the points, exactly (QQi) when states and points
-    are exact and in complex otherwise.  Pairwise distinct points are the
-    only condition.  Nothing is truncated, so ``tail_estimate`` is 0.0;
-    ``tol`` has no effect and is kept for callers that pass it.
+    are exact and in complex otherwise; one float point makes every point
+    complex, so no coefficient stays exact beside a float one.  Pairwise
+    distinct points are the only condition.  Nothing is truncated, so
+    ``tail_estimate`` is 0.0; ``tol`` has no effect and is kept for
+    callers that pass it.
     """
     if len(states) != len(points):
         raise ValueError("states and points differ in length")
+    if not all(map(is_exact, points)):
+        points = [complex(z) for z in points]
     for i, z in enumerate(points):
         if any(same_point(z, w) for w in points[i + 1:]):
             raise DomainViolation("coincident insertion points")

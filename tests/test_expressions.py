@@ -2,10 +2,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxfact.errors import NotASubset, NotDisjoint
-from voxfact.expressions import (Expression, affine_act, evaluate_expression,
-                                 extend, multiply)
+from voxfact.expressions import (Expression, Term, _factor_key, _normalize,
+                                 affine_act, evaluate_expression, extend,
+                                 multiply)
 from voxfact.functionals import CircleMoment, DeltaJet
 from voxfact.geometry import Annulus, Disc
 from voxfact.graded import GradedVector, ProductVector
@@ -104,6 +107,133 @@ def test_multiply_requires_disjoint_and_target(boson):
                  D4)
     with pytest.raises(NotASubset):
         multiply(u, v, Disc(QQi(0), Fraction(2)))
+
+
+def _json_normalize(terms):
+    """The normal form keyed by each state's JSON text, which `_normalize`
+    replaced, kept as the reference."""
+    merged = {}
+    for t in terms:
+        if not t.coeff:
+            continue
+        coords = sorted(((_factor_key(f), s.to_json(), f, s)
+                         for f, s in zip(t.factors, t.states)),
+                        key=lambda e: (e[0], e[1]))
+        key = (tuple(e[0] for e in coords), tuple(e[1] for e in coords))
+        old = merged.get(key)
+        merged[key] = (t.coeff if old is None else old[0] + t.coeff,
+                       tuple(e[2] for e in coords),
+                       tuple(e[3] for e in coords))
+    out = sorted((len(key[0]), key, Term(c, f, s))
+                 for key, (c, f, s) in merged.items() if c)
+    return tuple(e[2] for e in out)
+
+
+def _shape(terms):
+    """Each term's coefficient with its type and bits, and the very factor
+    and state objects it keeps."""
+    return [(type(t.coeff), repr(t.coeff), [id(f) for f in t.factors],
+             [id(s) for s in t.states]) for t in terms]
+
+
+_HALF = Fraction(1, 2)
+# 0.5 and 0.5 + 0j share a factor key, the exact 1/2 has its own
+_FACTORS = (DeltaJet(QQi(1), 0), DeltaJet(QQi(1), 1), DeltaJet(QQi(-1), 0),
+            DeltaJet(0.5, 0), DeltaJet(0.5 + 0j, 0), DeltaJet(QQi(_HALF), 0),
+            CircleMoment(QQi(0), _HALF, -1), CircleMoment(QQi(0), 0.5, -1),
+            CircleMoment(0j, _HALF, 0))
+_TWO = {(("a", 1),): QQi(1), (("a", 2),): QQi(2)}
+# equal JSON texts on distinct objects, and one with its keys reversed
+_STATES = (B("a(-1)"), B("a(-1)"), B("a(-2)"), B("a(-1)").scale(QQi(2)),
+           B("a(-1)").scale(1.0), GradedVector(_TWO),
+           GradedVector(dict(reversed(_TWO.items()))))
+_COEFFS = (QQi(1), QQi(-1), QQi(2), QQi(0), 0.5, -0.5, 1j)
+
+
+@st.composite
+def _term_lists(draw):
+    """Terms drawn from a few coordinate lists, each repeated in a
+    permuted coordinate order with a coefficient that may cancel."""
+    coord = st.tuples(st.sampled_from(_FACTORS), st.sampled_from(_STATES))
+    bases = draw(st.lists(st.lists(coord, max_size=3), min_size=1,
+                          max_size=4))
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        coords = draw(st.permutations(draw(st.sampled_from(bases))))
+        terms.append(Term(draw(st.sampled_from(_COEFFS)),
+                          tuple(f for f, _ in coords),
+                          tuple(s for _, s in coords)))
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_lists())
+def test_normal_form_matches_the_json_keyed_one(terms):
+    assert _shape(_normalize(terms)) == _shape(_json_normalize(terms))
+
+
+def test_normal_form_ties_and_cancellation():
+    a, b = B("a(-1)"), B("a(-2)")
+    p, q = DeltaJet(QQi(1), 0), DeltaJet(QQi(-1), 0)
+    cases = [
+        # the same factors with different states: two terms
+        [Term(QQi(1), (p, q), (a, b)), Term(QQi(1), (p, q), (b, a))],
+        # factor keys tied inside a term: the states order the coordinates
+        [Term(QQi(1), (p, p), (a, b)), Term(QQi(1), (p, p), (b, a))],
+        # equal terms that cancel
+        [Term(QQi(1), (p, q), (a, b)), Term(QQi(-1), (q, p), (b, a))],
+    ]
+    got = [_normalize(terms) for terms in cases]
+    assert [_shape(g) for g in got] == \
+        [_shape(_json_normalize(terms)) for terms in cases]
+    assert [len(g) for g in got] == [2, 1, 0]
+    assert got[1][0].coeff == QQi(2) and got[1][0].states == (a, b)
+
+
+def _moment_around(c, r, state):
+    return Expression.single(Annulus(c, r / 2, 2 * r),
+                             [CircleMoment(c, r, -1)], [state])
+
+
+def test_multiply_raises_where_the_geometry_says():
+    """Tangent carriers are disjoint and a tangent target contains them;
+    one overlap or one point past the target raises, on exact and on float
+    radii."""
+    a = B("a(-1)")
+
+    def jet(c, r, p=None):
+        return Expression.single(Disc(c, r), [DeltaJet(c if p is None
+                                                       else p, 0)], [a])
+
+    one, half = Fraction(1), _HALF
+    cases = [
+        (jet(QQi(-1), one), jet(QQi(1), one), Disc(QQi(0), 2), None),
+        (jet(QQi(-1), one), jet(QQi(1), one),
+         Disc(QQi(0), 2 - Fraction(1, 10 ** 20)), NotASubset),
+        (jet(QQi(-1), one), jet(QQi(1) - Fraction(1, 10 ** 20), one),
+         Disc(QQi(0), 4), NotDisjoint),
+        (jet(-0.1, 0.1), jet(0.1, 0.1), Disc(0, 0.2), None),
+        (jet(-0.1, 0.1), jet(0.1, 0.1), Disc(0, 0.19999999999999998),
+         NotASubset),
+        # a disc in the hole of an annulus, touching its inner circle
+        (_moment_around(QQi(0), one, a), jet(QQi(0), half),
+         Disc(QQi(0), 2), None),
+        (_moment_around(QQi(0), one, a), jet(QQi(0), half + half / 8),
+         Disc(QQi(0), 2), NotDisjoint),
+        (_moment_around(QQi(0), one, a), jet(QQi(0), half),
+         Annulus(QQi(0), Fraction(1, 8), 2), NotASubset),
+        # members tangent to the hole and to the outer circle of the target
+        (jet(QQi(2), one), jet(QQi(-3), one), Annulus(QQi(0), one, 4), None),
+        (jet(QQi(Fraction(3, 2)), one), jet(QQi(-3), one),
+         Annulus(QQi(0), one, 4), NotASubset),
+    ]
+    for x, y, target, raises in cases:
+        if raises is None:
+            prod = multiply(x, y, target)
+            assert prod.carrier == target and len(prod.terms) == 1
+        else:
+            with pytest.raises(raises):
+                multiply(x, y, target)
 
 
 PRESETS = ("heisenberg", "virasoro", "affine_sl2")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxfact import geometry
 from voxfact.errors import ExpansionDomainMismatch
 from voxfact.functionals import CircleMoment, DeltaJet, factor_from_obj
 from voxfact.geometry import (AllPlane, Annulus, Disc, OpenSet, UnionSet,
@@ -250,3 +251,69 @@ def test_non_finite_radii_rejected_when_built():
     assert big.contains_point(QQi(10 ** 300))
     assert CircleMoment(0, 1e300, 0).radius == 1e300
     assert Annulus(0, 0, 1e300).contains_point(1)
+
+
+# The Fraction formulas the integer comparators replaced, kept as the
+# reference: sqrt(A) + sqrt(B) <> C by squaring twice.
+def _ref_cmp(a, b):
+    return (a > b) - (a < b)
+
+
+def _ref_cmp_sqrt_sum(A, B, C):
+    if C < 0:
+        return 1
+    D = C * C - (A + B)
+    if D < 0:
+        return 1
+    return _ref_cmp(4 * A * B, D * D)
+
+
+def _ref_cmp_sqrt(A, C):
+    if C < 0:
+        return 1
+    return _ref_cmp(A, C * C)
+
+
+def _ref_circle_vs_circle(A, r1, r2):
+    if _ref_cmp_sqrt_sum(A, r1 * r1, r2) < 0:
+        return True
+    if _ref_cmp_sqrt(A, r1 + r2) > 0 or _ref_cmp_sqrt_sum(A, r2 * r2, r1) < 0:
+        return False
+    return None
+
+
+radii_or_floats = st.one_of(
+    radii, st.floats(min_value=1 / 64, max_value=8, allow_nan=False,
+                     allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts, slopes, st.booleans(), radii_or_floats, radii_or_floats,
+       st.sampled_from(["apart", "inside", "free"]), unit)
+def test_integer_comparators_match_the_fraction_formulas(
+        c1, s, flip, r1, r2, how, t):
+    """|c1 - c2| is r1 + r2 (tangent apart), |r1 - r2| (tangent inside)
+    or t (r1 + r2), along a rational Pythagorean direction, so that the
+    tangent comparisons come out 0; radii are Fractions or floats."""
+    R1, R2 = Fraction(r1), Fraction(r2)
+    dist = {"apart": R1 + R2, "inside": abs(R1 - R2),
+            "free": t * (R1 + R2)}[how]
+    direction = QQi((1 - s * s) / (1 + s * s), 2 * s / (1 + s * s))
+    c2 = c1 + (-direction if flip else direction) * dist
+    A = geometry._dist2(c1, c2)
+    FA = (exact_value(c1) - exact_value(c2)).abs2()
+    assert Fraction(*A) == FA == dist * dist
+    for C in (R1, R2, R1 + R2, R1 - R2, R2 - R1, -R1, Fraction(0)):
+        assert geometry.cmp_sqrt(A, C.as_integer_ratio()) \
+            == _ref_cmp_sqrt(FA, C)
+    # sqrt(A) + b <> C is sqrt(A) <> C - b, one squaring for two
+    for b, C in ((R1, R2), (R2, R1), (R1, R1 + R2), (R2, Fraction(0))):
+        assert geometry.cmp_sqrt(A, (C - b).as_integer_ratio()) \
+            == _ref_cmp_sqrt_sum(FA, b * b, C)
+    assert circle_vs_circle(c1, r1, c2, r2) \
+        == _ref_circle_vs_circle(FA, R1, R2)
+    if how != "free":  # the contours touch
+        assert geometry.cmp_sqrt(A, dist.as_integer_ratio()) == 0
+        assert circle_vs_circle(c1, r1, c2, r2) is None
+        if dist:
+            assert point_in_circle(c2, c1, dist) == 0

@@ -573,3 +573,48 @@ def test_int_coefficients_map_like_their_qqi_values(name, points):
             assert u == v
             assert [type(c) for c in u.values()] == \
                 [type(c) for c in v.values()]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_one_point_terms_are_the_walks(name):
+    # a one-point map returns its part as its one term; the grid scan,
+    # which the walk matches, gives the same exps, d, vector and key order
+    preset = preset_from_name(name)
+    for mono in basis_upto(preset, 4):
+        for c in (QQi(1), QQi(-2, 3), 0.5 - 0.25j):
+            part = GradedVector({mono: c})
+            for top in range(6):
+                got = [(exps, d, list(v.terms.items()))
+                       for exps, d, v in mu._box_terms(preset, (part,), top)]
+                want = [(exps, d, list(v.terms.items()))
+                        for exps, d, v in _grid_box_terms(preset, (part,),
+                                                          top)]
+                assert got == want
+    # a homogeneous part of several monomials keeps its key order
+    monos = [m for m in basis_upto(preset, 3) if sum(k for _, k in m) == 3]
+    part = GradedVector({m: QQi(i + 1) for i, m in enumerate(monos[::-1])})
+    (term,) = mu._box_terms(preset, (part,), 3)
+    assert term[:2] == ((), 3) and list(term[2].terms) == monos[::-1]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("points, floats", [
+    ((0.5, QQi(0)), (0.5 + 0j, 0j)),
+    ((QQi(Fraction(1, 2)), -0.25), (0.5 + 0j, -0.25 + 0j)),
+    ((Fraction(1, 3), 2, 0.5j), (1 / 3 + 0j, 2 + 0j, 0.5j)),
+])
+def test_one_float_point_makes_every_point_complex(name, points, floats):
+    # no degree stays exact beside a float one: the call equals the one
+    # at the complex points in value and type at every degree
+    preset = preset_from_name(name)
+    low = basis_upto(preset, 2)[1:]
+    states = [GradedVector.basis(low[i % len(low)]) for i in
+              range(len(points))]
+    window = DegreeWindow(0, 4)
+    got = mu_numeric(preset, states, list(points), window)
+    want = mu_numeric(preset, states, list(floats), window)
+    for d in window.degrees():
+        u, v = got.component(d).terms, want.component(d).terms
+        assert [(m, type(c), c) for m, c in u.items()] == \
+            [(m, type(c), c) for m, c in v.items()]
+        assert all(type(c) is complex for c in u.values())
