@@ -3,15 +3,16 @@
 The m-point map sends states a_1 .. a_m at pairwise distinct points
 z_1 .. z_m to the product-space vector e^{z_m T} Y(a_1, z_1 - z_m) ...
 Y(a_{m-1}, z_{m-1} - z_m) a_m.  Each degree part is a rational function of
-the points whose pole orders are the locality orders `pole_bound`, so the
-map is a finite sum of state vectors times products of powers of the
-differences z_i - z_k and of z_m.  `box_terms` reads that sum off a
-finite box of nested state modes, walking only the nonzero ones within
-degree bounds (`_box_terms`) under the pole denominator D, which is
-expanded once per tuple of orders (`_denominator`).  The terms come in
-the order a scan of the whole exponent grid gave, so float results keep
-their bits.  `mode_box` assembles them, handing the scalar factor of each
-term to a caller-supplied callback:
+the points, a finite sum of state vectors times products of powers of the
+differences z_i - z_k and of z_m.  `box_terms` reads that sum off by a
+normal-ordered recursion on the first slot (`_box_terms`).  A one-point
+map's term is its state, and a two-point map's terms are the fields
+a_(n) b of its parts, so their float results are those of the fields.
+From three points on, terms with equal exponents are summed as the
+recursion meets them; that grouping fixes the last bits of a float
+result, which any other grouping of the same sum may not share.
+`mode_box` assembles the terms, handing the scalar factor of each to a
+caller-supplied callback:
 
 * `mu_numeric` (any arity), `two_point_value` and `mu_one_point` evaluate
   it at the points, exactly (QQi) at exact points and in complex at float
@@ -31,7 +32,8 @@ from functools import cache
 from .errors import DomainViolation
 from .graded import GradedVector, ProductVector
 from .oracle import _oracle
-from .presets import VAPreset, basis_upto, pole_bound, state_mode
+from .presets import (VAPreset, basis_upto, gen_mode_apply, pole_bound,
+                      state_mode)
 from .report import CheckReport
 from .scalars import (DegreeWindow, QQi, binom, exact_value, is_exact,
                       same_point, scalar_pow)
@@ -42,9 +44,10 @@ from .scalars import (DegreeWindow, QQi, binom, exact_value, is_exact,
 
 
 def box_terms(preset: VAPreset, states, window: DegreeWindow):
-    """The terms (exps, d, V_e) of the map of ``states`` through degree
+    """The terms (exps, d, V) of the map of ``states`` through degree
     window.hi, part tuple by part tuple, for `mode_box` on the same
-    window; None for no states."""
+    window; None for no states.  Each homogeneous part tuple is read by
+    the recursion `_box_terms`, which holds its memo for that tuple only."""
     if not states:
         return None
     return [term for parts in itertools.product(
@@ -54,24 +57,23 @@ def box_terms(preset: VAPreset, states, window: DegreeWindow):
 
 def mode_box(preset: VAPreset, terms, window: DegreeWindow,
              scalar) -> ProductVector:
-    """The m-point map: sum of scalar(exps, j) T^j V_e / j! over the
-    `box_terms` of its states on this window.
+    """The m-point map: sum of scalar(exps, j) T^j V / j! over the
+    `box_terms` (exps, d, V) of its states on this window.
 
-    For homogeneous a_1 .. a_m, x_i = z_i - z_m and D(x) = prod_{i<k}
-    (x_i - x_k)^N_ik with N_ik = pole_bound(a_i, a_k), Y(a_1, x_1) ... a_m
-    is P(x) / D(x) with P a polynomial (Frenkel-Lepowsky-Meurman, ch. 8).
-    Its x^e coefficient V_e = sum_f D_f a_1(n_1) ... a_{m-1}(n_{m-1}) a_m
-    runs over the terms D_f x^f of D, with n = f - e - 1: a finite box of
-    nested modes.  ``exps`` lists ((i, k), t), i < k counted from 0, for
-    prod (z_i - z_k)^t = x^e / D(x); the scalar stands for that factor
-    times z_m^j, from the flow e^{z_m T}.  A zero scalar drops its term.
-    A term list built once may be assembled under several callbacks.
-    With no states (``terms`` None) the map is the vacuum.
+    For homogeneous a_1 .. a_m and x_i = z_i - z_m, Y(a_1, x_1) ... a_m is
+    a finite sum of vectors V of degree d times monomials in the x_i and
+    the x_i - x_k, with poles bounded by the locality orders
+    (Frenkel-Lepowsky-Meurman, ch. 8).  ``exps`` lists ((i, k), t), i < k
+    counted from 0, for the factor prod (z_i - z_k)^t; the scalar stands
+    for that factor times z_m^j, from the flow e^{z_m T}.  A zero scalar
+    drops its term.  Any term list whose sum is the map will do, and a
+    list built once may be assembled under several callbacks.  With no
+    states (``terms`` None) the map is the vacuum.
     """
     vacuum = GradedVector.vacuum()
     if terms is None:
         return ProductVector.from_vector(vacuum, window)
-    # flow[j] is U_j = sum of scalar(exps, j) V_e, the state T^j / j! moves
+    # flow[j] is U_j = sum of scalar(exps, j) V, the state T^j / j! moves
     flow = [{} for _ in range(window.hi + 1)]
     for exps, d, vec in terms:
         # degree 0 holds only the vacuum, and T kills it
@@ -90,80 +92,74 @@ def mode_box(preset: VAPreset, terms, window: DegreeWindow,
 
 
 def _box_terms(preset, parts, top):
-    """(exps, d, V_e) for the nonzero V_e of degree d <= top of the
-    homogeneous parts ``parts``, in ascending e; see `mode_box`.
+    """(exps, d, V) for the nonzero V of degree d <= top of the map of the
+    homogeneous parts ``parts``; see `mode_box`.
 
-    A walk over the nonzero nested modes, innermost first, finds them.
-    With v = a_{k+1}(n_{k+1}) ... a_m built, a_k(n_k) v is zero for n_k >=
-    deg a_k + deg v, and n_k = f_k - e_k - 1 < fmax_k, the largest f_k in
-    D.  So each outer a_j(n_j) adds at least deg a_j - fmax_j to the
-    degree, and d <= top needs n_k >= deg a_k + deg v - 1 - top - slack_k,
-    slack_k = sum_{j<k} (fmax_j - deg a_j).  Each V_e sums its D_f in D's
-    term order, as a scan of the whole e grid did, so float results of
-    `mode_box` keep their bits.  A one-point map has nothing to walk: its
-    one term is the part itself, at e = ()."""
-    m = len(parts)
-    if m == 1:
-        d = parts[0].degree()
-        if parts[0] and d <= top:
-            yield (), d, parts[0]
-        return
-    pairs = list(itertools.combinations(range(m), 2))
-    orders = tuple(pole_bound(preset, parts[i], parts[k]) for i, k in pairs)
-    poly = list(_denominator(m, orders).items())
-    degs = [p.degree() for p in parts]
-    low = sum(degs) - sum(orders)  # D is homogeneous: V_e has degree low + |e|
-    fmax = [max(f[k] for f, _ in poly) for k in range(m - 1)]
-    slack = list(itertools.accumulate(
-        (fk - dk for fk, dk in zip(fmax, degs)), initial=0))
-    box = {}  # e: {index of f in D: (D_f, nested vector)}
+    A recursion on the first remaining slot (i, a), x_j = z_j - z_m, its
+    terms memoized by (slots, top) for this call.  One slot is the part
+    itself.  Two are Y(a, x_i) b = sum_n a_(n) b x_i^(-n-1).  From three
+    on, a = c|0> gives c times the map of the others, and a monomial
+    x_{-m} a' of a, a' holding its coefficient, w the weight of x and
+    t = m - w, gives the normal-ordered product :(d^t X / t!) Y(a', x_i):
+    split as in `oracle` (Frenkel-Lepowsky-Meurman, ch. 8; Zhu 1996):
 
-    def walk(k, n, v, deg):  # v = a_{k+1}(n_{k+1}) ... a_m, of degree deg
-        if k < 0:
-            for i, (f, c) in enumerate(poly):
-                e = tuple(fi - ni - 1 for fi, ni in zip(f, n))
-                if min(e, default=0) >= 0:
-                    box.setdefault(e, {})[i] = c, v
-            return
-        up = degs[k] + deg - 1
-        for nk in range(min(fmax[k] - 1, up), up - top - slack[k] - 1, -1):
-            w = state_mode(preset, parts[k], nk, v)
-            if w:
-                walk(k - 1, (nk,) + n, w, up - nk)
+    * creation: sum_{s >= 0} C(s+t, t) x_i^s x_{-(s+m)} Y(a', x_i) V;
+    * annihilation: sum_{j > i} sum_{0 <= n < w + deg a_j} C(-n-1, t)
+      (x_i - x_j)^(-n-1-t) Y(a', x_i) V[a_j -> x_(n) a_j], x_m = 0.
 
-    walk(m - 2, (), parts[-1], degs[-1])
-    for e in sorted(box):
-        d, vec, sums = low + sum(e), GradedVector.zero(), box[e]
-        for i in sorted(sums):
-            c, v = sums[i]
-            vec = vec + (v if c == 1 else v.scale(c))
-        if vec and d <= top:
-            exps = dict(zip(pairs, (-order for order in orders)))
-            for i, ei in enumerate(e):
-                exps[(i, m - 1)] += ei
-            yield tuple((ik, t) for ik, t in exps.items() if t), d, vec
+    Each step shortens the first slot or drops it, so the recursion ends."""
+    memo = {}
 
+    def terms(slots, top):  # {exps: V}
+        key = (slots, top)
+        if key in memo:
+            return memo[key]
+        (i, a), rest = slots[0], slots[1:]
+        out = {}
+        if not rest:
+            if a.degree() <= top:
+                out[()] = a
+        elif len(rest) == 1:
+            (k, b), = rest
+            hi = a.degree() + b.degree() - 1
+            for n in range(hi, hi - top - 1, -1):
+                out[(((i, k), -n - 1),) if n != -1 else ()] = \
+                    state_mode(preset, a, n, b)
+        elif () in a.terms:
+            c = a.terms[()]
+            out = {e: v.scale(c) for e, v in terms(rest, top).items()}
+        else:
+            for mono, c in a.terms.items():
+                (x, m), head = mono[0], ((i, GradedVector.basis(mono[1:], c)),)
+                w = preset.weight(x)
+                for s in range(top - m + 1):
+                    for e, v in terms(head + rest, top - m - s).items():
+                        _add(out, e, (i, rest[-1][0]), s,
+                             binom(s + m - w, m - w),
+                             gen_mode_apply(preset, x, -m - s, v))
+                for j, (k, b) in enumerate(rest):
+                    for n in range(w + b.degree()):
+                        xb = gen_mode_apply(preset, x, n - w + 1, b)
+                        if not xb:
+                            continue
+                        slots = head + rest[:j] + ((k, xb),) + rest[j + 1:]
+                        for e, v in terms(slots, top).items():
+                            _add(out, e, (i, k), w - m - n - 1,
+                                 binom(-n - 1, m - w), v)
+        memo[key] = out = {e: v for e, v in out.items() if v}
+        return out
 
-@cache
-def _denominator(m: int, orders: tuple) -> dict:
-    """{f: D_f} for D = prod_{i<k} (x_i - x_k)^N_ik at x_m = 0, orders N_ik
-    in `itertools.combinations` order.  Cached (point_maps p90 0.768 ->
-    0.696 ms, BENCH_22.json): the dict is shared; no caller may change it."""
-    poly = {(0,) * m: 1}
-    for (i, k), order in zip(itertools.combinations(range(m), 2), orders):
-        for _ in range(order):
-            poly = _times_difference(poly, i, k)
-    return {f[:-1]: c for f, c in poly.items() if not f[-1]}
+    for exps, v in terms(tuple(enumerate(parts)), top).items():
+        yield exps, v.degree(), v
 
 
-def _times_difference(poly, i, j):
-    """poly * (x_i - x_j), on {exponent tuple: coefficient}."""
-    out = {}
-    for e, c in poly.items():
-        for k, s in ((i, c), (j, -c)):
-            f = e[:k] + (e[k] + 1,) + e[k + 1:]
-            out[f] = out.get(f, 0) + s
-    return {f: c for f, c in out.items() if c}
+def _add(out, exps, ik, t, c, v):
+    """out[exps * (z_i - z_k)^t] += c v, for ik = (i, k) and an int c."""
+    e = dict(exps)
+    e[ik] = e.get(ik, 0) + t
+    key = tuple(sorted(item for item in e.items() if item[1]))
+    v = v if c == 1 else v.scale(c)
+    out[key] = out[key] + v if key in out else v
 
 
 # ---------------------------------------------------------------------------

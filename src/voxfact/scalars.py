@@ -369,7 +369,10 @@ def exact_value(x) -> QQi:
     z = complex(x)
     if not cmath.isfinite(z):
         raise ValueError(f"not a finite scalar: {x!r}")
-    return QQi(Fraction(z.real), Fraction(z.imag))
+    # two dyadic ratios in lowest terms, coprime over the larger denominator
+    (p, q), (r, s) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(q, s)
+    return _reduced(p * (d // q), r * (d // s), d)
 
 
 def same_point(p, q) -> bool:

@@ -113,8 +113,6 @@ def _process_wide_caches(source: str):
 # with the measurement that keeps it; every other memo is a table of a
 # preset's store, which `presets.clear_caches` empties
 PROCESS_WIDE_CACHES = {
-    # point_maps op_p90_ms 0.768 -> 0.696 ms, 10/10 pairs (BENCH_22.json)
-    ("mu.py", "_denominator"),
     # 3,035 hits on 46 entries in a mode_cold round (seed 7)
     ("presets.py", "_row"),
 }

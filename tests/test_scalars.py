@@ -217,6 +217,23 @@ def test_exact_value_is_the_value_eq_compares(q, re, im):
     assert exact_value(1 / 3) != QQi(Fraction(1, 3))
 
 
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_ANY_FLOAT, _ANY_FLOAT)
+@example(-0.0, 0.0)
+@example(5e-324, -2.2250738585072014e-308)
+@example(1.7976931348623157e308, -1.5e-323)
+@example(3.0, 2.0 ** -1074)
+def test_exact_value_lift_is_the_fraction_lift(re, im):
+    # the same reduced fields as the lift through two Fractions, on signed
+    # zeros, subnormals and the largest exponents
+    fields = lambda q: (type(q), q.a, q.b, q.d)
+    assert fields(exact_value(complex(re, im))) == \
+        fields(QQi(Fraction(re), Fraction(im)))
+    assert fields(exact_value(re)) == fields(QQi(Fraction(re)))
+
+
 @given(exactish, floats, floats)
 @example(QQi(Fraction(1, 3), Fraction(-2, 7)), 1e308, -1e-308)
 def test_qqi_times_float_is_its_complex_value_times_it(q, re, im):
