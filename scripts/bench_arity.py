@@ -3,20 +3,21 @@
 tree, and write the ladder as JSON.
 
 Example:
-    python3 scripts/bench_arity.py --parent HEAD --runs 5 --out BENCH_26.json
-    python3 scripts/bench_arity.py --parent HEAD --map virasoro:5 \\
-        --window 0:0 --runs 3 --out /tmp/ladder.json
+    python3 scripts/bench_arity.py --parent HEAD --out BENCH_26.json
 
-Each rung is `mu_numeric` on generator states (heisenberg a, virasoro L,
-affine_sl2 e, f, h in turn) at fixed exact points, on one degree window.
-Every run is a fresh process that imports voxfact from one side's src/
-and reports the seconds of that one call; the sides alternate, the parent
-first in even runs (counting from 0) and the change first in odd ones, one
-after another.  A run that takes longer than --timeout seconds of wall
+Each rung is `mu_numeric` at fixed exact points on one degree window of
+WINDOWS, its states taken in turn from the rung's list: generator states
+(heisenberg a, virasoro L, affine_sl2 e, f, h) and, for affine_sl2 at
+arity 4, degree-2 states of two monomials each.  Every run is a fresh
+process that imports voxfact from one side's src/ and reports the seconds
+of that one call; the sides alternate, the parent first in even runs
+(counting from 0) and the change first in odd ones, one after another,
+RUNS runs a side.  A run that takes longer than TIMEOUT seconds of wall
 time is recorded as a timeout, and that side runs that rung no more.  The
-parent side is `git archive` of --parent, the change side the working
-tree's src/.  The record is this script's own: scripts/bench_pairs.py
-writes the BENCH_*.json records of the perfbench workloads.
+two sides are built by scripts/bench_pairs.py's _tree: `git archive` of
+--parent and a copy of the working tree's src/.  The record is this
+script's own: scripts/bench_pairs.py writes the BENCH_*.json records of
+the perfbench workloads.
 """
 import argparse
 import json
@@ -29,27 +30,34 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
+from bench_pairs import SIDES, _short_rev, _tree  # noqa: E402
 from run import machine  # noqa: E402
 
-SIDES = ("parent", "change")
-LADDER = ["heisenberg:4", "heisenberg:6", "heisenberg:8", "virasoro:4",
-          "virasoro:5", "virasoro:6", "affine_sl2:4", "affine_sl2:6"]
+# (preset, arity, states); a state is monomials joined by " + ", and the
+# map's states are the list's in turn
+_A, _L, _EFH = ["a(-1)"], ["L(-2)"], ["e(-1)", "f(-1)", "h(-1)"]
+LADDER = [("heisenberg", 4, _A), ("heisenberg", 6, _A), ("heisenberg", 8, _A),
+          ("virasoro", 4, _L), ("virasoro", 5, _L), ("virasoro", 6, _L),
+          ("affine_sl2", 4, _EFH), ("affine_sl2", 6, _EFH),
+          ("affine_sl2", 4, ["e(-2) + e(-1)h(-1)", "f(-2) + h(-1)f(-1)",
+                             "h(-2) + e(-1)f(-1)"])]
 WINDOWS = ["0:0", "0:4"]
-GENERATORS = {"heisenberg": ["a(-1)"], "virasoro": ["L(-2)"],
-              "affine_sl2": ["e(-1)", "f(-1)", "h(-1)"]}
+RUNS = 5
+TIMEOUT = 60.0
 
 # the child: one map, timed in-process after the imports
 CHILD = """
 import sys, time
-from voxfact.graded import GradedVector, parse_token
+from voxfact.graded import GradedVector, parse_mono
 from voxfact.mu import mu_numeric
 from voxfact.presets import preset_from_name
 from voxfact.scalars import DegreeWindow, QQi
 name, arity, lo, hi = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), \\
     int(sys.argv[4])
-gens = sys.argv[5:]
-states = [GradedVector.basis((parse_token(gens[i % len(gens)]),))
+texts = sys.argv[5:]
+states = [GradedVector({parse_mono(m.strip()): QQi(1)
+                        for m in texts[i % len(texts)].split("+")})
           for i in range(arity)]
 points = [QQi(2 * i + 1, i * i - 3) / (i + 2) for i in range(arity)]
 start = time.perf_counter()
@@ -58,32 +66,14 @@ print(time.perf_counter() - start)
 """
 
 
-def _short_rev(rev: str) -> str:
-    return subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT,
-                          check=True, capture_output=True,
-                          text=True).stdout.strip()
-
-
-def _src(side: str, rev: str, into: Path) -> Path:
-    """The src/ directory of one side: the working tree's, or that of
-    `git archive` of rev unpacked into ``into``."""
-    if side == "change":
-        return ROOT / "src"
-    into.mkdir(parents=True)
-    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    return into / "src"
-
-
-def _time(src: Path, name: str, arity: int, window: str, timeout: float):
-    """Seconds of one map in a fresh process, or None past the timeout."""
+def _time(src: Path, name: str, arity: int, states, window: str):
+    """Seconds of one map in a fresh process, or None past TIMEOUT."""
     lo, hi = window.split(":")
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD, name, str(arity), lo, hi,
-             *GENERATORS[name]], env=dict(os.environ, PYTHONPATH=str(src)),
-            cwd=src, capture_output=True, text=True, timeout=timeout)
+            [sys.executable, "-c", CHILD, name, str(arity), lo, hi, *states],
+            env=dict(os.environ, PYTHONPATH=str(src)), cwd=src,
+            capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None
     if proc.returncode != 0:
@@ -92,7 +82,7 @@ def _time(src: Path, name: str, arity: int, window: str, timeout: float):
     return float(proc.stdout.split()[-1])
 
 
-def rung_record(runs: dict, timeout: float) -> dict:
+def rung_record(runs: dict) -> dict:
     """The record of one rung from each side's list of seconds, a None for
     a timeout: the medians of the completed runs, or "timeout" where any
     run timed out, and the parent's median over the change's."""
@@ -106,7 +96,7 @@ def rung_record(runs: dict, timeout: float) -> dict:
     if chg == "timeout":
         row["speedup"] = None
     elif par == "timeout":
-        row["speedup"] = f">{timeout / chg:.0f}"
+        row["speedup"] = f">{TIMEOUT / chg:.0f}"
     else:
         row["speedup"] = par / chg
     return row
@@ -115,12 +105,6 @@ def rung_record(runs: dict, timeout: float) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git rev of the parent")
-    ap.add_argument("--map", action="append", default=None,
-                    help="PRESET:ARITY; default the whole ladder")
-    ap.add_argument("--window", action="append", default=None,
-                    help="LO:HI; default 0:0 and 0:4")
-    ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--timeout", type=float, default=60.0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
@@ -128,30 +112,27 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(prefix="bench_arity_"))
     rungs = []
     try:
-        srcs = {s: _src(s, args.parent, work / s) for s in SIDES}
-        for spec in args.map or LADDER:
-            name, arity = spec.split(":")
-            for window in args.window or WINDOWS:
+        srcs = {s: _tree(s, args.parent, work / s) / "src" for s in SIDES}
+        for name, arity, states in LADDER:
+            for window in WINDOWS:
                 runs = {s: [] for s in SIDES}
-                for i in range(args.runs):
+                for i in range(RUNS):
                     for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                         if None not in runs[side]:
-                            runs[side].append(_time(srcs[side], name,
-                                                    int(arity), window,
-                                                    args.timeout))
-                row = rung_record(runs, args.timeout)
-                rungs.append({"preset": name, "arity": int(arity),
-                              "states": GENERATORS[name], "window": window,
-                              **row})
-                print(f"{spec} {window}: parent "
+                            runs[side].append(_time(srcs[side], name, arity,
+                                                    states, window))
+                row = rung_record(runs)
+                rungs.append({"preset": name, "arity": arity,
+                              "states": states, "window": window, **row})
+                print(f"{name}:{arity} {states} {window}: parent "
                       f"{row['parent']['median_s']} change "
                       f"{row['change']['median_s']}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    record = {"about": "mu_numeric on generator states at exact points, "
-                       "seconds of the call in fresh processes",
-              "parent": rev, "machine": machine(), "runs": args.runs,
-              "timeout_s": args.timeout, "rungs": rungs}
+    record = {"about": "mu_numeric at exact points, seconds of the call in "
+                       "fresh processes",
+              "parent": rev, "machine": machine(), "runs": RUNS,
+              "timeout_s": TIMEOUT, "rungs": rungs}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

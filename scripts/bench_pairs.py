@@ -93,6 +93,12 @@ def claim_block(workloads, claim: str):
                     and abs(chg["median"] - par["median"]) > iqr)}
 
 
+def _short_rev(rev: str) -> str:
+    return subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT,
+                          check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
 def _tree(kind: str, rev: str, into: Path) -> Path:
     into.mkdir(parents=True)
     if kind == "parent":
@@ -141,9 +147,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
-    rev = subprocess.run(["git", "rev-parse", "--short", args.parent],
-                         cwd=ROOT, check=True, capture_output=True,
-                         text=True).stdout.strip()
+    rev = _short_rev(args.parent)
     for key, want in (("parent", rev), ("run_seconds", seconds)):
         if record.get(key, want) != want:
             raise SystemExit(f"{out} has {key} {record[key]!r}, not "

@@ -121,19 +121,21 @@ def test_bench_pairs_raises_on_a_failed_run(tmp_path):
 def test_bench_arity_records_a_rung(tmp_path, monkeypatch, capsys):
     # both sides run this checkout's src/, so no git archive is needed
     main = _main("bench_arity")
-    monkeypatch.setitem(main.__globals__, "_short_rev", lambda rev: "abc1234")
-    monkeypatch.setitem(main.__globals__, "_src",
-                        lambda side, rev, into: SCRIPTS.parent / "src")
+    for key, value in (("_short_rev", lambda rev: "abc1234"),
+                       ("_tree", lambda side, rev, into: SCRIPTS.parent),
+                       ("LADDER", [("affine_sl2", 3, ["e(-1)", "h(-2) + "
+                                                      "e(-1)f(-1)"])]),
+                       ("WINDOWS", ["0:1"]), ("RUNS", 2)):
+        monkeypatch.setitem(main.__globals__, key, value)
     out = tmp_path / "ladder.json"
-    assert main(["--parent", "HEAD", "--map", "affine_sl2:3", "--window",
-                 "0:1", "--runs", "2", "--out", str(out)]) == 0
-    assert "affine_sl2:3 0:1" in capsys.readouterr().out
+    assert main(["--parent", "HEAD", "--out", str(out)]) == 0
+    assert "affine_sl2:3" in capsys.readouterr().out
     record = json.loads(out.read_text())
     assert record["parent"] == "abc1234" and record["runs"] == 2
     (rung,) = record["rungs"]
     assert (rung["preset"], rung["arity"], rung["window"]) == \
         ("affine_sl2", 3, "0:1")
-    assert rung["states"] == ["e(-1)", "f(-1)", "h(-1)"]
+    assert rung["states"] == ["e(-1)", "h(-2) + e(-1)f(-1)"]
     for side in ("parent", "change"):
         assert len(rung[side]["runs_s"]) == 2
         assert rung[side]["median_s"] > 0
@@ -141,10 +143,9 @@ def test_bench_arity_records_a_rung(tmp_path, monkeypatch, capsys):
 
 def test_bench_arity_records_timeouts():
     rung_record = _main("bench_arity").__globals__["rung_record"]
-    row = rung_record({"parent": [None], "change": [0.5, 0.25, 1.0]}, 60)
+    row = rung_record({"parent": [None], "change": [0.5, 0.25, 1.0]})
     assert row["parent"] == {"median_s": "timeout", "runs_s": [None]}
     assert row["change"]["median_s"] == 0.5 and row["speedup"] == ">120"
-    row = rung_record({"parent": [2.0, 4.0], "change": [0.5, 0.5]}, 60)
+    row = rung_record({"parent": [2.0, 4.0], "change": [0.5, 0.5]})
     assert row["speedup"] == 6.0
-    assert rung_record({"parent": [1.0], "change": [None]},
-                       60)["speedup"] is None
+    assert rung_record({"parent": [1.0], "change": [None]})["speedup"] is None
