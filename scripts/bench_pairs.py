@@ -22,12 +22,22 @@ summarise.  A claim WORKLOAD:METRIC:MIN_RATIO is met when the change's
 median is at least MIN_RATIO times better than the parent's, the change
 is better in at least nine pairs in ten, and the medians differ by more
 than the parent's interquartile range.
+
+Peak RSS grows with the number of ops a run completes, because run.py
+keeps a record per op.  So each workload also gets `rss_vs_ops`: the
+relative change of the median `attempted` beside that of `peak_rss_mb`,
+the slope of peak RSS in MiB per 1000 ops, and the RSS change net of that
+slope.  The slope is fitted over both sides' runs with one intercept per
+side, so only the spread of op counts within a side sets it and a side's
+own RSS offset cannot pass for a slope.  A net change near zero says the
+RSS move is only the op count.
 """
 import argparse
 import json
 import math
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -71,7 +81,33 @@ def summarize_pairs(pairs, end_to_end):
             (c > p) if higher else (c < p)
             for p, c in zip(runs["parent"], runs["change"]))
         out["metrics"][name] = row
+    if "peak_rss_mb" in out["metrics"]:
+        out["rss_vs_ops"] = rss_vs_ops(out["attempted"],
+                                       out["metrics"]["peak_rss_mb"])
     return out
+
+
+def rss_vs_ops(attempted, rss):
+    """The `rss_vs_ops` block of one workload, from each side's attempted
+    op counts and its `peak_rss_mb` row; the slope and the net change are
+    None when no side's op counts spread."""
+    ops = {s: [a / 1000 for a in attempted[s]] for s in SIDES}
+    sxy = sxx = 0.0
+    for s in SIDES:
+        xs, ys = ops[s], rss[s]["runs"]
+        mx, my = statistics.fmean(xs), statistics.fmean(ys)
+        sxy += sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+        sxx += sum((x - mx) ** 2 for x in xs)
+    slope = sxy / sxx if sxx else None
+    par_ops = statistics.median(ops["parent"])
+    d_ops = statistics.median(ops["change"]) - par_ops
+    par = rss["parent"]["median"]
+    d_rss = rss["change"]["median"] - par
+    return {"attempted_relative_change_of_medians": d_ops / par_ops,
+            "peak_rss_relative_change_of_medians": d_rss / par,
+            "peak_rss_mib_per_1000_ops": slope,
+            "peak_rss_net_relative_change":
+                None if slope is None else (d_rss - slope * d_ops) / par}
 
 
 def claim_block(workloads, claim: str):

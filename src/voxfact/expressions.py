@@ -239,7 +239,7 @@ def evaluate_expression(expr: Expression, preset: VAPreset,
                         window: DegreeWindow, quad_n: int | None = None,
                         force_numeric: bool = False) -> ProductVector:
     """ev(expr): each term's functional paired with the multi-point map of
-    its states, term by term over one `mu.mode_box`.
+    its states, one group per term of one `mu.mode_box`, in one flow.
 
     By default every scalar of the box is paired by iterated residues
     (`residues.Pairing`, compiled once per term and dropped with this
@@ -250,14 +250,10 @@ def evaluate_expression(expr: Expression, preset: VAPreset,
     """
     if quad_n is None:
         quad_n = 2 * window.hi + 16
-    out = ProductVector(window)
-    for t in expr.terms:
-        factors = t.factors
-        scalar = (_quadrature(factors, quad_n) if force_numeric
-                  else Pairing(factors))
-        terms = box_terms(preset, t.states, window)
-        out = out + mode_box(preset, terms, window, scalar).scale(t.coeff)
-    return out
+    return mode_box(preset, ((box_terms(preset, t.states, window),
+                              _quadrature(t.factors, quad_n) if force_numeric
+                              else Pairing(t.factors), t.coeff)
+                             for t in expr.terms), window)
 
 
 def _quadrature(factors, quad_n):

@@ -11,15 +11,15 @@ a_(n) b of its parts, so their float results are those of the fields.
 From three points on, terms with equal exponents are summed as the
 recursion meets them; that grouping fixes the last bits of a float
 result, which any other grouping of the same sum may not share.
-`mode_box` assembles the terms, handing the scalar factor of each to a
-caller-supplied callback:
+`mode_box` assembles groups of terms in one flow, each group with a
+coefficient and a callback for the scalar factor of each term:
 
 * `mu_numeric` (any arity), `two_point_value` and `mu_one_point` evaluate
   it at the points, exactly (QQi) at exact points and in complex at float
   points;
-* `expressions` pairs it with jets and moments;
-* `check_associativity` reads one Laurent coefficient of it in t for
-  every k off one term list, with inner points moved to zc + t w.
+* `expressions` pairs it with jets and moments, one group per term;
+* `check_associativity` reads one Laurent coefficient of it in t, one
+  group per inner part for every k, with inner points moved to zc + t w.
 
 Nothing is truncated and no ordering of the points is needed.
 """
@@ -55,10 +55,10 @@ def box_terms(preset: VAPreset, states, window: DegreeWindow):
             for term in _box_terms(preset, parts, window.hi)]
 
 
-def mode_box(preset: VAPreset, terms, window: DegreeWindow,
-             scalar) -> ProductVector:
-    """The m-point map: sum of scalar(exps, j) T^j V / j! over the
-    `box_terms` (exps, d, V) of its states on this window.
+def mode_box(preset: VAPreset, groups, window: DegreeWindow) -> ProductVector:
+    """The sum over ``groups`` (terms, scalar, coeff) of coeff times the
+    m-point map, the sum of scalar(exps, j) T^j V / j! over the
+    `box_terms` (exps, d, V) of its states on this window, in one flow.
 
     For homogeneous a_1 .. a_m and x_i = z_i - z_m, Y(a_1, x_1) ... a_m is
     a finite sum of vectors V of degree d times monomials in the x_i and
@@ -68,21 +68,24 @@ def mode_box(preset: VAPreset, terms, window: DegreeWindow,
     for that factor times z_m^j, from the flow e^{z_m T}.  A zero scalar
     drops its term.  Any term list whose sum is the map will do, and a
     list built once may be assembled under several callbacks.  With no
-    states (``terms`` None) the map is the vacuum.
+    states (``terms`` None) a group's map is the vacuum.
     """
     vacuum = GradedVector.vacuum()
-    if terms is None:
-        return ProductVector.from_vector(vacuum, window)
-    # flow[j] is U_j = sum of scalar(exps, j) V, the state T^j / j! moves
+    # flow[j] is U_j, the sum of coeff scalar(exps, j) V that T^j / j! moves
     flow = [{} for _ in range(window.hi + 1)]
-    for exps, d, vec in terms:
-        # degree 0 holds only the vacuum, and T kills it
-        for j in range(max(0, window.lo - d), window.hi - d + 1 if d else 1):
-            s = scalar(exps, j)
-            if s:
-                acc = flow[j]
-                for mono, c in vec.terms.items():
-                    acc[mono] = acc.get(mono, 0) + c * s
+    for terms, scalar, coeff in groups:
+        if terms is None:
+            terms, scalar = (((), 0, vacuum),), lambda exps, j: 1
+        scaled = coeff != 1
+        for exps, d, vec in terms:
+            # degree 0 holds only the vacuum, and T kills it
+            for j in range(max(0, window.lo - d),
+                           window.hi - d + 1 if d else 1):
+                s = scalar(exps, j)
+                if s:
+                    acc, s = flow[j], s * coeff if scaled else s
+                    for mono, c in vec.terms.items():
+                        acc[mono] = acc.get(mono, 0) + c * s
     # T^j U_j / j! = (U_j)_(-j-1)|0>, by the vacuum axiom
     # Y(U, z)|0> = e^{zT} U: one state mode per order
     out = GradedVector.zero()
@@ -191,9 +194,9 @@ def mu_numeric(preset: VAPreset, states, points, window: DegreeWindow,
             return scalar_pow(points[last], t)
         return scalar_pow(points[ik[0]] - points[ik[1]], t)
 
-    return mode_box(preset, box_terms(preset, states, window), window,
-                    lambda exps, j: math.prod(power(ik, t) for ik, t in exps)
-                    * power(None, j))
+    terms = box_terms(preset, states, window)
+    return mode_box(preset, [(terms, lambda exps, j: math.prod(
+        power(ik, t) for ik, t in exps) * power(None, j), 1)], window)
 
 
 def mu_one_point(preset: VAPreset, a: GradedVector, z,
@@ -310,11 +313,11 @@ def check_associativity(preset: VAPreset, outer, inner, insertion,
             # computed first, so that coincident points raise DomainViolation
             rhs = mu_numeric(preset, a_out + [inner_pv.component(k)],
                              z_out + [zc], window)
-            lhs = ProductVector(window)
-            for degree, terms in boxes:
-                lhs = lhs + mode_box(
-                    preset, terms, window,
-                    lambda exps, j: _t_coefficient(lines, exps, j, k - degree))
+            # bound now: a lambda reading degree later reads the last box's
+            lhs = mode_box(preset, [
+                (terms, lambda exps, j, order=k - degree:
+                 _t_coefficient(lines, exps, j, order), 1)
+                for degree, terms in boxes], window)
             for d in window.degrees():
                 yield {"k": k, "degree": d}, lhs.component(d), rhs.component(d)
     return compare_parts("associativity", pairs(), 0.0)

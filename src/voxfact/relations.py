@@ -78,14 +78,15 @@ def weight_project(expr: Expression, k: int, preset: VAPreset,
     Evaluation is equivariant under dilation, ev(q . x)_d = q^d ev(x)_d, so
     the q^k Fourier coefficient of the dilation orbit q |-> ev(q . x) is the
     degree-k part of one evaluation, which pairs every term by iterated
-    residues at any arity.  Returns (GradedVector, metadata) with metadata
+    residues at any arity; only degree k is evaluated, and a k outside
+    ``window`` gives zero.  Returns (GradedVector, metadata) with metadata
     {"route": "exact"} when the expression is exact (the component then has
     QQi coefficients), {"route": "numeric"} when some term carries float
     data, even where the component comes out zero.
     """
-    route = "exact" if expr.is_exact() else "numeric"
-    pv = evaluate_expression(expr, preset, window)
-    return pv.component(k), {"route": route}
+    part = (evaluate_expression(expr, preset, DegreeWindow(k, k)).component(k)
+            if k in window else GradedVector.zero())
+    return part, {"route": "exact" if expr.is_exact() else "numeric"}
 
 
 def _orbit_components(expr: Expression, ks, preset: VAPreset,

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from voxfact.errors import NotASubset, NotDisjoint
 from voxfact.expressions import (Expression, Term, _factor_key, _normalize,
-                                 affine_act, evaluate_expression, extend,
-                                 multiply)
+                                 _quadrature, affine_act, evaluate_expression,
+                                 extend, multiply)
 from voxfact.functionals import CircleMoment, DeltaJet
 from voxfact.geometry import Annulus, Disc
 from voxfact.graded import GradedVector, ProductVector
-from voxfact.mu import mu_numeric, mu_one_point, two_point_value
+from voxfact.mu import (box_terms, mode_box, mu_numeric, mu_one_point,
+                        two_point_value)
 from voxfact.presets import basis_upto, preset_from_name, state_mode
+from voxfact.relations import weight_project
+from voxfact.residues import Pairing
 from voxfact.scalars import DegreeWindow, QQi, scalar_pow
 
 
@@ -556,3 +559,86 @@ def test_float_three_point_matches_exact_lift(boson):
         scale = max(want.component(k).norm_inf(), 1.0)
         assert got.component(k).distance(
             want.component(k).to_complex()) / scale < 1e-12, k
+
+
+# ---------------------------------------------------------------------------
+# one mode box per expression against the per-term route
+
+
+def _per_term_route(expr, preset, window, quad_n, force_numeric):
+    """The evaluation that one `mode_box` per expression replaced, kept as
+    a reference: each term's map in a `mode_box` of its own, scaled by the
+    term's coefficient and added as a `ProductVector`."""
+    out = ProductVector(window)
+    for t in expr.terms:
+        scalar = (_quadrature(t.factors, quad_n) if force_numeric
+                  else Pairing(t.factors))
+        group = (box_terms(preset, t.states, window), scalar, 1)
+        out = out + mode_box(preset, [group], window).scale(t.coeff)
+    return out
+
+
+# jet points inside the contour |w| = 3 of the moment, all in D4
+_EVAL_POINTS = (QQi(1), QQi(-1, 1), QQi(_HALF, -1), QQi(0))
+_EVAL_COEFFS = (QQi(1), QQi(-1), QQi(2), QQi(-2), QQi(Fraction(-1, 3), 1))
+
+
+@st.composite
+def _evaluated(draw):
+    """(preset, expression, window, exact): terms of arity 0-3 drawn from
+    a few (factors, states) bases over two states, so that states repeat
+    and a base drawn twice has coefficients that may cancel."""
+    name = draw(st.sampled_from(PRESETS))
+    preset = preset_from_name(name)
+    exact = draw(st.booleans())
+    lift = (lambda z: z) if exact else complex
+    small = st.sampled_from((QQi(1), QQi(-2), QQi(1, 1), QQi(_HALF, -1)))
+    states = [GradedVector({m: lift(draw(small)) for m in draw(st.lists(
+        st.sampled_from(basis_upto(preset, 2)), min_size=1, max_size=2,
+        unique=True))}) for _ in range(2)]
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(0, 3))
+        points = draw(st.lists(st.sampled_from(_EVAL_POINTS), min_size=arity,
+                               max_size=arity, unique=True))
+        factors = [DeltaJet(lift(p), draw(st.integers(0, 1))) for p in points]
+        if arity and draw(st.booleans()):
+            radius = Fraction(3) if exact else 3.0
+            factors[0] = CircleMoment(lift(QQi(0)), radius,
+                                      draw(st.integers(-2, 1)))
+        bases.append((tuple(factors), tuple(draw(st.sampled_from(states))
+                                            for _ in range(arity))))
+    terms = [Term(lift(draw(st.sampled_from(_EVAL_COEFFS))), *base)
+             for base in draw(st.lists(st.sampled_from(bases), min_size=1,
+                                       max_size=5))]
+    lo = draw(st.integers(0, 1))
+    window = DegreeWindow(lo, draw(st.integers(lo, 3)))
+    return preset, Expression(D4, terms), window, exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(_evaluated(), st.booleans())
+def test_one_box_matches_the_per_term_route(case, force_numeric):
+    # the same sum, grouped differently: exact results are equal, float
+    # ones agree to 1e-12 relative per degree; the quadrature's few nodes
+    # do not matter, as both routes use the same scalars
+    preset, expr, window, exact = case
+    got = evaluate_expression(expr, preset, window, quad_n=6,
+                              force_numeric=force_numeric)
+    want = _per_term_route(expr, preset, window, 6, force_numeric)
+    assert set(got.components) <= set(window.degrees())
+    for k in window.degrees():
+        u, v = got.component(k), want.component(k)
+        if exact and not force_numeric:
+            assert u == v and u.is_exact(), k
+        else:
+            assert u.distance(v) <= 1e-12 * max(u.norm_inf(), v.norm_inf(),
+                                                1.0), k
+    # a weight projection is the degree-k part of the full evaluation,
+    # and zero beyond the window
+    full = evaluate_expression(expr, preset, window)
+    for k in range(window.hi + 2):
+        part, meta = weight_project(expr, k, preset, window)
+        assert part == full.component(k), k
+        assert meta == {"route": "exact" if expr.is_exact() else "numeric"}
+    assert not part

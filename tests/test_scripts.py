@@ -38,9 +38,9 @@ def test_mode_tables_json_remakes_golden_file(capsys):
                                                 ("virasoro", "1/3")}]
 
 
-def _run_record(ops, p50, correct=True):
+def _run_record(ops, p50, correct=True, rss=27.0):
     values = {"ops_per_s": ops, "op_p50_ms": p50, "op_p90_ms": 5 * p50,
-              "ok_ratio": 1.0, "setup_s": 0.15, "peak_rss_mb": 27.0}
+              "ok_ratio": 1.0, "setup_s": 0.15, "peak_rss_mb": rss}
     return {"correct": correct, "attempted": int(ops * 20), "failed": 0,
             "metrics": {k: {"value": v, "unit": "u"}
                         for k, v in values.items()}}
@@ -87,6 +87,42 @@ def test_bench_pairs_summary_and_claim():
     slow = [dict(p, change=_run_record(300, 1000 / 300)) for p in pairs]
     assert not module["summarize_pairs"](slow, spec["end_to_end"])[
         "metrics"]["ops_per_s"]["within_bound"]
+
+
+def test_bench_pairs_rss_against_the_op_count():
+    # peak RSS = 20 MiB + 0.2 MiB per 1000 attempted ops (20 s runs), the
+    # change side offset by `extra` MiB: the slope is fitted within each
+    # side, so the offset is neither read as slope nor netted out
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    module = _main("bench_pairs").__globals__
+    parent = [450, 460, 455, 470, 440]
+    change = [560, 550, 570, 545, 530]
+
+    def pairs(extra):
+        return [{"seed": i, "first": "parent",
+                 "parent": _run_record(p, 1000 / p, rss=20 + 0.004 * p),
+                 "change": _run_record(c, 1000 / c,
+                                       rss=20 + 0.004 * c + extra)}
+                for i, (p, c) in enumerate(zip(parent, change))]
+    for extra in (0.0, 1.5):
+        got = module["summarize_pairs"](pairs(extra), spec["end_to_end"])
+        block = got["rss_vs_ops"]
+        par_rss = 20 + 0.004 * 455
+        assert block["attempted_relative_change_of_medians"] == \
+            pytest.approx(95 / 455)
+        assert block["peak_rss_relative_change_of_medians"] == \
+            pytest.approx((0.004 * 95 + extra) / par_rss)
+        assert block["peak_rss_mib_per_1000_ops"] == pytest.approx(0.2)
+        assert block["peak_rss_net_relative_change"] == \
+            pytest.approx(extra / par_rss, abs=1e-12)
+    # no spread of op counts within a side: no slope, no net change
+    flat = [dict(p, parent=_run_record(450, 1.0, rss=21.0),
+                 change=_run_record(550, 1.0, rss=22.0)) for p in pairs(0)]
+    block = module["summarize_pairs"](flat, spec["end_to_end"])["rss_vs_ops"]
+    assert block["peak_rss_mib_per_1000_ops"] is None
+    assert block["peak_rss_net_relative_change"] is None
+    assert block["peak_rss_relative_change_of_medians"] == \
+        pytest.approx(1 / 21)
 
 
 def test_bench_pairs_seed_ranges():
