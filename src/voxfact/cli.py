@@ -144,12 +144,21 @@ def _emit(args, text):
         print(text)
 
 
+def _read(what, build, text, many=False):
+    try:
+        obj = json.loads(text)
+        return [build(o) for o in obj] if many else build(obj)
+    except (KeyError, TypeError, IndexError) as exc:
+        key = "missing key " if type(exc) is KeyError else ""
+        raise UsageError(f"bad {what}: {key}{exc}") from None
+
+
 def _load_state(text):
     """A state is either a GradedVector JSON object or a compact monomial
     string like 'a(-2)a(-1)' ('' or '|0>' for the vacuum), coefficient 1."""
     text = text.strip()
     if text.startswith("{"):
-        return GradedVector.from_obj(json.loads(text))
+        return _read("state", GradedVector.from_obj, text)
     try:
         return GradedVector.basis(parse_mono(text))
     except ValueError:
@@ -159,14 +168,15 @@ def _load_state(text):
 def _load_states(text):
     text = text.strip()
     if text.startswith("["):
-        return [GradedVector.from_obj(o) for o in json.loads(text)]
+        return _read("states", GradedVector.from_obj, text, many=True)
     return [_load_state(part) for part in text.split(";")]
 
 
 def _load_points(text):
     text = text.strip()
-    parts = json.loads(text) if text.startswith("[") else text.split(";")
-    return [point_from_text(p) for p in parts]
+    return (_read("points", point_from_text, text, many=True)
+            if text.startswith("[") else list(map(point_from_text,
+                                                  text.split(";"))))
 
 
 def main(argv=None) -> int:
@@ -253,9 +263,9 @@ def _dispatch(args) -> int:
 def _dispatch_factor(args) -> int:
     fc = args.factor_command
     if fc == "multiply":
-        x = Expression.from_obj(json.loads(args.x))
-        y = Expression.from_obj(json.loads(args.y))
-        target = OpenSet.from_obj(json.loads(args.target))
+        x = _read("expression", Expression.from_obj, args.x)
+        y = _read("expression", Expression.from_obj, args.y)
+        target = _read("open set", OpenSet.from_obj, args.target)
         _emit(args, json.dumps(multiply(x, y, target).to_obj(),
                                indent=2, sort_keys=True))
         return 0
@@ -271,18 +281,18 @@ def _dispatch_factor(args) -> int:
         return 0 if rep.passed else 1
     window = _window(args)
     if fc == "eval":
-        expr = Expression.from_obj(json.loads(args.expr))
+        expr = _read("expression", Expression.from_obj, args.expr)
         pv = evaluate_expression(expr, preset, window)
         _emit(args, json.dumps(pv.to_obj(), indent=2, sort_keys=True))
         return 0
     if fc == "kernel":
-        exprs = [Expression.from_obj(o) for o in json.loads(args.exprs)]
+        exprs = _read("expressions", Expression.from_obj, args.exprs, True)
         basis_vecs = relation_kernel(preset, exprs, window)
         payload = [[str(c) for c in vec] for vec in basis_vecs]
         _emit(args, json.dumps(payload, indent=2))
         return 0
     if fc == "project":
-        expr = Expression.from_obj(json.loads(args.expr))
+        expr = _read("expression", Expression.from_obj, args.expr)
         vec, meta = weight_project(expr, args.k, preset, window)
         _emit(args, json.dumps({"vector": vec.to_obj(), "meta": meta},
                                indent=2, sort_keys=True))

@@ -12,7 +12,8 @@ From three points on, terms with equal exponents are summed as the
 recursion meets them; that grouping fixes the last bits of a float
 result, which any other grouping of the same sum may not share.
 `mode_box` assembles groups of terms in one flow, each group with a
-coefficient and a callback for the scalar factor of each term:
+coefficient and a callback for the scalar factor of each term, on exact
+data with one reduction per output coefficient (`presets.exact_flow`):
 
 * `mu_numeric` (any arity), `two_point_value` and `mu_one_point` evaluate
   it at the points, exactly (QQi) at exact points and in complex at float
@@ -32,8 +33,8 @@ from functools import cache
 from .errors import DomainViolation
 from .graded import GradedVector, ProductVector
 from .oracle import _oracle
-from .presets import (VAPreset, basis_upto, gen_mode_apply, pole_bound,
-                      state_mode)
+from .presets import (VAPreset, basis_upto, exact_flow, gen_mode_apply,
+                      pole_bound, state_mode)
 from .report import CheckReport
 from .scalars import (DegreeWindow, QQi, binom, exact_value, is_exact,
                       same_point, scalar_pow)
@@ -68,11 +69,13 @@ def mode_box(preset: VAPreset, groups, window: DegreeWindow) -> ProductVector:
     for that factor times z_m^j, from the flow e^{z_m T}.  A zero scalar
     drops its term.  Any term list whose sum is the map will do, and a
     list built once may be assembled under several callbacks.  With no
-    states (``terms`` None) a group's map is the vacuum.
+    states (``terms`` None) a group's map is the vacuum.  Each U_j, the
+    sum of coeff scalar(exps, j) V, moves by T^j / j!: on exact scalars and
+    QQi coefficients by `exact_flow`, else by `state_mode` (float bits kept).
     """
     vacuum = GradedVector.vacuum()
-    # flow[j] is U_j, the sum of coeff scalar(exps, j) V that T^j / j! moves
-    flow = [{} for _ in range(window.hi + 1)]
+    # flow[j] lists the (coeff scalar(exps, j), V) that sum to U_j
+    flow = [[] for _ in range(window.hi + 1)]
     for terms, scalar, coeff in groups:
         if terms is None:
             terms, scalar = (((), 0, vacuum),), lambda exps, j: 1
@@ -83,14 +86,17 @@ def mode_box(preset: VAPreset, groups, window: DegreeWindow) -> ProductVector:
                            window.hi - d + 1 if d else 1):
                 s = scalar(exps, j)
                 if s:
-                    acc, s = flow[j], s * coeff if scaled else s
-                    for mono, c in vec.terms.items():
-                        acc[mono] = acc.get(mono, 0) + c * s
-    # T^j U_j / j! = (U_j)_(-j-1)|0>, by the vacuum axiom
-    # Y(U, z)|0> = e^{zT} U: one state mode per order
-    out = GradedVector.zero()
-    for j, acc in enumerate(flow):
-        out = out + state_mode(preset, GradedVector(acc), -j - 1, vacuum)
+                    flow[j].append((s * coeff if scaled else s, vec))
+    out = exact_flow(preset, flow)
+    if out is None:
+        # T^j U_j / j! = (U_j)_(-j-1)|0>, by the vacuum axiom
+        out = GradedVector.zero()
+        for j, pairs in enumerate(flow):
+            acc = {}
+            for s, vec in pairs:
+                for mono, c in vec.terms.items():
+                    acc[mono] = acc.get(mono, 0) + c * s
+            out = out + state_mode(preset, GradedVector(acc), -j - 1, vacuum)
     return ProductVector.from_vector(out, window)
 
 

@@ -39,19 +39,21 @@ state it acts on checked too.  The recursion fills these tables in place
 on integers only, merging through `_acc` (`_extend` inline), and never
 builds a `QQi` or a `GradedVector`.  `clear_caches` empties every table.
 
-A table leaves the lambda*x basis only through `_add_lifted`, which every
+A table leaves the lambda*x basis only in `_add_lifted`, which every
 public function (`gen_mode_mono`, `gen_mode_apply`, `translate`,
 `translate_power`, `state_mode_mono`, `state_mode`, and
-`oracle.oracle_mode_mono`) calls to build the `GradedVector` it returns.
-A monomial of l PBW factors in the lambda*x basis is lambda^l times the
+`oracle.oracle_mode_mono`) calls to build the `GradedVector` it returns,
+and in `exact_flow`, the flow of `mu.mode_box` on exact data.  A
+monomial of l PBW factors in the lambda*x basis is lambda^l times the
 original one, so an entry c at a monomial of l_out factors, for inputs of
 l_in factors in all (a and b of a state mode, the generator and b of an
 oscillator mode, b of T), is c lambda^(l_out - l_in); a commutator only
-removes factors, so the power goes into the denominator.  The scalar the
-table is scaled by is read once, as a `QQi` when exact and as a complex
-otherwise; an exact term is scaled by `scalars.scale_int`, one gcd at
-most, and fills an empty sum with no merge.  The terms are merged with
-`+`: the arithmetic of `GradedVector` itself.
+removes factors, so the power goes into the denominator.  `_add_lifted`
+reads its scalar once, as a `QQi` when exact and as a complex otherwise;
+an exact term is scaled by `scalars.scale_int`, one gcd at most, and
+fills an empty sum with no merge, and terms are merged with `+`, as in
+`GradedVector`.  `exact_flow` sums integer numerators over one common
+denominator and reduces each output coefficient once.
 
 `state_mode` peels the leading PBW factor x(-m) of the acting state,
 a = u_(p) v with u = x_{-w}|0> and p = w - 1 - m <= -1, through the
@@ -386,6 +388,38 @@ def _add_lifted(acc: dict, s, table: dict, lam: int, ell: int) -> dict:
         elif old is not None:
             del acc[mono]
     return acc
+
+
+def exact_flow(preset: VAPreset, flow):
+    """sum_j T^j U_j / j! = sum_j (U_j)_(-j-1)|0>, U_j the sum of s V over
+    flow[j]'s pairs (s, V); None for a float s or a non-QQi coefficient.
+    lambda^len(flow) bounds the lift: a degree-d monomial has <= d factors."""
+    if not all(is_exact(s) for pairs in flow for s, _ in pairs):
+        return None
+    flow = [[(exact_value(s), v) for s, v in pairs] for pairs in flow]
+    vecs = {id(v): v.terms for pairs in flow for _, v in pairs}
+    cs = [c for terms in vecs.values() for c in terms.values()]
+    if not all(type(c) is QQi for c in cs):
+        return None
+    ls = lcm(*(s.d for pairs in flow for s, _ in pairs))
+    lc, lam, out = lcm(*(c.d for c in cs)), preset._lam, {}
+    vecs = {k: [(m, c.a * (lc // c.d), c.b * (lc // c.d))
+                for m, c in terms.items()] for k, terms in vecs.items()}
+    for j, pairs in enumerate(flow):
+        u = {}
+        for s, v in pairs:
+            sa, sb = s.a * (ls // s.d), s.b * (ls // s.d)
+            for mono, a, b in vecs[id(v)]:
+                x, y = u.get(mono, (0, 0))
+                u[mono] = (x + sa * a - sb * b, y + sa * b + sb * a)
+        for am, (a, b) in u.items():
+            for mono, c in _sm(preset, am, -j - 1, ()).items():
+                c *= lam ** (len(flow) - len(am) + len(mono))
+                x, y = out.get(mono, (0, 0))
+                out[mono] = (x + a * c, y + b * c)
+    den = ls * lc * lam ** len(flow)
+    return GradedVector.from_nonzero({mono: _reduced(x, y, den) for mono, (
+        x, y) in out.items() if x or y})
 
 
 # ---------------------------------------------------------------------------

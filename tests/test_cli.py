@@ -148,6 +148,39 @@ def test_bad_state_exit_code(capsys):
     assert "parse" in err
 
 
+# a payload missing one key: the coefficient's "im", a term's "mono", a
+# state's "terms", and an expression term's "factors" in `factor eval`
+_EVAL_EXPR = {"carrier": {"disc": {"center": "0", "radius": "4"}},
+              "terms": [{"coeff": {"re": "1", "im": "0"},
+                         "states": [{"terms": [{"mono": ["a(-1)"], "re": "1",
+                                                "im": "0"}]}]}]}
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["npoint", "--preset", "virasoro", "--points", "1", "--states",
+      '[{"terms": [{"mono": ["L(-2)"], "re": "1"}]}]'], "'im'"),
+    (["npoint", "--preset", "virasoro", "--points", "1", "--states",
+      '[{"terms": [{"re": "1", "im": "0"}]}]'], "'mono'"),
+    (["mode", "--a", '{"trms": []}', "--n", "0", "--b", "a(-1)"], "'terms'"),
+    (["factor", "eval", "--expr", json.dumps(_EVAL_EXPR)], "'factors'"),
+], ids=["im", "mono", "terms", "factor_eval"])
+def test_malformed_json_is_a_usage_error(capsys, argv, key):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad ") and f"missing key {key}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["npoint", "--states", "[3]", "--points", "1"],
+    ["npoint", "--states", "a(-1)", "--points", '[{"re": 1}]'],
+    ["factor", "kernel", "--exprs", '{"carrier": 1}'],
+], ids=["state_not_an_object", "point_not_a_number", "exprs_not_a_list"])
+def test_json_of_the_wrong_shape_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error: bad ")
+
+
 @pytest.mark.parametrize("a", ["L(-1)", "X(-2)"])
 def test_invalid_monomial_exit_code(capsys, a):
     code, _, err = run(capsys, "mode", "--preset", "virasoro", "--a", a,

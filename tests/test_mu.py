@@ -707,3 +707,88 @@ def test_one_float_point_makes_every_point_complex(name, points, floats):
         assert [(m, type(c), c) for m, c in u.items()] == \
             [(m, type(c), c) for m, c in v.items()]
         assert all(type(c) is complex for c in u.values())
+
+
+# ---------------------------------------------------------------------------
+# the integer flow against the flow of reduced QQi sums
+
+
+def _qqi_mode_box(preset, groups, window):
+    """The `mode_box` that the integer flow replaced, kept as a reference:
+    every product and sum of U_j a reduced QQi (or a complex), and T^j /
+    j! applied by `state_mode`, one order at a time."""
+    vacuum = GradedVector.vacuum()
+    flow = [{} for _ in range(window.hi + 1)]
+    for terms, scalar, coeff in groups:
+        if terms is None:
+            terms, scalar = (((), 0, vacuum),), lambda exps, j: 1
+        scaled = coeff != 1
+        for exps, d, vec in terms:
+            for j in range(max(0, window.lo - d),
+                           window.hi - d + 1 if d else 1):
+                s = scalar(exps, j)
+                if s:
+                    acc, s = flow[j], s * coeff if scaled else s
+                    for mono, c in vec.terms.items():
+                        acc[mono] = acc.get(mono, 0) + c * s
+    out = GradedVector.zero()
+    for j, acc in enumerate(flow):
+        out = out + mu.state_mode(preset, GradedVector(acc), -j - 1, vacuum)
+    return ProductVector.from_vector(out, window)
+
+
+# lambda = 1, 2 (c/2 = 1/4) and 3 (a level of denominator 3)
+_FLOW_PRESETS = [("heisenberg", {}), ("virasoro", {}),
+                 ("virasoro", {"c": Fraction(-22, 5)}),
+                 ("affine_sl2", {"level": Fraction(5, 3)})]
+
+
+def _flow_scalar(points, as_int):
+    """The `mu_numeric` scalar at ``points``; with ``as_int`` an integer
+    value is returned as an int, as `residues.Pairing` returns some."""
+    def scalar(exps, j):
+        s = points[-1] ** j
+        for (i, k), t in exps:
+            s *= (points[i] - points[k]) ** t
+        if as_int and type(s) is QQi and s.d == 1 and not s.b:
+            return s.a
+        return s
+    return scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(_FLOW_PRESETS))
+def test_integer_flow_matches_the_qqi_flow(data, spec):
+    # exact boxes equal the reference coefficient by coefficient, each a
+    # reduced nonzero QQi; float boxes have the reference's bits
+    preset = preset_from_name(spec[0], **spec[1])
+    hi = data.draw(st.integers(0, 4))
+    window = DegreeWindow(data.draw(st.integers(0, hi)), hi)
+    groups, floats = [], data.draw(st.sampled_from([0, 0, 1]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        arity = data.draw(st.integers(0, 2))
+        states = [_exact_state(data, preset, 2) for _ in range(arity)]
+        points = data.draw(st.lists(_GRID, min_size=arity, max_size=arity,
+                                    unique=True))
+        if arity and floats and data.draw(st.booleans()):
+            points[-1] = complex(points[-1])    # a float point
+        coeff = data.draw(st.sampled_from(
+            [1, QQi(Fraction(-3, 4), 2), QQi(Fraction(2, 9))]
+            + [0.5 - 0.25j] * floats))
+        terms = mu.box_terms(preset, states, window) if arity else None
+        scalar = _flow_scalar(points, data.draw(st.booleans()))
+        groups.append((terms, scalar, coeff))
+        if data.draw(st.booleans()):            # a group that cancels it
+            groups.append((terms, scalar, -coeff))
+    got = mu.mode_box(preset, groups, window)
+    want = _qqi_mode_box(preset, groups, window)
+    assert sorted(got.components) == sorted(want.components)
+    for d, v in want.components.items():
+        u = got.components[d].terms
+        if v.is_exact():
+            assert u == v.terms
+            assert all(type(c) is QQi and c and c.d > 0
+                       and math.gcd(c.a, c.b, c.d) == 1 for c in u.values())
+        else:
+            assert {m: repr(c) for m, c in u.items()} == \
+                {m: repr(c) for m, c in v.terms.items()}

@@ -185,3 +185,47 @@ def test_bench_arity_records_timeouts():
     row = rung_record({"parent": [2.0, 4.0], "change": [0.5, 0.5]})
     assert row["speedup"] == 6.0
     assert rung_record({"parent": [1.0], "change": [None]})["speedup"] is None
+
+
+def test_same_outputs_on_one_checkout(monkeypatch, capsys):
+    # both sides run this checkout's src/, so every output is the same
+    main = _main("same_outputs")
+    monkeypatch.setitem(main.__globals__, "_tree",
+                        lambda side, rev, into: SCRIPTS.parent)
+    assert main(["--parent", "HEAD", "--seeds", "3", "--tiny"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == \
+        ["point_maps seed=3", "functionals seed=3"]
+    total = json.loads(lines[-1])
+    assert total["differing"] == total["exact_mismatch"] == 0
+    assert total["exact_equal"] > 0 and total["float_identical"] > 0
+
+
+def test_same_outputs_counts_each_kind_of_difference():
+    compare = _main("same_outputs").__globals__["compare"]
+    exact = ("two_point", [[["2", "a(-2)"], "QQi", "QQi(Fraction(1, 2), "
+                            "Fraction(0, 1))"]])
+    flt = ("numeric2", [[["2", "a(-2)"], "complex", "(0.5+0j)"],
+                        [["3", "a(-3)"], "complex", "(2+0j)"]])
+    got = compare([exact, flt], [exact, flt])
+    assert (got["exact_equal"], got["float_identical"], got["differing"]) \
+        == (1, 1, 0)
+    # a float moved in its last bit: a difference, relative per degree
+    moved = ("numeric2", [flt[1][0], [["3", "a(-3)"], "complex",
+                                      "(2.0000000000000004+0j)"]])
+    got = compare([exact, flt], [exact, moved])
+    assert got["differing"] == 1 and got["exact_mismatch"] == 0
+    assert got["worst_relative"] == pytest.approx(2.2e-16, rel=0.01)
+    # a float output that also holds text, as weight_project's route
+    route = [["1", "route"], "str", "'numeric'"]
+    got = compare([("weight_project", flt[1] + [route])],
+                  [("weight_project", moved[1] + [route])])
+    assert got["exact_mismatch"] == 0 and got["worst_relative"] > 0
+    # an exact value changed, or turned float, is an exact mismatch
+    for row in ([[["2", "a(-2)"], "QQi", "QQi(Fraction(1, 3), "
+                  "Fraction(0, 1))"]], [[["2", "a(-2)"], "complex",
+                                         "(0.5+0j)"]]):
+        got = compare([exact], [("two_point", row)])
+        assert got["differing"] == got["exact_mismatch"] == 1
+    with pytest.raises(RuntimeError, match="different ops"):
+        compare([exact], [flt])
