@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Compare every benchmark op's output, parent rev against the working
-tree, coefficient by coefficient.
+tree, coefficient by coefficient, and with --suite the default check
+suite's rows and reports.
 
 Example:
     python3 scripts/same_outputs.py --parent HEAD --seeds 3,11
+    python3 scripts/same_outputs.py --parent HEAD --suite
 
 For each workload (point_maps and functionals unless --workload is given)
 and seed, each side runs every op of perfbench/workloads.py's `generate`
@@ -16,8 +18,16 @@ or complex, and exact otherwise.  Three counts are printed: exact
 outputs equal in repr and type, float outputs bit-identical (a float's
 repr round-trips), and outputs that differ, with the worst relative
 difference per degree, |u - v| / max(|u|, |v|, 1) in the largest
-coefficient, over the differing float outputs.  The exit status is 1
-when any exact coefficient differs in value or type, and 0 otherwise.
+coefficient, over the differing float outputs.
+
+With --suite, each side runs the default `voxfact suite --format json`
+in a fresh process, and every field of every row and report but
+`seconds` is compared: label, preset, pass, max_err, tol, witness and
+truncation.  The counts of equal rows and reports are printed, and each
+difference by label, preset and field.
+
+The exit status is 1 when any exact coefficient differs in value or
+type, or any suite field differs, and 0 otherwise.
 """
 import argparse
 import json
@@ -34,6 +44,8 @@ from collect import parse_seeds  # noqa: E402
 
 WORKLOADS = ("point_maps", "functionals")
 FLOAT_TYPES = {"float", "complex"}
+SUITE = ["suite", "--format", "json"]
+_MISSING = object()
 
 # the child: every op's output as a list of [place, type name, repr]
 CHILD = """
@@ -78,6 +90,43 @@ def _outputs(tree: Path, workload: str, seed: int, tiny: bool):
         raise RuntimeError(f"{tree.name} {workload} seed {seed} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def _suite(tree: Path):
+    """The JSON payload of one side's `voxfact suite` (its exit status is
+    1 when a check fails, and the payload is compared all the same)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path[:0] = ['src']; "
+         "from voxfact.cli import main; sys.exit(main(sys.argv[1:]))",
+         *SUITE], cwd=tree, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"{tree.name} suite exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def compare_suite(parent, change) -> dict:
+    """The counts of rows and of reports equal on both sides in every
+    field but `seconds`, matched by position, and each difference as
+    "kind label/preset: fields"; a row on one side only differs in all
+    its fields."""
+    counts = {"rows": 0, "rows_equal": 0, "reports": 0, "reports_equal": 0,
+              "differences": []}
+    for kind in ("rows", "reports"):
+        p, c = parent[kind], change[kind]
+        counts[kind] = max(len(p), len(c))
+        for i in range(counts[kind]):
+            u, v = (side[i] if i < len(side) else {} for side in (p, c))
+            fields = sorted(k for k in set(u) | set(v) if k != "seconds"
+                            and u.get(k, _MISSING) != v.get(k, _MISSING))
+            if not fields:
+                counts[f"{kind}_equal"] += 1
+                continue
+            row = u or v
+            counts["differences"].append(
+                f"{kind} {row['label']}/{row['preset']}: "
+                f"{', '.join(fields)}")
+    return counts
 
 
 def compare(parent, change) -> dict:
@@ -130,18 +179,24 @@ def _relative_by_part(parent, change) -> float:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git rev of the parent")
-    ap.add_argument("--seeds", required=True, help="e.g. 3,11")
+    ap.add_argument("--seeds", default=None, help="e.g. 3,11")
     ap.add_argument("--workload", action="append", default=None)
     ap.add_argument("--tiny", action="store_true",
                     help="one op per (kind, preset), as perfbench's --tiny")
+    ap.add_argument("--suite", action="store_true",
+                    help="compare the default check suite's rows and "
+                         "reports")
     args = ap.parse_args(argv)
+    if not (args.seeds or args.suite):
+        ap.error("give --seeds, --suite or both")
 
     work = Path(tempfile.mkdtemp(prefix="same_outputs_"))
     total = {"exact_equal": 0, "float_identical": 0, "differing": 0,
              "exact_mismatch": 0}
+    status = 0
     try:
         trees = {s: _tree(s, args.parent, work / s) for s in SIDES}
-        for workload in args.workload or WORKLOADS:
+        for workload in (args.workload or WORKLOADS) if args.seeds else ():
             for seed in parse_seeds(args.seeds):
                 rows = {s: _outputs(trees[s], workload, seed, args.tiny)
                         for s in SIDES}
@@ -154,10 +209,22 @@ def main(argv=None) -> int:
                       f"{got['differing']} (exact {got['exact_mismatch']}, "
                       f"worst relative per degree "
                       f"{got['worst_relative']:.3g})", flush=True)
+        if args.seeds:
+            print(json.dumps(total))
+            status = 1 if total["exact_mismatch"] else 0
+        if args.suite:
+            got = compare_suite(*(_suite(trees[s]) for s in SIDES))
+            for line in got.pop("differences"):
+                print(f"suite differs: {line}")
+            print(f"suite: rows equal {got['rows_equal']} of {got['rows']}, "
+                  f"reports equal {got['reports_equal']} of "
+                  f"{got['reports']}, seconds not compared")
+            if got["rows_equal"] < got["rows"] \
+                    or got["reports_equal"] < got["reports"]:
+                status = 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    print(json.dumps(total))
-    return 1 if total["exact_mismatch"] else 0
+    return status
 
 
 if __name__ == "__main__":

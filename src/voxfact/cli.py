@@ -56,7 +56,6 @@ def build_parser():
     p.add_argument("--states", required=True, help="JSON list of states")
     p.add_argument("--points", required=True,
                    help="points as text, ';'-separated or a JSON list")
-    p.add_argument("--numeric", action="store_true")
 
     p = sub.add_parser("check", help="run a single defining-property check")
     common(p, window=False)
@@ -92,9 +91,7 @@ def build_parser():
     p = sub.add_parser("suite", help="run the full check suite",
                        allow_abbrev=False)
     common(p, preset=False)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--quad-n", type=int, default=None)
     p.add_argument("--format", default=None, choices=["json", "csv"])
     p.add_argument("--presets", default="heisenberg,virasoro,affine_sl2")
     p.add_argument("--only", default=None,
@@ -114,13 +111,11 @@ def _apply_config(args):
             attr = key.replace("-", "_")
             if hasattr(args, attr) and getattr(args, attr) in (None, ""):
                 setattr(args, attr, val)
-    fallback = {"preset": "heisenberg", "window": "0:6", "tol": 1e-8,
-                "seed": 2024, "format": "json"}
+    fallback = {"preset": "heisenberg", "window": "0:6", "seed": 2024,
+                "format": "json"}
     for attr, val in fallback.items():
         if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, val)
-    if hasattr(args, "tol"):
-        args.tol = float(args.tol)
     if hasattr(args, "seed"):
         args.seed = int(args.seed)
     return args
@@ -216,10 +211,7 @@ def _dispatch(args) -> int:
         preset = _preset(args)
         window = _window(args)
         states = _load_states(args.states)
-        points = _load_points(args.points)
-        if args.numeric:
-            points = [complex(p) for p in points]
-        pv = mu_numeric(preset, states, points, window)
+        pv = mu_numeric(preset, states, _load_points(args.points), window)
         _emit(args, json.dumps(pv.to_obj(), indent=2, sort_keys=True))
         return 0
 
@@ -250,8 +242,7 @@ def _dispatch(args) -> int:
             presets=tuple(args.presets.split(",")),
             c=Fraction(args.c) if args.c else None,
             level=Fraction(args.level) if args.level else None,
-            window=_window(args), tol=args.tol, quad_n=args.quad_n,
-            seed=args.seed, mode_degree=args.mode_degree,
+            window=_window(args), seed=args.seed, mode_degree=args.mode_degree,
             only=tuple(args.only.split(",")) if args.only else None)
         results = run_suite(config)
         _emit(args, emit_tables(results, args.format))

@@ -71,12 +71,20 @@ def factor_from_obj(obj):
     `scalars.real_from_text`)."""
     if "delta" in obj:
         d = obj["delta"]
-        return DeltaJet(point_from_text(d["p"]), int(d.get("d", 0)))
+        return DeltaJet(point_from_text(d["p"]), _integer(d, "d"))
     if "moment" in obj:
         d = obj["moment"]
         return CircleMoment(point_from_text(d["c"]), real_from_text(d["r"]),
-                            int(d.get("n", 0)))
+                            _integer(d, "n"))
     raise UsageError(f"bad functional factor {obj!r}")
+
+
+def _integer(d, key) -> int:
+    """d[key] (0 if absent), a JSON integer or its text, never a float."""
+    v = d.get(key, 0)
+    if type(v) is not int and not isinstance(v, str):
+        raise UsageError(f"bad functional factor: {key} {v!r} is no integer")
+    return int(v)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ Nothing is truncated and no ordering of the points is needed.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from functools import cache
@@ -180,15 +181,17 @@ def mu_numeric(preset: VAPreset, states, points, window: DegreeWindow,
     """mu(a_1, z_1, ..., a_m, z_m) for any arity m: `mode_box` with each
     scalar evaluated at the points, exactly (QQi) when states and points
     are exact and in complex otherwise; one float point makes every point
-    complex, so no coefficient stays exact beside a float one.  Pairwise
-    distinct points are the only condition.  Nothing is truncated, so
-    ``tail_estimate`` is 0.0; ``tol`` has no effect and is kept for
-    callers that pass it.
+    complex, so no coefficient stays exact beside a float one.  Finite,
+    pairwise distinct points are the only condition.  Nothing is
+    truncated, so ``tail_estimate`` is 0.0; ``tol`` has no effect and is
+    kept for callers that pass it.
     """
     if len(states) != len(points):
         raise ValueError("states and points differ in length")
     if not all(map(is_exact, points)):
         points = [complex(z) for z in points]
+        if not all(map(cmath.isfinite, points)):
+            raise ValueError(f"points must be finite: {points}")
     for i, z in enumerate(points):
         if any(same_point(z, w) for w in points[i + 1:]):
             raise DomainViolation("coincident insertion points")
@@ -229,17 +232,19 @@ def compare_parts(axiom: str, pairs, tol: float,
     that should agree: max_err the largest |u - v| / max(|u|, |v|, 1), the
     witness that of the last pair that disagrees, or {}, and a pass iff no
     pair disagrees.  Exact vectors agree only when equal, decided on their
-    coefficients and never through float; others when within tol."""
-    worst, witness, passed = 0.0, {}, True
+    coefficients and never through float; others when within tol, which
+    the report carries when some pair was float, and 0.0 otherwise."""
+    worst, witness, passed, used = 0.0, {}, True, 0.0
     for key, u, v in pairs:
         exact = u.is_exact() and v.is_exact()
+        used = used if exact else tol
         if exact and u == v:
             continue
         err = u.distance(v) / max(u.norm_inf(), v.norm_inf(), 1.0)
         worst = max(worst, err)
         if exact or err > tol:
             witness, passed = key, False
-    return CheckReport(axiom, passed, worst, tol, witness, truncation)
+    return CheckReport(axiom, passed, worst, used, witness, truncation)
 
 
 def check_identity_on_basis(axiom: str, preset: VAPreset, max_degree: int,
@@ -267,14 +272,14 @@ def check_insertion_at_zero(preset: VAPreset, max_degree: int = 6) -> CheckRepor
         lambda a, window: mu_one_point(preset, a, QQi(0), window))
 
 
-def check_equivariance(preset: VAPreset, configs, window: DegreeWindow,
-                       tol: float = 1e-8) -> CheckReport:
+def check_equivariance(preset: VAPreset, configs,
+                       window: DegreeWindow) -> CheckReport:
     """Dilation covariance of the multi-point map: for each (states,
     points, q) with q != 0,
 
         p_k mu(q.a_1, q z_1, ..., q.a_m, q z_m) == q^k p_k mu(a_1, z_1, ...)
 
-    on ``window``, exactly on exact data and within a relative tol
+    on ``window``, exactly on exact data and within a relative 1e-8
     otherwise."""
     def pairs():
         for states, points, q in configs:
@@ -286,7 +291,7 @@ def check_equivariance(preset: VAPreset, configs, window: DegreeWindow,
                 yield ({"q": str(q), "degree": k, "points": shown},
                        lhs.component(k),
                        rhs.component(k).scale(scalar_pow(q, k)))
-    return compare_parts("equivariance", pairs(), tol)
+    return compare_parts("equivariance", pairs(), 1e-8)
 
 
 def check_associativity(preset: VAPreset, outer, inner, insertion,
@@ -356,11 +361,11 @@ def _t_coefficient(lines, exps, j, order):
     return coeffs[order]
 
 
-def check_permutation(preset: VAPreset, configs, window: DegreeWindow,
-                      tol: float = 1e-9) -> CheckReport:
+def check_permutation(preset: VAPreset, configs,
+                      window: DegreeWindow) -> CheckReport:
     """Order independence of the multi-point map: each (states, points)
     in reverse order gives the same value on ``window``, exactly on exact
-    data and within a relative tol otherwise.  At two points (z, 0) this is
+    data and within a relative 1e-9 otherwise.  At two points (z, 0) this is
     skew-symmetry, Y(a, z) b = e^{zT} Y(b, -z) a."""
     def pairs():
         for num, (states, points) in enumerate(configs):
@@ -369,7 +374,7 @@ def check_permutation(preset: VAPreset, configs, window: DegreeWindow,
             for k in window.degrees():
                 yield ({"config": num, "degree": k}, fwd.component(k),
                        rev.component(k))
-    return compare_parts("permutation_invariance", pairs(), tol)
+    return compare_parts("permutation_invariance", pairs(), 1e-9)
 
 
 def check_meromorphicity(preset: VAPreset, max_degree: int = 5) -> CheckReport:

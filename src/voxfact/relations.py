@@ -90,15 +90,13 @@ def weight_project(expr: Expression, k: int, preset: VAPreset,
 
 
 def _orbit_components(expr: Expression, ks, preset: VAPreset,
-                      window: DegreeWindow, quad_n: int | None = None):
+                      window: DegreeWindow):
     """{k: l_k(expr)} for each k in ks, the long way, as the reference for
-    `weight_project`: sample q |-> ev(q . expr) on quad_n trapezoid nodes
-    of a circle |q| = t, each node evaluated once, and extract each q^k
-    Fourier coefficient, the moment of exponent -k-1.  The rule is exact
-    below the aliasing bandwidth, so with more nodes than the window is
-    wide this agrees with `weight_project` up to rounding."""
-    if quad_n is None:
-        quad_n = 2 * window.hi + 16
+    `weight_project`: sample q |-> ev(q . expr) on 2 window.hi + 16
+    trapezoid nodes of a circle |q| = t, each node evaluated once, and
+    extract each q^k Fourier coefficient, the moment of exponent -k-1.
+    The rule is exact below the aliasing bandwidth, so with more nodes than
+    the window is wide this agrees with `weight_project` up to rounding."""
     values = {}
 
     def ev(q):
@@ -108,8 +106,8 @@ def _orbit_components(expr: Expression, ks, preset: VAPreset,
         return values[q]
 
     r = _orbit_radius(expr)
-    return {k: quadrature_moment(ev, 0, r, -k - 1, quad_n).project(k)
-            for k in ks}
+    return {k: quadrature_moment(ev, 0, r, -k - 1,
+                                 2 * window.hi + 16).project(k) for k in ks}
 
 
 def _orbit_radius(expr: Expression) -> float:
@@ -244,11 +242,10 @@ def multiplicativity_check(u: OpenSet, v: OpenSet, target: OpenSet,
 
 
 def concentric_density_check(preset: VAPreset, expr: Expression, center,
-                             qs, window: DegreeWindow,
-                             tol: float = 1e-9) -> CheckReport:
+                             qs, window: DegreeWindow) -> CheckReport:
     """A relation on a disc evaluates to zero along its whole dilation
-    orbit about the disc center: exactly at exact scales, within tol at
-    float ones; q = 1 is the relation itself."""
+    orbit about the disc center: exactly at exact scales, within a relative
+    1e-9 at float ones; q = 1 is the relation itself."""
     def pairs():
         for q in (QQi(1), *qs):
             val = evaluate_expression(affine_act(q, (1 - q) * center, expr),
@@ -256,7 +253,7 @@ def concentric_density_check(preset: VAPreset, expr: Expression, center,
             for k in window.degrees():
                 yield ({"q": str(q), "degree": k}, val.component(k),
                        GradedVector.zero())
-    return compare_parts("concentric_density", pairs(), tol,
+    return compare_parts("concentric_density", pairs(), 1e-9,
                          {"samples": len(qs)})
 
 
@@ -317,25 +314,25 @@ def roundtrip_check(preset: VAPreset, max_degree: int) -> CheckReport:
 # weight projection identities
 
 
-def check_weight_partition(preset: VAPreset, exprs, window: DegreeWindow,
-                           tol: float = 1e-9) -> CheckReport:
-    """sum_k l_k recovers the full evaluation on windowed expressions, with
-    each l_k read off the dilation orbit by the trapezoid rule."""
+def check_weight_partition(preset: VAPreset, exprs,
+                           window: DegreeWindow) -> CheckReport:
+    """sum_k l_k, each read off the dilation orbit by the trapezoid rule,
+    recovers the full evaluation within a relative 1e-9."""
     def pairs():
         for num, expr in enumerate(exprs):
             parts = _orbit_components(expr, window.degrees(), preset, window)
             total = sum(parts.values(), GradedVector.zero())
             yield ({"expression": num}, total,
                    evaluate_expression(expr, preset, window).flatten())
-    return compare_parts("weight_projection_partition", pairs(), tol,
+    return compare_parts("weight_projection_partition", pairs(), 1e-9,
                          {"count": len(exprs)})
 
 
-def check_weight_idempotent(preset: VAPreset, exprs, window: DegreeWindow,
-                            tol: float = 1e-9) -> CheckReport:
-    """l_k o l_k = l_k and l_j o l_k = 0 for j != k, on embedded outputs:
-    the inner l_k is `weight_project`, the outer ones are read off the
-    dilation orbit by the trapezoid rule."""
+def check_weight_idempotent(preset: VAPreset, exprs,
+                            window: DegreeWindow) -> CheckReport:
+    """l_k o l_k = l_k and l_j o l_k = 0 for j != k, within a relative
+    1e-9, on embedded outputs: the inner l_k is `weight_project`, the outer
+    ones are read off the dilation orbit by the trapezoid rule."""
     carrier = Disc(QQi(0), Fraction(1))
 
     def pairs():
@@ -352,23 +349,22 @@ def check_weight_idempotent(preset: VAPreset, exprs, window: DegreeWindow,
                 yield witness, orbit[k], piece
                 if j in orbit:
                     yield witness, orbit[j], GradedVector.zero()
-    return compare_parts("weight_projection_idempotent", pairs(), tol,
+    return compare_parts("weight_projection_idempotent", pairs(), 1e-9,
                          {"count": len(exprs)})
 
 
-def check_weight_quadrature(preset: VAPreset, samples, window: DegreeWindow,
-                            quad_n: int | None = None,
-                            tol: float = 1e-9) -> CheckReport:
+def check_weight_quadrature(preset: VAPreset, samples,
+                            window: DegreeWindow) -> CheckReport:
     """Weight components read off the dilation orbit by the trapezoid rule
-    against the degree parts of the one-point map, the homomorphism square
-    l_k [delta_z (x) a] = p_k mu(a, z); the latter are exact at exact
-    sample points."""
+    against the degree parts of the one-point map, within a relative 1e-9:
+    the homomorphism square l_k [delta_z (x) a] = p_k mu(a, z); the latter
+    are exact at exact sample points."""
     def pairs():
         for a, z, k in samples:
             big = Disc(QQi(0), Fraction(4 * (int(abs(complex(z))) + 1)))
             expr = Expression.single(big, [DeltaJet(z, 0)], [a])
             yield ({"z": str(z), "k": k},
-                   _orbit_components(expr, [k], preset, window, quad_n)[k],
+                   _orbit_components(expr, [k], preset, window)[k],
                    mu_one_point(preset, a, z, window).component(k))
-    return compare_parts("weight_projection_quadrature", pairs(), tol,
+    return compare_parts("weight_projection_quadrature", pairs(), 1e-9,
                          {"samples": len(samples)})

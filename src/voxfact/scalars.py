@@ -305,10 +305,11 @@ def _hash_part(n, d) -> int:
     return -2 if h == -1 else h
 
 
+# a denominator has a nonzero digit, so '1/0' is no literal here or below
 _QQI_RE = re.compile(
     r"""^\s*
-    (?P<re>[+-]?\d+(?:/\d+)?)?
-    (?P<im>(?:(?<=\S)[+-]|^[+-]?)(?:\d+(?:/\d+)?)?i)?
+    (?P<re>[+-]?\d+(?:/0*[1-9]\d*)?)?
+    (?P<im>(?:(?<=\S)[+-]|^[+-]?)(?:\d+(?:/0*[1-9]\d*)?)?i)?
     \s*$""",
     re.VERBOSE,
 )
@@ -413,7 +414,7 @@ def coeff_from_obj(obj):
     return complex(re_, im_)
 
 
-_RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
+_RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/0*[1-9]\d*)?\s*")
 
 
 def real_from_text(s):

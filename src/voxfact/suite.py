@@ -51,21 +51,18 @@ SUITE_LABELS = (
 
 
 class SuiteConfig(Record):
-    __slots__ = ("presets", "c", "level", "window", "tol", "quad_n", "seed",
-                 "mode_degree", "only")
+    __slots__ = ("presets", "c", "level", "window", "seed", "mode_degree",
+                 "only")
 
     def __init__(self, presets: tuple = ("heisenberg", "virasoro",
                                          "affine_sl2"),
                  c: Fraction | None = None, level: Fraction | None = None,
-                 window: DegreeWindow = DegreeWindow(0, 6), tol: float = 1e-8,
-                 quad_n: int | None = None, seed: int = 2024,
+                 window: DegreeWindow = DegreeWindow(0, 6), seed: int = 2024,
                  mode_degree: int = 4, only: tuple | None = None):
         self.presets = presets
         self.c = c
         self.level = level
         self.window = window
-        self.tol = tol
-        self.quad_n = quad_n
         self.seed = seed
         self.mode_degree = mode_degree
         self.only = only
@@ -151,27 +148,27 @@ def run_suite(config: SuiteConfig):
                   [_random_point(rng) + QQi(3), QQi(0)], _nonzero(rng))
                  for _ in range(10)]
         record("equivariance_exact", name,
-               lambda: check_equivariance(preset, exact, window, tol=0.0))
+               lambda: check_equivariance(preset, exact, window))
 
         configs = [([_random_state(rng, preset, 2, terms=1) for _ in range(3)],
                     [m * _phase(rng) for m in (4.0, 1.0, 0.25)],
                     0.7 * _phase(rng)) for _ in range(4)]
         record("equivariance_numeric", name,
-               lambda: check_equivariance(preset, configs, DegreeWindow(0, 4),
-                                          tol=config.tol))
+               lambda: check_equivariance(preset, configs,
+                                          DegreeWindow(0, 4)))
         record("associativity_nested", name,
                lambda: _associativity_case(preset))
 
         floats = [([_random_state(rng, preset, 2, terms=1) for _ in range(2)],
                    [3.0 + 0.1j, 0.5 - 0.2j])]
         record("permutation_invariance", name,
-               lambda: check_permutation(preset, floats, DegreeWindow(0, 4),
-                                         tol=1e-9))
+               lambda: check_permutation(preset, floats,
+                                         DegreeWindow(0, 4)))
         # skew-symmetry Y(a, z) b = e^{zT} Y(b, -z) a: reversal at (z, 0)
         skew = [([_random_state(rng, preset, 3) for _ in range(2)],
                  [QQi(Fraction(5, 2)), QQi(0)]) for _ in range(5)]
         record("skew_transport", name,
-               lambda: check_permutation(preset, skew, window, tol=0.0))
+               lambda: check_permutation(preset, skew, window))
         record("meromorphicity_pole_bounds", name,
                lambda: check_meromorphicity(preset, config.mode_degree))
 
@@ -179,8 +176,7 @@ def run_suite(config: SuiteConfig):
                     rng.randrange(window.lo, window.hi + 1))
                    for _ in range(8)]
         record("weight_projection_quadrature", name,
-               lambda: check_weight_quadrature(preset, samples, window,
-                                               quad_n=config.quad_n))
+               lambda: check_weight_quadrature(preset, samples, window))
 
         carrier = Disc(QQi(0), Fraction(4))
         exprs = [Expression.single(carrier, [DeltaJet(_random_point(rng), 0)],

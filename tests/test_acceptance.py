@@ -87,9 +87,8 @@ def test_equivariance_exact_200(boson, vir, sl2):
         configs[p.kind].append((states, [_random_point(rng) + QQi(3), QQi(0)],
                                 q))
     for p in presets:
-        rep = check_equivariance(p, configs[p.kind], DegreeWindow(0, 5),
-                                 tol=0.0)
-        assert rep.passed, (p.kind, rep.witness)
+        rep = check_equivariance(p, configs[p.kind], DegreeWindow(0, 5))
+        assert rep.passed and rep.tol == 0.0, (p.kind, rep.witness)
 
 
 def test_equivariance_numeric_50(boson):
@@ -99,7 +98,7 @@ def test_equivariance_numeric_50(boson):
         states = [_random_state(rng, boson, 2, terms=1) for _ in range(3)]
         pts = [m * _phase(rng) for m in (4.0, 1.0, 0.25)]
         configs.append((states, pts, 0.7 * _phase(rng)))
-    rep = check_equivariance(boson, configs, DegreeWindow(0, 3), tol=1e-8)
+    rep = check_equivariance(boson, configs, DegreeWindow(0, 3))
     assert rep.passed, rep.max_err
 
 
@@ -127,8 +126,7 @@ def test_weight_projection_quadrature(boson):
     rng = random.Random(406)
     samples = [(_random_state(rng, boson, 3), _random_point(rng),
                 rng.randrange(0, 7)) for _ in range(12)]
-    rep = check_weight_quadrature(boson, samples, WINDOW6, quad_n=28,
-                                  tol=1e-9)
+    rep = check_weight_quadrature(boson, samples, WINDOW6)
     assert rep.passed, rep.max_err
 
 
@@ -140,7 +138,7 @@ def test_weight_projection_partition_100(boson):
                                          rng.randrange(0, 2))],
                                [_random_state(rng, boson, 3)])
              for _ in range(100)]
-    rep = check_weight_partition(boson, exprs, WINDOW6, tol=1e-9)
+    rep = check_weight_partition(boson, exprs, WINDOW6)
     assert rep.passed, rep.max_err
 
 
@@ -150,7 +148,7 @@ def test_weight_projection_idempotent(boson):
     exprs = [Expression.single(carrier, [DeltaJet(_random_point(rng), 0)],
                                [_random_state(rng, boson, 3)])
              for _ in range(5)]
-    rep = check_weight_idempotent(boson, exprs, DegreeWindow(0, 4), tol=1e-9)
+    rep = check_weight_idempotent(boson, exprs, DegreeWindow(0, 4))
     assert rep.passed, rep.max_err
 
 
@@ -172,7 +170,7 @@ def test_roundtrip_homomorphism_square(boson):
     rng = random.Random(477)
     samples = [(_random_state(rng, boson, 3), _random_point(rng),
                 rng.randrange(0, 7)) for _ in range(20)]
-    rep = check_weight_quadrature(boson, samples, WINDOW6, tol=1e-9)
+    rep = check_weight_quadrature(boson, samples, WINDOW6)
     assert rep.passed, rep.max_err
 
 
@@ -254,8 +252,8 @@ def test_concentric_density_20_kernel_vectors(boson):
         assert len(ker) == 1, "the translation relation spans the kernel"
         combo = kernel_combination(family, ker[0])
         assert len(combo.terms) == 2
-        rep = concentric_density_check(boson, combo, QQi(0), qs, w, tol=0.0)
-        assert rep.passed and rep.max_err == 0.0
+        rep = concentric_density_check(boson, combo, QQi(0), qs, w)
+        assert rep.passed and rep.max_err == rep.tol == 0.0
 
 
 # 10 ----------------------------------------------------------------------

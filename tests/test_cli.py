@@ -9,7 +9,7 @@ from voxfact.expressions import Expression
 from voxfact.functionals import DeltaJet
 from voxfact.geometry import Disc
 from voxfact.graded import GradedVector
-from voxfact.mu import mu_one_point, two_point_value
+from voxfact.mu import mu_numeric, mu_one_point, two_point_value
 from voxfact.presets import heisenberg
 from voxfact.scalars import DegreeWindow, QQi
 
@@ -54,11 +54,16 @@ def test_npoint_exact(capsys):
 
 
 def test_npoint_numeric(capsys):
+    # float literals make the points float
     code, out, _ = run(capsys, "npoint", "--states", "a(-1);a(-1);a(-1)",
-                       "--points", "4;1;1/4", "--numeric", "--window", "0:2")
+                       "--points", "4.0;1.0;0.25", "--window", "0:2")
     assert code == 0
     data = json.loads(out)
     assert abs(float(data["by_degree"]["1"]["terms"][0]["re"]) - 1.96) < 1e-6
+    gen = GradedVector.basis((("a", 1),))
+    assert data == mu_numeric(heisenberg(), [gen] * 3,
+                              [4 + 0j, 1 + 0j, 0.25 + 0j],
+                              DegreeWindow(0, 2)).to_obj()
 
 
 def test_npoint_points_follow_the_text_rule(capsys):
@@ -141,6 +146,57 @@ def test_suite_failure_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+_DELTA_EXPR = {"carrier": {"disc": {"center": "0", "radius": "2"}},
+               "terms": [{"coeff": {"re": "1", "im": "0"},
+                          "factors": [{"delta": {"p": "1/2", "d": 1}}],
+                          "states": [{"terms": [{"mono": ["a(-1)"],
+                                                 "re": "1", "im": "0"}]}]}]}
+
+
+def _eval_with(carrier=None, factor=None):
+    expr = json.loads(json.dumps(_DELTA_EXPR))
+    if carrier:
+        expr["carrier"] = carrier
+    if factor:
+        expr["terms"][0]["factors"] = [factor]
+    return ["factor", "eval", "--expr", json.dumps(expr)]
+
+
+# a point that is no exact literal is read as a complex, so its error is
+# complex()'s, which names no text
+@pytest.mark.parametrize("argv, text", [
+    (["npoint", "--states", "a(-1)", "--points", "1/0"], ""),
+    (["mode", "--a", '{"terms": [{"mono": ["a(-1)"], "re": "1/0", '
+      '"im": "0"}]}', "--n", "-1", "--b", "a(-1)"], "'1/0'"),
+    (_eval_with(carrier={"disc": {"center": "0", "radius": "2/0"}}),
+     "'2/0'"),
+], ids=["point", "coefficient", "radius"])
+def test_zero_denominator_is_a_usage_error(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and text in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("factor, text", [
+    ({"delta": {"p": "1/2", "d": 1.9}}, "1.9"),
+    ({"delta": {"p": "1/2", "d": "3/2"}}, "'3/2'"),
+    ({"moment": {"c": "0", "r": "3/2", "n": 2.5}}, "2.5"),
+], ids=["jet_order_float", "jet_order_fraction", "moment_exponent"])
+def test_non_integral_order_is_a_usage_error(capsys, factor, text):
+    code, out, err = run(capsys, *_eval_with(factor=factor))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and text in err
+
+
+def test_integral_order_text_is_read(capsys):
+    # an integer's text reads as the integer, as a JSON number does
+    code, out, _ = run(capsys, *_eval_with(
+        factor={"delta": {"p": "1/2", "d": " 1 "}}))
+    assert code == 0
+    assert out == run(capsys, *_eval_with())[1]
+
+
 def test_bad_state_exit_code(capsys):
     code, _, err = run(capsys, "mode", "--a", "garbage", "--n", "0",
                        "--b", "a(-1)")
@@ -218,16 +274,20 @@ MULTIPLY = ["--x", json.dumps(_delta(Disc(QQi(-2), 1), -2).to_obj()),
 
 
 @pytest.mark.parametrize("argv", [
-    ["define", "--quad-n", "3"],
-    ["factor", "--quad-n", "3", "roundtrip"],
-    ["npoint", "--states", "a(-1)", "--points", "1", "--tol", "1e-9"],
+    ["define", "--seed", "3"],
+    ["factor", "--format", "json", "roundtrip"],
+    ["npoint", "--states", "a(-1)", "--points", "1", "--format", "csv"],
     ["check", "--axiom", "insertion", "--seed", "1"],
     ["counterexample", "--format", "csv"],
     ["suite", "--preset", "virasoro"],
     ["mode", "--window", "0:1", "--a", "a(-1)", "--n", "1", "--b", "a(-1)"],
     ["check", "--window", "0:1", "--axiom", "insertion"],
     ["factor", "--seed", "1", "roundtrip"],
-    ["factor", "--tol", "1e-9", "roundtrip"],
+    ["factor", "--mode-degree", "2", "roundtrip"],
+    # no subcommand resets a check's tolerance or the points' exactness
+    ["suite", "--tol", "1e-30"],
+    ["suite", "--quad-n", "20"],
+    ["npoint", "--states", "a(-1)", "--points", "1", "--numeric"],
     # factor takes the options after the sub-subcommand that reads them
     ["factor", "--window", "0:1", "roundtrip"],
     ["factor", "--window", "0:1", "--c", "3", "weiss"],

@@ -69,6 +69,14 @@ def test_two_point_coincident_points_rejected(boson, gen_a, window6):
         two_point_value(boson, gen_a, gen_a, QQi(1), QQi(1), window6)
 
 
+@pytest.mark.parametrize("points", [[complex("nan"), 0], [math.inf, 0],
+                                    [float("1e400")]],
+                         ids=["nan", "inf", "overflow"])
+def test_non_finite_points_rejected(boson, gen_a, window6, points):
+    with pytest.raises(ValueError, match="points must be finite"):
+        mu_numeric(boson, [gen_a] * len(points), points, window6)
+
+
 def test_two_point_second_point_general(boson, gen_a, window6):
     # translation covariance: value at (z+c, c) is the flow of the value at (z, 0)
     z, c = QQi(3), QQi(1)
@@ -218,36 +226,36 @@ def test_equivariance_exact_check(boson, vir):
     q = QQi(Fraction(2, 3), Fraction(1, 2))
     a, w = B("a(-1)"), B("L(-2)")
     rep = check_equivariance(boson, [([a, a], [QQi(3), QQi(0)], q)],
-                             DegreeWindow(0, 5), tol=0.0)
-    assert rep.passed
+                             DegreeWindow(0, 5))
+    assert rep.passed and rep.tol == 0.0
     rep = check_equivariance(vir, [([w, w], [QQi(4), QQi(0)], q)],
-                             DegreeWindow(0, 5), tol=0.0)
-    assert rep.passed
+                             DegreeWindow(0, 5))
+    assert rep.passed and rep.tol == 0.0
 
 
 def test_equivariance_numeric_check(boson, gen_a):
     rep = check_equivariance(
         boson, [([gen_a, gen_a, gen_a], [4.0, 1.0 + 0.2j, 0.25j],
-                 0.7 + 0.1j)], DegreeWindow(0, 4), tol=1e-8)
-    assert rep.passed, rep.max_err
+                 0.7 + 0.1j)], DegreeWindow(0, 4))
+    assert rep.passed and rep.tol == 1e-8, rep.max_err
 
 
 def test_permutation_check(boson, gen_a):
     rep = check_permutation(boson, [([gen_a, B("a(-2)")], [3.0, 0.5 - 0.2j])],
-                            DegreeWindow(0, 4), tol=1e-9)
-    assert rep.passed, rep.max_err
+                            DegreeWindow(0, 4))
+    assert rep.passed and rep.tol == 1e-9, rep.max_err
 
 
 def test_skew_transport_check(boson, vir, gen_a):
     # skew-symmetry is order independence at the points (z, 0)
     rep = check_permutation(boson, [([gen_a, B("a(-2)")],
                                      [QQi(Fraction(5, 2)), QQi(0)])],
-                            DegreeWindow(0, 5), tol=0.0)
-    assert rep.passed
+                            DegreeWindow(0, 5))
+    assert rep.passed and rep.tol == 0.0
     w = B("L(-2)")
     rep = check_permutation(vir, [([w, w], [QQi(2), QQi(0)])],
-                            DegreeWindow(0, 6), tol=0.0)
-    assert rep.passed
+                            DegreeWindow(0, 6))
+    assert rep.passed and rep.tol == 0.0
 
 
 TINY = QQi(Fraction(1, 10 ** 400))   # 0.0 as a float
@@ -294,9 +302,9 @@ def test_merged_check_fails_on_a_planted_exact_error(boson, monkeypatch,
                                                      check, configs):
     # an error of 1/10^400 reads 0.0 through float, so only an exact
     # comparison finds it, whatever the tolerance
-    assert check(boson, configs, DegreeWindow(0, 4), tol=1e-9).passed
+    assert check(boson, configs, DegreeWindow(0, 4)).passed
     _plant(monkeypatch, lambda c: c + TINY)
-    rep = check(boson, configs, DegreeWindow(0, 4), tol=1e-9)
+    rep = check(boson, configs, DegreeWindow(0, 4))
     assert not rep.passed and rep.witness
 
 
@@ -304,9 +312,11 @@ def test_merged_check_fails_on_a_planted_exact_error(boson, monkeypatch,
                          ids=["equivariance", "permutation"])
 def test_merged_check_fails_on_a_planted_float_error(boson, monkeypatch,
                                                      check, configs):
-    assert check(boson, configs, DegreeWindow(0, 4), tol=1e-9).passed
+    # within 1e-9 on both, tighter than equivariance's own 1e-8
+    rep = check(boson, configs, DegreeWindow(0, 4))
+    assert rep.passed and rep.max_err <= 1e-9
     _plant(monkeypatch, lambda c: c * (1 + 1e-6))
-    rep = check(boson, configs, DegreeWindow(0, 4), tol=1e-9)
+    rep = check(boson, configs, DegreeWindow(0, 4))
     assert not rep.passed and rep.max_err > 1e-9
 
 
@@ -334,6 +344,14 @@ def test_compare_parts_reports_the_last_failing_witness():
     assert rep.max_err == 1.0
     assert rep.witness == {"case": 3}
     assert rep.truncation == {}
+
+
+def test_compare_parts_reports_tol_zero_on_exact_pairs():
+    # no pair was compared against the tolerance, so none is reported
+    a, b = B("a(-1)"), B("a(-2)")
+    rep = mu.compare_parts("exact", iter([({"case": 1}, a, a),
+                                          ({"case": 2}, a, b)]), 1e-9)
+    assert (rep.passed, rep.max_err, rep.tol) == (False, 1.0, 0.0)
 
 
 def test_compare_parts_passes_an_empty_stream():

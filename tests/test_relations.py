@@ -202,7 +202,7 @@ def test_weight_partition_and_idempotence(boson, window6):
 def test_weight_quadrature_check(boson, window6):
     samples = [(B("a(-2)"), QQi(Fraction(1, 2), Fraction(1, 3)), 3),
                (B("a(-1)", "a(-1)"), QQi(Fraction(-3, 4)), 2)]
-    rep = check_weight_quadrature(boson, samples, window6, quad_n=28)
+    rep = check_weight_quadrature(boson, samples, window6)
     assert rep.passed and rep.max_err < 1e-9
 
 
@@ -235,9 +235,8 @@ def test_concentric_density(boson, window6, monkeypatch):
                                     [translate(boson, a)], coeff=QQi(-1)))
     assert len(relation.terms) == 2
     qs = [QQi(Fraction(1, 2)), QQi(Fraction(2, 3), Fraction(1, 4))]
-    rep = concentric_density_check(boson, relation, QQi(0), qs, window6,
-                                   tol=0.0)
-    assert rep.passed and rep.max_err == 0.0
+    rep = concentric_density_check(boson, relation, QQi(0), qs, window6)
+    assert rep.passed and rep.max_err == rep.tol == 0.0
     rep = concentric_density_check(boson, relation, QQi(0), qs + [0.9j],
                                    window6)
     assert rep.passed and rep.max_err < 1e-12
@@ -249,7 +248,7 @@ def test_concentric_density(boson, window6, monkeypatch):
 
     monkeypatch.setattr(expressions, "pushforward_factor", unscaled)
     assert not concentric_density_check(boson, relation, QQi(0), qs,
-                                        window6, tol=0.0).passed
+                                        window6).passed
 
 
 def test_find_cover_element():

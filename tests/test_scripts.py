@@ -201,6 +201,41 @@ def test_same_outputs_on_one_checkout(monkeypatch, capsys):
     assert total["exact_equal"] > 0 and total["float_identical"] > 0
 
 
+def test_same_outputs_suite_on_one_checkout(monkeypatch, capsys):
+    # both sides run this checkout's suite, cut to two labels on one preset
+    main = _main("same_outputs")
+    monkeypatch.setitem(main.__globals__, "_tree",
+                        lambda side, rev, into: SCRIPTS.parent)
+    monkeypatch.setitem(main.__globals__, "SUITE", [
+        "suite", "--format", "json", "--presets", "heisenberg",
+        "--mode-degree", "2", "--only",
+        "insertion_at_zero,weiss_cover_accept"])
+    assert main(["--parent", "HEAD", "--suite"]) == 0
+    assert capsys.readouterr().out.strip().splitlines() == [
+        "suite: rows equal 2 of 2, reports equal 2 of 2, seconds not "
+        "compared"]
+
+
+def test_same_outputs_suite_names_each_differing_field():
+    compare_suite = _main("same_outputs").__globals__["compare_suite"]
+    row = {"label": "x", "preset": "heisenberg", "pass": True,
+           "max_err": 0.0, "tol": 1e-9, "seconds": 0.5}
+    report = {"label": "x", "preset": "heisenberg", "pass": True,
+              "witness": {}}
+    parent = {"rows": [row], "reports": [report]}
+    got = compare_suite(parent, {"rows": [{**row, "seconds": 9.0}],
+                                 "reports": [report]})
+    assert (got["rows_equal"], got["reports_equal"], got["differences"]) \
+        == (1, 1, [])
+    got = compare_suite(parent, {"rows": [{**row, "tol": 0.0}],
+                                 "reports": [report, report]})
+    assert (got["rows"], got["rows_equal"]) == (1, 0)
+    assert (got["reports"], got["reports_equal"]) == (2, 1)
+    assert got["differences"] == [
+        "rows x/heisenberg: tol",
+        "reports x/heisenberg: label, pass, preset, witness"]
+
+
 def test_same_outputs_counts_each_kind_of_difference():
     compare = _main("same_outputs").__globals__["compare"]
     exact = ("two_point", [[["2", "a(-2)"], "QQi", "QQi(Fraction(1, 2), "

@@ -94,6 +94,20 @@ def test_suite_rows_shape(rows):
     assert all(set(r) >= {"label", "preset", "pass", "max_err"} for r in table)
 
 
+# each check's own float tolerance; every other label compares only exact
+# values, so its row reads 0.0
+FLOAT_TOL = {"equivariance_numeric": 1e-8, "permutation_invariance": 1e-9,
+             "concentric_density": 1e-9, "weight_projection_quadrature": 1e-9,
+             "weight_projection_partition": 1e-9,
+             "weight_projection_idempotent": 1e-9}
+
+
+def test_tol_column_is_fixed_per_label(rows):
+    got = {(row["label"], row["tol"]) for row in suite_rows(rows)}
+    assert got == {(label, FLOAT_TOL.get(label, 0.0))
+                   for label in SUITE_LABELS}
+
+
 def test_mode_oracle_row_fails_on_a_wrong_table():
     # the row compares the integer tables, so a wrong entry in the iterate
     # memo must fail it, with both sides lifted into the witness
