@@ -14,7 +14,7 @@ from .expressions import Expression, evaluate_expression, multiply
 from .geometry import OpenSet
 from .graded import GradedVector, mono_text, parse_mono
 from .mu import check_insertion_at_zero, check_meromorphicity, mu_numeric
-from .presets import basis, preset_from_name
+from .presets import basis, preset_from_name, state_mode
 from .relations import (relation_kernel, roundtrip_check, run_counterexample,
                         weight_project)
 from .scalars import DegreeWindow, point_from_text
@@ -201,7 +201,6 @@ def _dispatch(args) -> int:
 
     if cmd == "mode":
         preset = _preset(args)
-        from .presets import state_mode
         out = state_mode(preset, _load_state(args.a), args.n,
                          _load_state(args.b))
         _emit(args, out.to_json(indent=2))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import NotDisjoint
 from .records import FrozenRecord
 from .scalars import exact_value, point_from_text, real_from_text
 
@@ -158,7 +159,6 @@ class UnionSet(OpenSet):
         for i, u in enumerate(members):
             for v in members[i + 1:]:
                 if not is_disjoint(u, v):
-                    from .errors import NotDisjoint
                     raise NotDisjoint("union members overlap")
         object.__setattr__(self, "members", members)
 

@@ -11,9 +11,9 @@ a_(n) b of its parts, so their float results are those of the fields.
 From three points on, terms with equal exponents are summed as the
 recursion meets them; that grouping fixes the last bits of a float
 result, which any other grouping of the same sum may not share.
-`mode_box` assembles groups of terms in one flow, each group with a
-coefficient and a callback for the scalar factor of each term, on exact
-data with one reduction per output coefficient (`presets.exact_flow`):
+`mode_box` assembles groups of terms, each group with a coefficient and
+a callback for the scalar factor of each term, and moves them by one
+`presets.flow`, exact on exact data with one reduction per coefficient:
 
 * `mu_numeric` (any arity), `two_point_value` and `mu_one_point` evaluate
   it at the points, exactly (QQi) at exact points and in complex at float
@@ -34,8 +34,8 @@ from functools import cache
 from .errors import DomainViolation
 from .graded import GradedVector, ProductVector
 from .oracle import _oracle
-from .presets import (VAPreset, basis_upto, exact_flow, gen_mode_apply,
-                      pole_bound, state_mode)
+from .presets import (VAPreset, basis_upto, flow, gen_mode_apply, pole_bound,
+                      state_mode)
 from .report import CheckReport
 from .scalars import (DegreeWindow, QQi, binom, exact_value, is_exact,
                       same_point, scalar_pow)
@@ -70,16 +70,14 @@ def mode_box(preset: VAPreset, groups, window: DegreeWindow) -> ProductVector:
     for that factor times z_m^j, from the flow e^{z_m T}.  A zero scalar
     drops its term.  Any term list whose sum is the map will do, and a
     list built once may be assembled under several callbacks.  With no
-    states (``terms`` None) a group's map is the vacuum.  Each U_j, the
-    sum of coeff scalar(exps, j) V, moves by T^j / j!: on exact scalars and
-    QQi coefficients by `exact_flow`, else by `state_mode` (float bits kept).
+    states (``terms`` None) a group's map is the vacuum.  `presets.flow`
+    moves each U_j, the sum of coeff scalar(exps, j) V, by T^j / j!.
     """
-    vacuum = GradedVector.vacuum()
-    # flow[j] lists the (coeff scalar(exps, j), V) that sum to U_j
-    flow = [[] for _ in range(window.hi + 1)]
+    # orders[j] lists the (coeff scalar(exps, j), V) that sum to U_j
+    orders = [[] for _ in range(window.hi + 1)]
     for terms, scalar, coeff in groups:
         if terms is None:
-            terms, scalar = (((), 0, vacuum),), lambda exps, j: 1
+            terms, scalar = (((), 0, GradedVector.vacuum()),), lambda e, j: 1
         scaled = coeff != 1
         for exps, d, vec in terms:
             # degree 0 holds only the vacuum, and T kills it
@@ -87,18 +85,8 @@ def mode_box(preset: VAPreset, groups, window: DegreeWindow) -> ProductVector:
                            window.hi - d + 1 if d else 1):
                 s = scalar(exps, j)
                 if s:
-                    flow[j].append((s * coeff if scaled else s, vec))
-    out = exact_flow(preset, flow)
-    if out is None:
-        # T^j U_j / j! = (U_j)_(-j-1)|0>, by the vacuum axiom
-        out = GradedVector.zero()
-        for j, pairs in enumerate(flow):
-            acc = {}
-            for s, vec in pairs:
-                for mono, c in vec.terms.items():
-                    acc[mono] = acc.get(mono, 0) + c * s
-            out = out + state_mode(preset, GradedVector(acc), -j - 1, vacuum)
-    return ProductVector.from_vector(out, window)
+                    orders[j].append((s * coeff if scaled else s, vec))
+    return ProductVector.from_vector(flow(preset, orders), window)
 
 
 def _box_terms(preset, parts, top):

@@ -29,9 +29,10 @@ dicts {mono: int} of nonzero coefficients in the lambda*x basis:
   ({b: 1} at n = -1, else empty) and never stored.
 
 These are the engine's two recursions, and every public function reads
-one of them.  The translation operator has no table of its own: the
-vacuum axiom Y(b, z)|0> = e^{zT} b gives T b = b_(-2)|0>, so `translate`
-reads the field of (b, |0>) at n = -2.
+one of them.  T has no table of its own: by the vacuum axiom
+Y(b, z)|0> = e^{zT} b, T^j U / j! = U_(-j-1)|0>, and `flow`, the one
+function that applies T, reads the fields of (U, |0>) for the flow of
+`mu.mode_box` and for `translate`, the flow with v at order 1.
 
 Beside them ``deg`` holds the degree of each monomial the engine has met,
 checked once by `_degree`; the vacuum, which stores no field, has the
@@ -40,20 +41,19 @@ on integers only, merging through `_acc` (`_extend` inline), and never
 builds a `QQi` or a `GradedVector`.  `clear_caches` empties every table.
 
 A table leaves the lambda*x basis only in `_add_lifted`, which every
-public function (`gen_mode_mono`, `gen_mode_apply`, `translate`,
-`translate_power`, `state_mode_mono`, `state_mode`, and
-`oracle.oracle_mode_mono`) calls to build the `GradedVector` it returns,
-and in `exact_flow`, the flow of `mu.mode_box` on exact data.  A
+public function (`gen_mode_mono`, `gen_mode_apply`, `state_mode_mono`,
+`state_mode`, `oracle.oracle_mode_mono`, and `flow` on float data) calls
+to build the `GradedVector` it returns, and in `flow` on exact data.  A
 monomial of l PBW factors in the lambda*x basis is lambda^l times the
 original one, so an entry c at a monomial of l_out factors, for inputs of
 l_in factors in all (a and b of a state mode, the generator and b of an
-oscillator mode, b of T), is c lambda^(l_out - l_in); a commutator only
-removes factors, so the power goes into the denominator.  `_add_lifted`
-reads its scalar once, as a `QQi` when exact and as a complex otherwise;
-an exact term is scaled by `scalars.scale_int`, one gcd at most, and
-fills an empty sum with no merge, and terms are merged with `+`, as in
-`GradedVector`.  `exact_flow` sums integer numerators over one common
-denominator and reduces each output coefficient once.
+oscillator mode, U of the flow), is c lambda^(l_out - l_in); a commutator
+only removes factors, so the power goes into the denominator.
+`_add_lifted` reads its scalar once, as a `QQi` when exact and as a
+complex otherwise; an exact term is scaled by `scalars.scale_int`, one gcd
+at most, and fills an empty sum with no merge, and terms are merged with
+`+`, as in `GradedVector`.  `flow` on exact data sums integer numerators
+over one common denominator and reduces each output coefficient once.
 
 `state_mode` peels the leading PBW factor x(-m) of the acting state,
 a = u_(p) v with u = x_{-w}|0> and p = w - 1 - m <= -1, through the
@@ -390,38 +390,6 @@ def _add_lifted(acc: dict, s, table: dict, lam: int, ell: int) -> dict:
     return acc
 
 
-def exact_flow(preset: VAPreset, flow):
-    """sum_j T^j U_j / j! = sum_j (U_j)_(-j-1)|0>, U_j the sum of s V over
-    flow[j]'s pairs (s, V); None for a float s or a non-QQi coefficient.
-    lambda^len(flow) bounds the lift: a degree-d monomial has <= d factors."""
-    if not all(is_exact(s) for pairs in flow for s, _ in pairs):
-        return None
-    flow = [[(exact_value(s), v) for s, v in pairs] for pairs in flow]
-    vecs = {id(v): v.terms for pairs in flow for _, v in pairs}
-    cs = [c for terms in vecs.values() for c in terms.values()]
-    if not all(type(c) is QQi for c in cs):
-        return None
-    ls = lcm(*(s.d for pairs in flow for s, _ in pairs))
-    lc, lam, out = lcm(*(c.d for c in cs)), preset._lam, {}
-    vecs = {k: [(m, c.a * (lc // c.d), c.b * (lc // c.d))
-                for m, c in terms.items()] for k, terms in vecs.items()}
-    for j, pairs in enumerate(flow):
-        u = {}
-        for s, v in pairs:
-            sa, sb = s.a * (ls // s.d), s.b * (ls // s.d)
-            for mono, a, b in vecs[id(v)]:
-                x, y = u.get(mono, (0, 0))
-                u[mono] = (x + sa * a - sb * b, y + sa * b + sb * a)
-        for am, (a, b) in u.items():
-            for mono, c in _sm(preset, am, -j - 1, ()).items():
-                c *= lam ** (len(flow) - len(am) + len(mono))
-                x, y = out.get(mono, (0, 0))
-                out[mono] = (x + a * c, y + b * c)
-    den = ls * lc * lam ** len(flow)
-    return GradedVector.from_nonzero({mono: _reduced(x, y, den) for mono, (
-        x, y) in out.items() if x or y})
-
-
 # ---------------------------------------------------------------------------
 # oscillator mode action
 
@@ -475,26 +443,62 @@ def gen_mode_apply(preset: VAPreset, gen: str, n: int, v: GradedVector) -> Grade
 
 
 # ---------------------------------------------------------------------------
-# translation operator
+# the translation flow
+
+
+def flow(preset: VAPreset, orders) -> GradedVector:
+    """sum_j T^j U_j / j! = sum_j (U_j)_(-j-1)|0>, U_j the sum of s V over
+    orders[j]'s pairs (s, V).  When every s and every coefficient of every
+    V is exact, in integers over one common denominator, the lift
+    lambda^L in it, L the most factors of an input monomial; otherwise by
+    `*`, `+` and `state_mode`, so float results keep the bits of that sum."""
+    vecs = {id(v): v.terms for pairs in orders for _, v in pairs}
+    # a QQi coefficient, the common case, is checked and read without a call
+    if not (all(is_exact(s) for pairs in orders for s, _ in pairs) and all(
+            type(c) is QQi or is_exact(c)
+            for terms in vecs.values() for c in terms.values())):
+        vacuum, out = GradedVector.vacuum(), GradedVector.zero()
+        for j, pairs in enumerate(orders):
+            acc = {}
+            for s, vec in pairs:
+                for mono, c in vec.terms.items():
+                    acc[mono] = acc.get(mono, 0) + c * s
+            out = out + state_mode(preset, GradedVector(acc), -j - 1, vacuum)
+        return out
+    orders = [[(exact_value(s), v) for s, v in pairs] for pairs in orders]
+    vecs = {k: terms if all(type(c) is QQi for c in terms.values()) else {
+        m: exact_value(c) for m, c in terms.items()} for k, terms in vecs.items()}
+    ls = lcm(*(s.d for pairs in orders for s, _ in pairs))
+    lc = lcm(*(c.d for terms in vecs.values() for c in terms.values()))
+    ell = max((len(m) for terms in vecs.values() for m in terms), default=0)
+    vecs = {k: [(m, c.a * (lc // c.d), c.b * (lc // c.d))
+                for m, c in terms.items()] for k, terms in vecs.items()}
+    lam, out = preset._lam, {}
+    for j, pairs in enumerate(orders):
+        u = {}
+        for s, v in pairs:
+            sa, sb = s.a * (ls // s.d), s.b * (ls // s.d)
+            for mono, a, b in vecs[id(v)]:
+                x, y = u.get(mono, (0, 0))
+                u[mono] = (x + sa * a - sb * b, y + sa * b + sb * a)
+        for am, (a, b) in u.items():
+            for mono, c in _sm(preset, am, -j - 1, ()).items():
+                c *= lam ** (ell - len(am) + len(mono))
+                x, y = out.get(mono, (0, 0))
+                out[mono] = (x + a * c, y + b * c)
+    den = ls * lc * lam ** ell
+    return GradedVector.from_nonzero({mono: _reduced(x, y, den) for mono, (
+        x, y) in out.items() if x or y})
 
 
 def translate(preset: VAPreset, v: GradedVector) -> GradedVector:
-    return translate_power(preset, v, 1)
+    return flow(preset, [[], [(1, v)]])
 
 
 def translate_power(preset: VAPreset, v: GradedVector, j: int) -> GradedVector:
-    if j <= 0:
-        return v
-    terms, lam = v.terms, preset._lam
     for _ in range(j):
-        acc = {}
-        for mono, coeff in terms.items():
-            # T b = b_(-2)|0>, by the vacuum axiom Y(b, z)|0> = e^{zT} b
-            table = _sm(preset, mono, -2, ())
-            if table:
-                _add_lifted(acc, coeff, table, lam, len(mono))
-        terms = acc
-    return GradedVector.from_nonzero(terms)
+        v = translate(preset, v)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -427,15 +427,19 @@ def real_from_text(s):
 
 def point_from_text(s):
     """A point from its text: a QQi iff the text is in `parse_qqi` form,
-    else a complex ('(0.3+0.1j)', '0.5')."""
+    else a complex ('(0.3+0.1j)', '0.5'), else `parse_qqi`'s ValueError."""
     try:
         return parse_qqi(s)
-    except ValueError:
-        return complex(s)
+    except ValueError as exc:
+        try:
+            return complex(s)
+        except ValueError:
+            raise exc from None
 
 
 def scalar_pow(base, e: int):
-    """base**e with the 0**0 == 1 convention, exact when base is exact."""
+    """base**e with the 0**0 == 1 convention, exact when base is exact;
+    ValueError naming a nonzero float base whose power leaves the range."""
     if e == 0:
         return QQi(1) if is_exact(base) else complex(1)
     b = QQi(base) if isinstance(base, (int, Fraction)) else base
@@ -443,7 +447,10 @@ def scalar_pow(base, e: int):
         if e > 0:
             return QQi(0) if is_exact(b) else complex(0)
         raise ZeroDivisionError("0 raised to a negative power")
-    return b ** e
+    try:
+        return b ** e
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"{base!r} ** {e} is out of float range") from None
 
 
 def binom(t: int, i: int) -> int:

@@ -1,6 +1,7 @@
 """Deterministic check suite with stable labels and table emission."""
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -202,7 +203,6 @@ def run_suite(config: SuiteConfig):
 
 
 def _phase(rng: random.Random) -> complex:
-    import cmath
     return cmath.exp(2j * cmath.pi * rng.random())
 
 

@@ -162,10 +162,9 @@ def _eval_with(carrier=None, factor=None):
     return ["factor", "eval", "--expr", json.dumps(expr)]
 
 
-# a point that is no exact literal is read as a complex, so its error is
-# complex()'s, which names no text
+# a point that is no exact literal and no complex names its text
 @pytest.mark.parametrize("argv, text", [
-    (["npoint", "--states", "a(-1)", "--points", "1/0"], ""),
+    (["npoint", "--states", "a(-1)", "--points", "1/0"], "'1/0'"),
     (["mode", "--a", '{"terms": [{"mono": ["a(-1)"], "re": "1/0", '
       '"im": "0"}]}', "--n", "-1", "--b", "a(-1)"], "'1/0'"),
     (_eval_with(carrier={"disc": {"center": "0", "radius": "2/0"}}),
@@ -176,6 +175,38 @@ def test_zero_denominator_is_a_usage_error(capsys, argv, text):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and text in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["1/0", "1e200/1", "abc"])
+def test_malformed_point_names_its_text(capsys, text):
+    code, out, err = run(capsys, "npoint", "--states", "a(-1)",
+                         "--points", text)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot parse Gaussian rational: {text!r}\n"
+
+
+def _eval_at(*points):
+    expr = json.loads(json.dumps(_DELTA_EXPR))
+    term = expr["terms"][0]
+    term["factors"] = [{"delta": {"p": p, "d": 0}} for p in points]
+    term["states"] = term["states"] * len(points)
+    return ["factor", "eval", "--expr", json.dumps(expr)]
+
+
+# a nonzero float power out of the float range is a usage error naming the
+# base and the exponent, at the flow power z^j, at a pole factor
+# (z - w)^-2 of the map and at the same factor in a residue pairing
+@pytest.mark.parametrize("argv, text", [
+    (["npoint", "--states", "a(-1)", "--points", "1e200", "--window", "0:4"],
+     "(1e+200+0j) ** 2"),
+    (["npoint", "--states", "a(-1);a(-1)", "--points", "1e-200;0"],
+     "(1e-200+0j) ** -2"),
+    (_eval_at("1e-200", "0"), "(1e-200+0j) ** -2"),
+], ids=["flow_overflow", "pole_underflow", "pairing_underflow"])
+def test_float_power_out_of_range_is_a_usage_error(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {text} is out of float range\n"
 
 
 @pytest.mark.parametrize("factor, text", [

@@ -1,10 +1,10 @@
-"""No module of the package imports a name it never uses, no function
-outside a class takes a parameter it never reads, no module-level function
-keeps a process-wide cache that is not listed with its reason, no
-module-level private name is left without a reference, no public
-module-level function or class goes unnamed in the package, its tests, its
-scripts and its benchmark, and importing the package loads no heavy
-standard module."""
+"""No module of the package imports a name it never uses or imports
+inside a function, no function outside a class takes a parameter it never
+reads, no module-level function keeps a process-wide cache that is not
+listed with its reason, no module-level private name is left without a
+reference, no public module-level function or class goes unnamed in the
+package, its tests, its scripts and its benchmark, and importing the
+package loads no heavy standard module."""
 import ast
 import os
 import subprocess
@@ -47,6 +47,37 @@ def test_finder_sees_unused_and_used_names():
            "import os, json as js\nfrom a.b import c, d as e\n"
            "def f(x: js.Any) -> None:\n    return os.path, e\n")
     assert _unused_imports(src) == [(3, "c")]
+
+
+def _imports_in_functions(source: str):
+    """Sorted (line, function) of the import statements inside a function
+    or method body, at any depth."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.update((n.lineno, node.name) for stmt in node.body
+                       for n in ast.walk(stmt)
+                       if isinstance(n, (ast.Import, ast.ImportFrom)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_imports_in_functions(path):
+    # every module imports at its top: none of the package's imports
+    # breaks a cycle
+    assert _imports_in_functions(path.read_text()) == []
+
+
+def test_finder_sees_imports_in_functions():
+    src = ("import os\n"
+           "def f():\n    import json\n    return json, os\n"
+           "class K:\n    def method(self):\n"
+           "        from . import a\n        return a\n"
+           "def g():\n    if True:\n        from x import y as z\n"
+           "    return z\n"
+           "async def h():\n    import re\n    return re\n")
+    assert _imports_in_functions(src) == [(3, "f"), (7, "method"),
+                                          (11, "g"), (14, "h")]
 
 
 def _unread_parameters(source: str):

@@ -408,6 +408,20 @@ def test_translation_is_the_oracle_mode_minus_two_on_the_vacuum(name):
             oracle_mode_mono(p, bm, -2, ()), bm
 
 
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_translation_powers_are_the_oracle_modes_on_the_vacuum(name):
+    # T^j b / j! = b_(-j-1)|0>; `translate` is a flow of two orders, so a
+    # monomial of three or four factors needs a lift beyond them, and on
+    # lambda = 3 and 6 a wrong lift shows
+    p = _PRESETS[name]
+    for bm in basis_upto(p, 4):
+        b, fact = GradedVector.basis(bm), 1
+        for j in range(1, 5):
+            fact *= j
+            _same_terms(translate_power(p, b, j),
+                        oracle_mode_mono(p, bm, -j - 1, ()).scale(QQi(fact)))
+
+
 def test_unread_parameters_are_stored_as_zero():
     # one algebra is one preset, with one memo store, whatever value is
     # passed for a parameter its OPE does not read

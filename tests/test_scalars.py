@@ -1,5 +1,6 @@
 """Exact scalar arithmetic and the exact/approx coercion rule."""
 import math
+import re
 import struct
 from fractions import Fraction
 
@@ -122,6 +123,20 @@ def test_pow_zero_conventions():
     assert scalar_pow(0.0, 0) == 1.0
     with pytest.raises(ZeroDivisionError):
         scalar_pow(QQi(0), -1)
+    with pytest.raises(ZeroDivisionError):
+        scalar_pow(0j, -2)
+
+
+@pytest.mark.parametrize("base, e, text", [
+    (1e200 + 0j, 2, "(1e+200+0j) ** 2"),
+    (1e-200 + 0j, -2, "(1e-200+0j) ** -2"),
+    (1e200, 3, "1e+200 ** 3"),
+], ids=["overflow", "underflow_to_zero_divisor", "real_overflow"])
+def test_float_power_out_of_range_is_a_value_error(base, e, text):
+    # a nonzero float base whose power leaves the float range names the
+    # base and the exponent; a zero base keeps its ZeroDivisionError
+    with pytest.raises(ValueError, match=re.escape(text)):
+        scalar_pow(base, e)
 
 
 def test_binom_values():
