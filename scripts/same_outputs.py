@@ -18,7 +18,8 @@ or complex, and exact otherwise.  Three counts are printed: exact
 outputs equal in repr and type, float outputs bit-identical (a float's
 repr round-trips), and outputs that differ, with the worst relative
 difference per degree, |u - v| / max(|u|, |v|, 1) in the largest
-coefficient, over the differing float outputs.
+coefficient, over the differing float outputs.  For each side, the float
+coefficients that are NaN or infinite are counted and printed.
 
 With --suite, each side runs the default `voxfact suite --format json`
 in a fresh process, and every field of every row and report but
@@ -27,9 +28,11 @@ truncation.  The counts of equal rows and reports are printed, and each
 difference by label, preset and field.
 
 The exit status is 1 when any exact coefficient differs in value or
-type, or any suite field differs, and 0 otherwise.
+type, the working tree outputs a float coefficient that is NaN or
+infinite, or any suite field differs, and 0 otherwise.
 """
 import argparse
+import cmath
 import json
 import shutil
 import subprocess
@@ -134,9 +137,12 @@ def compare(parent, change) -> dict:
     are matched by place; a leaf that differs is a float difference when
     it is a float or complex on both sides and an exact mismatch
     otherwise (a changed exact value or type, a missing leaf, a refusal
-    on one side)."""
+    on one side), and each side's float leaves that are NaN or infinite
+    are counted."""
     counts = {"exact_equal": 0, "float_identical": 0, "differing": 0,
-              "exact_mismatch": 0, "worst_relative": 0.0}
+              "exact_mismatch": 0, "worst_relative": 0.0,
+              "parent_nonfinite": _nonfinite(parent),
+              "change_nonfinite": _nonfinite(change)}
     if [k for k, _ in parent] != [k for k, _ in change]:
         raise RuntimeError("the two sides ran different ops")
     for (_, p), (_, c) in zip(parent, change):
@@ -155,6 +161,12 @@ def compare(parent, change) -> dict:
         else:
             counts["exact_mismatch"] += 1
     return counts
+
+
+def _nonfinite(rows) -> int:
+    """The float leaves of one side's rows that are NaN or infinite."""
+    return sum(t in FLOAT_TYPES and not cmath.isfinite(complex(text))
+               for _, leaves in rows for _, t, text in leaves)
 
 
 def _relative_by_part(parent, change) -> float:
@@ -192,7 +204,8 @@ def main(argv=None) -> int:
 
     work = Path(tempfile.mkdtemp(prefix="same_outputs_"))
     total = {"exact_equal": 0, "float_identical": 0, "differing": 0,
-             "exact_mismatch": 0}
+             "exact_mismatch": 0, "parent_nonfinite": 0,
+             "change_nonfinite": 0}
     status = 0
     try:
         trees = {s: _tree(s, args.parent, work / s) for s in SIDES}
@@ -208,10 +221,13 @@ def main(argv=None) -> int:
                       f"{got['float_identical']}, differing "
                       f"{got['differing']} (exact {got['exact_mismatch']}, "
                       f"worst relative per degree "
-                      f"{got['worst_relative']:.3g})", flush=True)
+                      f"{got['worst_relative']:.3g}), non-finite parent "
+                      f"{got['parent_nonfinite']}, change "
+                      f"{got['change_nonfinite']}", flush=True)
         if args.seeds:
             print(json.dumps(total))
-            status = 1 if total["exact_mismatch"] else 0
+            status = 1 if total["exact_mismatch"] \
+                or total["change_nonfinite"] else 0
         if args.suite:
             got = compare_suite(*(_suite(trees[s]) for s in SIDES))
             for line in got.pop("differences"):

@@ -32,6 +32,7 @@ class DeltaJet(FrozenRecord):
     def __init__(self, point, order: int = 0):
         if order < 0:
             raise ValueError("jet order must be >= 0")
+        exact_value(point)  # ValueError when not finite
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "order", order)
 
@@ -48,6 +49,7 @@ class CircleMoment(FrozenRecord):
         if not 0 < radius < math.inf:
             raise ValueError(f"moment radius must be positive and finite, "
                              f"not {radius!r}")
+        exact_value(center)  # ValueError when not finite
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "exponent", exponent)

@@ -110,6 +110,7 @@ class Disc(OpenSet):
         if not 0 < radius < math.inf:
             raise ValueError(f"disc radius must be positive and finite, "
                              f"not {radius!r}")
+        exact_value(center)  # ValueError when not finite
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
 
@@ -131,6 +132,7 @@ class Annulus(OpenSet):
         if not 0 <= inner < outer < math.inf:
             raise ValueError(f"need 0 <= inner < outer < inf, "
                              f"not {inner!r}, {outer!r}")
+        exact_value(center)  # ValueError when not finite
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "outer", outer)

@@ -8,6 +8,7 @@ The empty tuple is the vacuum.  Degree of a monomial is the sum of the m's.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 from .records import Record
@@ -19,6 +20,12 @@ Mono = tuple  # tuple[tuple[str, int], ...]
 VACUUM: Mono = ()
 
 _TOKEN_RE = re.compile(r"([A-Za-z]+)\(-(\d+)\)")
+
+
+def max_norm(norms) -> float:
+    """max(norms, default=0.0), but NaN when one is NaN, which max can skip."""
+    norms = list(norms)
+    return math.nan if any(map(math.isnan, norms)) else max(norms, default=0.0)
 
 
 def mono_degree(mono: Mono) -> int:
@@ -180,7 +187,7 @@ class GradedVector:
     # -- norms and comparison -----------------------------------------
 
     def norm_inf(self) -> float:
-        return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
+        return max_norm(abs(complex(c)) for c in self.terms.values())
 
     def distance(self, other) -> float:
         return (self - other).norm_inf()
@@ -274,7 +281,7 @@ class ProductVector(Record):
         return out
 
     def norm_inf(self) -> float:
-        return max((v.norm_inf() for v in self.components.values()), default=0.0)
+        return max_norm(v.norm_inf() for v in self.components.values())
 
     def to_obj(self):
         return {"window": [self.window.lo, self.window.hi],

@@ -439,7 +439,7 @@ def point_from_text(s):
 
 def scalar_pow(base, e: int):
     """base**e with the 0**0 == 1 convention, exact when base is exact;
-    ValueError naming a nonzero float base whose power leaves the range."""
+    ValueError naming a nonzero float base or power that is not finite."""
     if e == 0:
         return QQi(1) if is_exact(base) else complex(1)
     b = QQi(base) if isinstance(base, (int, Fraction)) else base
@@ -448,9 +448,12 @@ def scalar_pow(base, e: int):
             return QQi(0) if is_exact(b) else complex(0)
         raise ZeroDivisionError("0 raised to a negative power")
     try:
-        return b ** e
+        val = b ** e
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"{base!r} ** {e} is out of float range") from None
+    if not (is_exact(b) or cmath.isfinite(b) and cmath.isfinite(val)):
+        raise ValueError(f"{base!r} ** {e} is not finite")
+    return val
 
 
 def binom(t: int, i: int) -> int:

@@ -209,6 +209,46 @@ def test_float_power_out_of_range_is_a_usage_error(capsys, argv, text):
     assert err == f"error: {text} is out of float range\n"
 
 
+def _eval_everywhere(*points):
+    # order-0 jets at the points, on the whole plane
+    argv = _eval_at(*points)
+    expr = json.loads(argv[-1])
+    expr["carrier"] = {"all": True}
+    return [*argv[:-1], json.dumps(expr)]
+
+
+# a float power that is not finite, which complex ** can return without
+# raising, is a usage error naming the base and the exponent: a point
+# difference that overflows to inf, raised to -2 in the map and in a
+# residue pairing, and a power that is nan+nanj
+@pytest.mark.parametrize("argv, text", [
+    (["npoint", "--states", "a(-1);a(-1)", "--points", "1e308;-1e308",
+      "--window", "0:2"], "(inf+0j) ** -2"),
+    (["npoint", "--states", "a(-1)", "--points", "(1e200+1e200j)",
+      "--window", "3:3"], "(1e+200+1e+200j) ** 2"),
+    ([*_eval_everywhere("1e308", "-1e308"), "--window", "0:2"],
+     "(-inf+0j) ** -2"),
+], ids=["pole_overflow_to_inf", "nan_power", "pairing_overflow_to_inf"])
+def test_non_finite_float_power_is_a_usage_error(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {text} is not finite\n"
+
+
+@pytest.mark.parametrize("factor", [
+    {"delta": {"p": "nan", "d": 0}},
+    {"delta": {"p": "inf", "d": 1}},
+    {"moment": {"c": "(nan+1j)", "r": "1", "n": 0}},
+], ids=["jet_nan", "jet_inf", "moment_nan"])
+def test_non_finite_jet_point_is_a_usage_error(capsys, factor):
+    # refused when the factor is read, before any position decision
+    code, out, err = run(capsys, *_eval_with(carrier={"all": True},
+                                             factor=factor),
+                         "--preset", "heisenberg", "--window", "0:2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: not a finite scalar: ")
+
+
 @pytest.mark.parametrize("factor, text", [
     ({"delta": {"p": "1/2", "d": 1.9}}, "1.9"),
     ({"delta": {"p": "1/2", "d": "3/2"}}, "'3/2'"),

@@ -229,8 +229,9 @@ _NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 def test_non_finite_radii_rejected_when_built():
-    """A NaN or infinite radius fails in the constructor, not at the first
-    position decision; the same holds for the JSON texts 'nan' and 'inf'."""
+    """A NaN or infinite radius, float point or float centre fails in the
+    constructor, not at the first position decision; the same holds for
+    the JSON texts 'nan' and 'inf'."""
     for r in _NON_FINITE:
         for build in (lambda: Disc(0, r), lambda: Annulus(0, 1, r),
                       lambda: Annulus(0, r, 2), lambda: CircleMoment(0, r, 0),
@@ -246,6 +247,27 @@ def test_non_finite_radii_rejected_when_built():
                 OpenSet.from_obj(obj)
         with pytest.raises(ValueError):
             factor_from_obj({"moment": {"c": "0", "r": text, "n": 0}})
+    for z in (*_NON_FINITE, complex(math.nan, 0), complex(0, math.inf)):
+        for build in (lambda: Disc(z, 1), lambda: Annulus(z, 0, 2),
+                      lambda: CircleMoment(z, 1, 0), lambda: DeltaJet(z),
+                      lambda: DeltaJet(z, 2)):
+            with pytest.raises(ValueError, match="not a finite scalar"):
+                build()
+    for text in ("nan", "inf", "-inf", "(nan+1j)", "(1+infj)"):
+        for obj in ({"disc": {"center": text, "radius": "1"}},
+                    {"annulus": {"center": text, "inner": "1", "outer": "2"}},
+                    {"union": [{"disc": {"center": text, "radius": "1"}}]}):
+            with pytest.raises(ValueError, match="not a finite scalar"):
+                OpenSet.from_obj(obj)
+        for obj in ({"delta": {"p": text, "d": 0}},
+                    {"moment": {"c": text, "r": "1", "n": 0}}):
+            with pytest.raises(ValueError, match="not a finite scalar"):
+                factor_from_obj(obj)
+    # an exact point is finite however large (its complex() would overflow)
+    huge = QQi(10 ** 400)
+    assert DeltaJet(huge).point == huge
+    assert Disc(huge, 1).contains_point(huge)
+    assert CircleMoment(huge, 1, 0).center == huge
     # the largest finite float is still a radius
     big = Disc(0, 1.7976931348623157e308)
     assert big.contains_point(QQi(10 ** 300))

@@ -354,6 +354,31 @@ def test_compare_parts_reports_tol_zero_on_exact_pairs():
     assert (rep.passed, rep.max_err, rep.tol) == (False, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.nan)],
+                         ids=["nan", "inf", "complex_nan"])
+def test_compare_parts_fails_a_non_finite_error(bad):
+    # a NaN or infinite coefficient makes the error NaN, which no tolerance
+    # admits; it is the reported max_err, also when it is not the first
+    # coefficient and a finite error follows
+    good = GradedVector({(("a", 1),): 1.0, (("a", 2),): 2.0})
+    planted = GradedVector({(("a", 1),): 1.0, (("a", 2),): bad})
+    for u, v in ((planted, good), (good, planted)):
+        rep = mu.compare_parts("planted", iter([
+            ({"case": 1}, u, v),
+            ({"case": 2}, good, good.scale(1 + 1e-12)),
+        ]), 1e-9)
+        assert not rep.passed and rep.tol == 1e-9
+        assert math.isnan(rep.max_err) and rep.witness == {"case": 1}
+
+
+def test_non_finite_coefficients_make_the_norm_nan():
+    v = GradedVector({(("a", 1),): 3.0, (("a", 2),): math.nan})
+    assert math.isnan(v.norm_inf())
+    assert math.isnan(ProductVector.from_vector(
+        v + B("a(-3)").to_complex(), DegreeWindow(0, 3)).norm_inf())
+    assert GradedVector({(("a", 1),): -math.inf}).norm_inf() == math.inf
+
+
 def test_compare_parts_passes_an_empty_stream():
     rep = mu.compare_parts("empty", iter(()), 0.0)
     assert rep.passed and rep.max_err == 0.0

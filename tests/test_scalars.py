@@ -128,13 +128,21 @@ def test_pow_zero_conventions():
 
 
 @pytest.mark.parametrize("base, e, text", [
-    (1e200 + 0j, 2, "(1e+200+0j) ** 2"),
-    (1e-200 + 0j, -2, "(1e-200+0j) ** -2"),
-    (1e200, 3, "1e+200 ** 3"),
-], ids=["overflow", "underflow_to_zero_divisor", "real_overflow"])
+    (1e200 + 0j, 2, "(1e+200+0j) ** 2 is out of float range"),
+    (1e-200 + 0j, -2, "(1e-200+0j) ** -2 is out of float range"),
+    (1e200, 3, "1e+200 ** 3 is out of float range"),
+    (1e200 + 1e200j, 2, "(1e+200+1e+200j) ** 2 is not finite"),
+    (complex(math.inf), -2, "(inf+0j) ** -2 is not finite"),
+    (math.inf, -2, "inf ** -2 is not finite"),
+    (complex(math.nan, 1), 1, "(nan+1j) ** 1 is not finite"),
+], ids=["overflow", "underflow_to_zero_divisor", "real_overflow",
+        "nan_without_raising", "infinite_base", "infinite_real_base",
+        "nan_base"])
 def test_float_power_out_of_range_is_a_value_error(base, e, text):
     # a nonzero float base whose power leaves the float range names the
-    # base and the exponent; a zero base keeps its ZeroDivisionError
+    # base and the exponent, and so does a float base or power that is not
+    # finite, which complex ** can return without raising; a zero base
+    # keeps its ZeroDivisionError
     with pytest.raises(ValueError, match=re.escape(text)):
         scalar_pow(base, e)
 

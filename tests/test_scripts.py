@@ -264,3 +264,35 @@ def test_same_outputs_counts_each_kind_of_difference():
         assert got["differing"] == got["exact_mismatch"] == 1
     with pytest.raises(RuntimeError, match="different ops"):
         compare([exact], [flt])
+
+
+def test_same_outputs_counts_non_finite_float_leaves(monkeypatch, capsys):
+    main = _main("same_outputs")
+    compare = main.__globals__["compare"]
+    exact = ("two_point", [[["2", "a(-2)"], "QQi", "QQi(Fraction(1, 2), "
+                            "Fraction(0, 1))"]])
+    flt = ("numeric2", [[["2", "a(-2)"], "complex", "(0.5+0j)"],
+                        [["3", "a(-3)"], "float", "2.0"]])
+    bad = ("numeric2", [[["2", "a(-2)"], "complex", "(nan+nanj)"],
+                        [["3", "a(-3)"], "float", "-inf"]])
+    got = compare([exact, flt], [exact, flt])
+    assert (got["parent_nonfinite"], got["change_nonfinite"]) == (0, 0)
+    got = compare([exact, flt], [exact, bad])
+    assert (got["parent_nonfinite"], got["change_nonfinite"]) == (0, 2)
+    assert got["exact_mismatch"] == 0
+    got = compare([exact, bad], [exact, bad])
+    assert (got["parent_nonfinite"], got["change_nonfinite"]) == (2, 2)
+    assert got["float_identical"] == 1 and got["differing"] == 0
+    # the exit status is 1 when the working tree has one, whatever the
+    # parent has
+    monkeypatch.setitem(main.__globals__, "_tree",
+                        lambda side, rev, into: side)
+    for parent, change, status in (([bad], [flt], 0), ([flt], [bad], 1)):
+        sides = {"parent": parent, "change": change}
+        monkeypatch.setitem(main.__globals__, "_outputs",
+                            lambda tree, *args: sides[tree])
+        assert main(["--parent", "HEAD", "--seeds", "3",
+                     "--workload", "point_maps"]) == status
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.endswith(f"non-finite parent {2 - 2 * status}, "
+                             f"change {2 * status}")
