@@ -15,7 +15,7 @@ from .relations import (relation_kernel, weight_project, run_counterexample,
                         multiplicativity_check, concentric_density_check,
                         weiss_cover_check, roundtrip_check)
 from .report import CheckReport
-from .suite import SuiteConfig, run_suite, emit_tables
+from .suite import run_suite, emit_tables
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "affine_act", "evaluate_expression", "extend", "multiply",
     "relation_kernel", "weight_project", "run_counterexample",
     "multiplicativity_check", "concentric_density_check",
-    "weiss_cover_check", "roundtrip_check", "CheckReport", "SuiteConfig",
-    "run_suite", "emit_tables",
+    "weiss_cover_check", "roundtrip_check", "CheckReport", "run_suite",
+    "emit_tables",
 ]

@@ -7,19 +7,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import UsageError, VoxfactError
 from .expressions import Expression, evaluate_expression, multiply
 from .geometry import OpenSet
 from .graded import GradedVector, mono_text, parse_mono
-from .mu import check_insertion_at_zero, check_meromorphicity, mu_numeric
+from .mu import mu_numeric
 from .presets import basis, preset_from_name, state_mode
-from .relations import (relation_kernel, roundtrip_check, run_counterexample,
-                        weight_project)
+from .relations import relation_kernel, run_counterexample, weight_project
 from .scalars import DegreeWindow, point_from_text
-from .suite import (SUITE_LABELS, SuiteConfig, _weiss_accept, _weiss_reject,
-                    emit_tables, run_suite)
+from .suite import emit_tables, run_suite
 
 
 def build_parser():
@@ -57,11 +54,6 @@ def build_parser():
     p.add_argument("--points", required=True,
                    help="points as text, ';'-separated or a JSON list")
 
-    p = sub.add_parser("check", help="run a single defining-property check")
-    common(p, window=False)
-    p.add_argument("--axiom", required=True,
-                   choices=["insertion", "meromorphicity"])
-
     p = sub.add_parser("factor", help="expression-level operations")
     fsub = p.add_subparsers(dest="factor_command", required=True)
     fm = fsub.add_parser("multiply")
@@ -75,8 +67,6 @@ def build_parser():
     fk = fsub.add_parser("kernel")
     common(fk)
     fk.add_argument("--exprs", required=True, help="JSON list of expressions")
-    common(fsub.add_parser("weiss"), preset=False, params=False, window=False)
-    common(fsub.add_parser("roundtrip"), window=False)
     fp = fsub.add_parser("project")
     common(fp)
     fp.add_argument("--expr", required=True, help="expression JSON")
@@ -122,9 +112,7 @@ def _apply_config(args):
 
 
 def _preset(args):
-    return preset_from_name(args.preset,
-                            c=Fraction(args.c) if args.c else None,
-                            level=Fraction(args.level) if args.level else None)
+    return preset_from_name(args.preset, c=args.c, level=args.level)
 
 
 def _window(args):
@@ -214,15 +202,6 @@ def _dispatch(args) -> int:
         _emit(args, json.dumps(pv.to_obj(), indent=2, sort_keys=True))
         return 0
 
-    if cmd == "check":
-        preset = _preset(args)
-        if args.axiom == "insertion":
-            rep = check_insertion_at_zero(preset)
-        else:
-            rep = check_meromorphicity(preset)
-        _emit(args, rep.to_json(indent=2))
-        return 0 if rep.passed else 1
-
     if cmd == "factor":
         return _dispatch_factor(args)
 
@@ -233,17 +212,11 @@ def _dispatch(args) -> int:
         return 0 if rep.passed else 1
 
     if cmd == "suite":
-        if args.only:
-            unknown = set(args.only.split(",")) - set(SUITE_LABELS)
-            if unknown:
-                raise UsageError(f"unknown suite labels: {sorted(unknown)}")
-        config = SuiteConfig(
-            presets=tuple(args.presets.split(",")),
-            c=Fraction(args.c) if args.c else None,
-            level=Fraction(args.level) if args.level else None,
-            window=_window(args), seed=args.seed, mode_degree=args.mode_degree,
+        results = run_suite(
+            presets=tuple(args.presets.split(",")), c=args.c,
+            level=args.level, window=_window(args), seed=args.seed,
+            mode_degree=args.mode_degree,
             only=tuple(args.only.split(",")) if args.only else None)
-        results = run_suite(config)
         _emit(args, emit_tables(results, args.format))
         return 0 if all(r.passed for _, _, r, _ in results) else 1
 
@@ -259,16 +232,7 @@ def _dispatch_factor(args) -> int:
         _emit(args, json.dumps(multiply(x, y, target).to_obj(),
                                indent=2, sort_keys=True))
         return 0
-    if fc == "weiss":
-        ra, rr = _weiss_accept(), _weiss_reject()
-        _emit(args, json.dumps([ra.to_obj(), rr.to_obj()], indent=2,
-                               sort_keys=True, default=str))
-        return 0 if (ra.passed and rr.passed) else 1
     preset = _preset(args)
-    if fc == "roundtrip":
-        rep = roundtrip_check(preset, 4)
-        _emit(args, rep.to_json(indent=2))
-        return 0 if rep.passed else 1
     window = _window(args)
     if fc == "eval":
         expr = _read("expression", Expression.from_obj, args.expr)

@@ -41,6 +41,9 @@ class Term(FrozenRecord):
                  "states")   # GradedVector per coordinate
 
     def __init__(self, coeff, factors: tuple, states: tuple):
+        if len(factors) != len(states):
+            raise ValueError(f"a term has {len(factors)} factors but "
+                             f"{len(states)} states")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "states", states)

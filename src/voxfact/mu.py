@@ -254,7 +254,7 @@ def check_identity_on_basis(axiom: str, preset: VAPreset, max_degree: int,
     return compare_parts(axiom, pairs(), 0.0, {"max_degree": max_degree})
 
 
-def check_insertion_at_zero(preset: VAPreset, max_degree: int = 6) -> CheckReport:
+def check_insertion_at_zero(preset: VAPreset, max_degree: int) -> CheckReport:
     """The flow exp(zT) a at z = 0 returns a on the nose for every basis
     state, compared exactly."""
     return check_identity_on_basis(
@@ -367,7 +367,7 @@ def check_permutation(preset: VAPreset, configs,
     return compare_parts("permutation_invariance", pairs(), 1e-9)
 
 
-def check_meromorphicity(preset: VAPreset, max_degree: int = 5) -> CheckReport:
+def check_meromorphicity(preset: VAPreset, max_degree: int) -> CheckReport:
     """Pole orders against the normal-ordered-field oracle: for every pair
     of basis states, N = pole_bound(a, b) is the locality order, so
     a_(N-1) b != 0 when N > 0 and a_(n) b = 0 for N <= n < deg a + deg b

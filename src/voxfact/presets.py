@@ -123,14 +123,17 @@ class VAPreset(FrozenRecord):
         weights, params, ope = _ALGEBRAS[kind]
         # a parameter the OPE reads takes its table default when None; one
         # it does not read is stored as 0, so one algebra is one preset,
-        # with one memo store
+        # with one memo store.  A given parameter that Fraction cannot read,
+        # such as "1/0" or float("inf"), is refused even when unread
         object.__setattr__(self, "kind", kind)
         for name, value in (("c", c), ("level", level)):
-            if name not in params:
-                value = 0
-            elif value is None:
-                value = params[name]
-            object.__setattr__(self, name, Fraction(value))
+            try:
+                value = Fraction(params.get(name, 0) if value is None
+                                 else value)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError(f"bad {name} {value!r}") from None
+            object.__setattr__(self, name,
+                               value if name in params else Fraction(0))
         object.__setattr__(self, "_memos", _shared_memos(self.key()))
         terms = [(pair, j, z, Fraction(v))
                  for pair, by_j in ope(self.c, self.level).items()

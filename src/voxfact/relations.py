@@ -25,7 +25,7 @@ from .geometry import Annulus, Disc, OpenSet
 from .graded import GradedVector
 from .linalg import nullspace
 from .mu import check_identity_on_basis, compare_parts, mu_one_point
-from .presets import VAPreset, heisenberg, pole_bound, state_mode
+from .presets import VAPreset, pole_bound, state_mode
 from .report import CheckReport
 from .scalars import DegreeWindow, QQi, scalar_key
 
@@ -41,22 +41,15 @@ def relation_kernel(preset: VAPreset, exprs, window: DegreeWindow):
     Returns a list of QQi coefficient vectors c with
     sum_i c_i ev(expr_i) = 0 degreewise.
     """
-    evs = []
-    for e in exprs:
-        if not e.is_exact():
-            raise VoxfactError("relation kernels need exactly evaluable input")
-        evs.append(evaluate_expression(e, preset, window))
-    row_index = {}
-    for pv in evs:
-        for k in window.degrees():
-            for mono in pv.component(k).terms:
-                row_index.setdefault((k, mono), len(row_index))
-    rows = [[QQi(0)] * len(exprs) for _ in range(len(row_index))]
-    for col, pv in enumerate(evs):
+    if not all(e.is_exact() for e in exprs):
+        raise VoxfactError("relation kernels need exactly evaluable input")
+    rows = {}  # (degree, monomial) -> row, in the order first met
+    for col, e in enumerate(exprs):
+        pv = evaluate_expression(e, preset, window)
         for k in window.degrees():
             for mono, coeff in pv.component(k).terms.items():
-                rows[row_index[(k, mono)]][col] = coeff
-    return nullspace(rows, len(exprs))
+                rows.setdefault((k, mono), [QQi(0)] * len(exprs))[col] = coeff
+    return nullspace(list(rows.values()), len(exprs))
 
 
 def kernel_combination(exprs, coeffs) -> Expression:
@@ -140,8 +133,7 @@ def lowest_state(preset: VAPreset, gen: str) -> GradedVector:
     return GradedVector.basis(((gen, preset.weight(gen)),))
 
 
-def run_counterexample(m: int = 1, preset: VAPreset | None = None,
-                       window: DegreeWindow | None = None):
+def run_counterexample(m: int, preset: VAPreset, window: DegreeWindow):
     """Evaluation kernels are not multiplicative ideals: an annulus moment
     expression with vanishing evaluation whose product with a disc
     expression evaluates to the mode a_(m) a, for the lowest state a with
@@ -149,10 +141,6 @@ def run_counterexample(m: int = 1, preset: VAPreset | None = None,
 
     Returns (report, data) with exact witness vectors.
     """
-    if preset is None:
-        preset = heisenberg()
-    if window is None:
-        window = DegreeWindow(0, 4)
     u1 = Annulus(QQi(0), Fraction(1), Fraction(2))
     u2 = Disc(QQi(0), Fraction(1))
     w = Disc(QQi(0), Fraction(2))

@@ -19,7 +19,6 @@ from .mu import (check_associativity, check_equivariance,
 from .oracle import _oracle, oracle_mode_mono
 from .presets import (VAPreset, _sm, basis_upto, pole_bound,
                       preset_from_name, state_mode_mono, translate)
-from .records import Record
 from .relations import (check_weight_idempotent, check_weight_partition,
                         check_weight_quadrature, concentric_density_check,
                         lowest_state, multiplicativity_check,
@@ -49,24 +48,6 @@ SUITE_LABELS = (
     "weiss_cover_accept",
     "weiss_cover_reject",
 )
-
-
-class SuiteConfig(Record):
-    __slots__ = ("presets", "c", "level", "window", "seed", "mode_degree",
-                 "only")
-
-    def __init__(self, presets: tuple = ("heisenberg", "virasoro",
-                                         "affine_sl2"),
-                 c: Fraction | None = None, level: Fraction | None = None,
-                 window: DegreeWindow = DegreeWindow(0, 6), seed: int = 2024,
-                 mode_degree: int = 4, only: tuple | None = None):
-        self.presets = presets
-        self.c = c
-        self.level = level
-        self.window = window
-        self.seed = seed
-        self.mode_degree = mode_degree
-        self.only = only
 
 
 def check_mode_oracle(preset: VAPreset, max_degree: int) -> CheckReport:
@@ -118,32 +99,41 @@ def _random_point(rng: random.Random) -> QQi:
                Fraction(rng.randint(-4, 4), rng.randint(2, 5)))
 
 
-def run_suite(config: SuiteConfig):
-    """Run every registered check; returns an ordered list of
-    (label, preset name, CheckReport, seconds).  Each check that evaluates
-    runs once per preset, on inputs drawn from the preset's own random
-    stream, so a preset's rows do not depend on the presets before it; the
-    checks that evaluate nothing run once after them, with preset name
-    ""."""
-    window = config.window
+def run_suite(*, presets=("heisenberg", "virasoro", "affine_sl2"), c=None,
+              level=None, window: DegreeWindow = DegreeWindow(0, 6),
+              seed: int = 2024, mode_degree: int = 4, only=None):
+    """Run the checks labelled in ``only`` (every check in `SUITE_LABELS`
+    when None) on each preset named in ``presets``, built with the central
+    charge ``c`` and level ``level``; returns an ordered list of (label,
+    preset name, CheckReport, seconds).  ``mode_degree`` bounds the basis
+    states of the mode, insertion, pole and embedding checks.  Each check
+    that evaluates runs once per preset, on inputs drawn from the stream
+    seeded by ``seed`` and the preset's name, so a preset's rows do not
+    depend on the presets before it; the checks that evaluate nothing run
+    once after them, with preset name "".  An unknown label or a negative
+    ``mode_degree`` is a ValueError."""
+    unknown = set(only or ()) - set(SUITE_LABELS)
+    if unknown:
+        raise ValueError(f"unknown suite labels: {sorted(unknown)}")
+    if mode_degree < 0:
+        raise ValueError(f"mode degree {mode_degree} is negative")
     results = []
 
     def record(label, preset_name, fn):
-        if config.only and label not in config.only:
+        if only and label not in only:
             return
         t0 = time.perf_counter()
         rep = fn()
         dt = time.perf_counter() - t0
         results.append((label, preset_name, rep, dt))
 
-    for preset in [preset_from_name(p, c=config.c, level=config.level)
-                   for p in config.presets]:
+    for preset in [preset_from_name(p, c=c, level=level) for p in presets]:
         name = preset.kind
-        rng = random.Random(f"{config.seed}/{name}")
+        rng = random.Random(f"{seed}/{name}")
         record("mode_iterate_matches_oracle", name,
-               lambda: check_mode_oracle(preset, config.mode_degree))
+               lambda: check_mode_oracle(preset, mode_degree))
         record("insertion_at_zero", name,
-               lambda: check_insertion_at_zero(preset, config.mode_degree))
+               lambda: check_insertion_at_zero(preset, mode_degree))
 
         exact = [([_random_state(rng, preset, 3) for _ in range(2)],
                   [_random_point(rng) + QQi(3), QQi(0)], _nonzero(rng))
@@ -171,7 +161,7 @@ def run_suite(config: SuiteConfig):
         record("skew_transport", name,
                lambda: check_permutation(preset, skew, window))
         record("meromorphicity_pole_bounds", name,
-               lambda: check_meromorphicity(preset, config.mode_degree))
+               lambda: check_meromorphicity(preset, mode_degree))
 
         samples = [(_random_state(rng, preset, 3), _random_point(rng),
                     rng.randrange(window.lo, window.hi + 1))
@@ -189,7 +179,7 @@ def run_suite(config: SuiteConfig):
                lambda: check_weight_idempotent(preset, exprs[:2],
                                                DegreeWindow(0, 3)))
         record("embedding_roundtrip", name,
-               lambda: roundtrip_check(preset, config.mode_degree))
+               lambda: roundtrip_check(preset, mode_degree))
         record("kernel_not_an_ideal", name,
                lambda: run_counterexample(1, preset, DegreeWindow(0, 4))[0])
         record("concentric_density", name,

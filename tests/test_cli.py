@@ -1,6 +1,8 @@
 """Command line interface: argument handling, outputs, exit codes."""
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -103,10 +105,21 @@ def test_npoint_coincident_points_exit_code(capsys):
     assert "coincident" in err
 
 
+def suite_reports(capsys, *labels, argv=()):
+    """The reports of `suite --presets heisenberg --only labels`, and its
+    exit code."""
+    code, out, _ = run(capsys, "suite", "--presets", "heisenberg", "--only",
+                       ",".join(labels), *argv)
+    return code, json.loads(out)["reports"]
+
+
 def test_check_insertion(capsys):
-    code, out, _ = run(capsys, "check", "--axiom", "insertion")
+    # the insertion check runs only through the suite, at any degree
+    code, [rep] = suite_reports(capsys, "insertion_at_zero",
+                                argv=("--mode-degree", "6"))
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    assert rep["pass"] is True
+    assert rep["truncation"] == {"max_degree": 6}
 
 
 def test_counterexample(capsys):
@@ -144,6 +157,30 @@ def test_suite_failure_exit_code(capsys, tmp_path):
     # an unknown label is a usage error
     code, _, err = run(capsys, "suite", "--only", "not_a_label")
     assert code == 2
+
+
+def test_suite_negative_mode_degree_is_a_usage_error(capsys):
+    # degree -1 has no basis state, so the rows would pass over nothing
+    code, out, err = run(capsys, "suite", "--presets", "heisenberg",
+                         "--mode-degree", "-1", "--only",
+                         "mode_iterate_matches_oracle,"
+                         "meromorphicity_pole_bounds")
+    assert code == 2 and out == ""
+    assert err == "error: mode degree -1 is negative\n"
+
+
+# a preset parameter that is no number is a usage error naming it
+@pytest.mark.parametrize("argv, text", [
+    (["define", "--preset", "virasoro", "--c", "1/0"], "bad c '1/0'"),
+    (["npoint", "--preset", "affine_sl2", "--level", "2/0", "--states",
+      "e(-1)", "--points", "1/2"], "bad level '2/0'"),
+    (["suite", "--presets", "virasoro", "--c", "1/0", "--only",
+      "insertion_at_zero"], "bad c '1/0'"),
+], ids=["define", "npoint", "suite"])
+def test_bad_preset_parameter_is_a_usage_error(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {text}\n"
 
 
 _DELTA_EXPR = {"carrier": {"disc": {"center": "0", "radius": "2"}},
@@ -344,31 +381,50 @@ MULTIPLY = ["--x", json.dumps(_delta(Disc(QQi(-2), 1), -2).to_obj()),
             "--target", json.dumps(Disc(QQi(0), 4).to_obj())]
 
 
+EVAL = ["eval", "--expr", json.dumps(_DELTA_EXPR)]
+KERNEL = ["kernel", "--exprs", json.dumps([_DELTA_EXPR])]
+
+
 @pytest.mark.parametrize("argv", [
     ["define", "--seed", "3"],
-    ["factor", "--format", "json", "roundtrip"],
+    ["factor", "--format", "json", *EVAL],
     ["npoint", "--states", "a(-1)", "--points", "1", "--format", "csv"],
-    ["check", "--axiom", "insertion", "--seed", "1"],
+    # the removed `check --axiom` is no option of the suite either
+    ["suite", "--axiom", "insertion"],
     ["counterexample", "--format", "csv"],
     ["suite", "--preset", "virasoro"],
     ["mode", "--window", "0:1", "--a", "a(-1)", "--n", "1", "--b", "a(-1)"],
-    ["check", "--window", "0:1", "--axiom", "insertion"],
-    ["factor", "--seed", "1", "roundtrip"],
-    ["factor", "--mode-degree", "2", "roundtrip"],
+    ["counterexample", "--mode-degree", "2"],
+    ["factor", "--seed", "1", *KERNEL],
+    ["factor", "--mode-degree", "2", *EVAL],
     # no subcommand resets a check's tolerance or the points' exactness
     ["suite", "--tol", "1e-30"],
     ["suite", "--quad-n", "20"],
     ["npoint", "--states", "a(-1)", "--points", "1", "--numeric"],
     # factor takes the options after the sub-subcommand that reads them
-    ["factor", "--window", "0:1", "roundtrip"],
-    ["factor", "--window", "0:1", "--c", "3", "weiss"],
+    ["factor", "--window", "0:1", *EVAL],
+    ["factor", "--window", "0:1", "--c", "3", *KERNEL],
     ["factor", "--preset", "virasoro", "--window", "0:1", "multiply",
      *MULTIPLY],
-    ["factor", "roundtrip", "--window", "0:1"],
-    ["factor", "weiss", "--preset", "virasoro"],
+    ["define", "--only", "insertion_at_zero"],
+    ["factor", "multiply", "--preset", "virasoro", *MULTIPLY],
     ["factor", "multiply", "--level", "2", *MULTIPLY],
 ])
 def test_option_offered_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+# every check runs through `suite --only <label>`; the commands that ran
+# one check at a fixed degree are gone
+@pytest.mark.parametrize("argv", [
+    ["check", "--axiom", "insertion"],
+    ["check", "--axiom", "meromorphicity"],
+    ["factor", "weiss"],
+    ["factor", "roundtrip", "--preset", "virasoro"],
+], ids=["check_insertion", "check_meromorphicity", "weiss", "roundtrip"])
+def test_single_check_commands_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -378,8 +434,7 @@ def test_option_offered_only_where_read(capsys, argv):
     ["define"],
     ["mode", "--a", "a(-1)", "--n", "1", "--b", "a(-1)"],
     ["npoint", "--states", "a(-1)", "--points", "1/2"],
-    ["check", "--axiom", "insertion"],
-    ["factor", "roundtrip"],
+    ["factor", *EVAL],
     ["counterexample"],
     ["suite", "--presets", "heisenberg", "--only", "insertion_at_zero",
      "--mode-degree", "2"],
@@ -394,9 +449,11 @@ def test_config_with_every_option_loads(capsys, tmp_path, argv):
 
 
 def test_factor_roundtrip(capsys):
-    code, out, _ = run(capsys, "factor", "roundtrip")
+    # the embedding round trip runs only through the suite
+    code, [rep] = suite_reports(capsys, "embedding_roundtrip")
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    assert rep["pass"] is True
+    assert rep["truncation"] == {"max_degree": 4}
 
 
 def test_factor_multiply(capsys):
@@ -419,6 +476,20 @@ def test_factor_eval(capsys):
     assert json.loads(out) == want.to_obj()
 
 
+@pytest.mark.parametrize("points, states", [(["1/2", "-1/2"], 1),
+                                            (["1/2"], 2)],
+                         ids=["two_jets_one_state", "one_jet_two_states"])
+def test_factor_eval_refuses_unpaired_factors(capsys, points, states):
+    # a term pairs each factor with one state; none is dropped
+    expr = json.loads(_eval_at(*points)[-1])
+    term = expr["terms"][0]
+    term["states"] = term["states"][:1] * states
+    code, out, err = run(capsys, "factor", "eval", "--expr", json.dumps(expr))
+    assert code == 2 and out == ""
+    assert err == (f"error: a term has {len(points)} factors but "
+                   f"{states} states\n")
+
+
 def test_factor_kernel(capsys):
     e = _delta(Disc(QQi(0), 1), 0)
     exprs = [e.to_obj(), _delta(Disc(QQi(0), 1), 0, coeff=2).to_obj()]
@@ -429,9 +500,10 @@ def test_factor_kernel(capsys):
 
 
 def test_factor_weiss(capsys):
-    code, out, _ = run(capsys, "factor", "weiss")
+    # the Weiss cover checks run only through the suite
+    code, (accept, reject) = suite_reports(capsys, "weiss_cover_accept",
+                                           "weiss_cover_reject")
     assert code == 0
-    accept, reject = json.loads(out)
     assert (accept["axiom"], accept["pass"]) == ("weiss_cover", True)
     assert accept["truncation"] == {"lifted": 2, "total": 2}
     assert (reject["axiom"], reject["pass"]) == ("weiss_cover_reject", True)
@@ -452,3 +524,17 @@ def test_factor_project_exact(capsys):
     # p_2 exp(zT) a(-1)|0> at z = 1/2 is z a(-2)|0>
     assert data["vector"]["terms"] == [{"mono": ["a(-2)"], "re": "1/2",
                                         "im": "0"}]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run(capsys):
+    # every `voxfact` line of the README's command-line block runs
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines()
+             if line.startswith("voxfact ")]
+    assert len(lines) >= 5
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

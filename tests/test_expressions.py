@@ -457,6 +457,23 @@ def test_expression_json_roundtrip():
     assert back.to_obj() == e.to_obj()
 
 
+@pytest.mark.parametrize("factors, states", [
+    ([DeltaJet(QQi(Fraction(1, 2)), 0), DeltaJet(QQi(Fraction(-1, 2)), 0)],
+     [B("a(-1)")]),
+    ([DeltaJet(QQi(Fraction(1, 2)), 0)], [B("a(-1)"), B("a(-2)")]),
+], ids=["two_factors_one_state", "one_factor_two_states"])
+def test_term_refuses_unpaired_factors_and_states(factors, states):
+    # each factor pairs with one state; a zip would drop the extra one
+    msg = f"a term has {len(factors)} factors but {len(states)} states"
+    with pytest.raises(ValueError, match=msg):
+        Expression.single(D2, factors, states)
+    obj = Expression.single(D2, factors[:1], states[:1]).to_obj()
+    obj["terms"][0]["factors"] = [f.to_obj() for f in factors]
+    obj["terms"][0]["states"] = [s.to_obj() for s in states]
+    with pytest.raises(ValueError, match=msg):
+        Expression.from_obj(obj)
+
+
 # ---------------------------------------------------------------------------
 # arity three and beyond: iterated residues over the mode box
 

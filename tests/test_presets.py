@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 from voxfact import presets
 from voxfact.graded import GradedVector, mono_degree, parse_token
 from voxfact.oracle import oracle_mode_mono
-from voxfact.presets import (VAPreset, basis, basis_upto, clear_caches,
-                             gen_mode_apply, gen_mode_mono, pole_bound,
-                             preset_from_name, state_mode, state_mode_mono,
-                             translate, translate_power)
+from voxfact.presets import (VAPreset, affine_sl2, basis, basis_upto,
+                             clear_caches, gen_mode_apply, gen_mode_mono,
+                             pole_bound, preset_from_name, state_mode,
+                             state_mode_mono, translate, translate_power,
+                             virasoro)
 from voxfact.scalars import QQi, exact_value
 
 VAC = GradedVector.vacuum()
@@ -432,6 +433,21 @@ def test_unread_parameters_are_stored_as_zero():
     assert repr(VAPreset("affine_sl2", 7, Fraction(2, 3))) == (
         "VAPreset(kind='affine_sl2', c=Fraction(0, 1), "
         "level=Fraction(2, 3))")
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: virasoro("1/0"), "bad c '1/0'"),
+    (lambda: affine_sl2("2/0"), "bad level '2/0'"),
+    (lambda: virasoro(float("inf")), "bad c inf"),
+    (lambda: virasoro("abc"), "bad c 'abc'"),
+    # refused even where the OPE does not read it
+    (lambda: VAPreset("heisenberg", c="1/0"), "bad c '1/0'"),
+], ids=["zero_denominator", "level_zero_denominator", "infinite",
+        "not_a_number", "unread"])
+def test_unreadable_parameter_is_a_value_error(build, text):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == text
 
 
 def test_direct_construction_takes_the_table_defaults():

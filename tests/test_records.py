@@ -13,7 +13,6 @@ from voxfact.graded import GradedVector, ProductVector
 from voxfact.presets import VAPreset
 from voxfact.report import CheckReport
 from voxfact.scalars import DegreeWindow, QQi
-from voxfact.suite import SuiteConfig
 
 _JET = DeltaJet(QQi(1, 2), 1)
 FROZEN = [
@@ -25,7 +24,7 @@ FROZEN = [
     VAPreset("virasoro", Fraction(1, 2)),
 ]
 MUTABLE = [ProductVector(DegreeWindow(0, 2)),
-           CheckReport("x", True, witness={"a": 1}), SuiteConfig()]
+           CheckReport("x", True, witness={"a": 1})]
 
 
 @pytest.mark.parametrize("obj", FROZEN + MUTABLE,

@@ -102,7 +102,7 @@ def test_counterexample_on_every_preset(name):
     # the lowest state with the highest pole against itself: a_(1) a != 0
     # also where the first generator has e_(1) e = 0 (affine_sl2)
     preset = preset_from_name(name)
-    rep, data = run_counterexample(1, preset)
+    rep, data = run_counterexample(1, preset, DegreeWindow(0, 4))
     assert rep.passed, rep.witness
     assert not data["ev_x"].flatten()
     assert data["ev_xy"].flatten()

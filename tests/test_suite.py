@@ -6,9 +6,8 @@ import pytest
 from voxfact import expressions, functionals
 from voxfact.presets import _sm, preset_from_name
 from voxfact.scalars import DegreeWindow
-from voxfact.suite import (SUITE_LABELS, SuiteConfig, _density_case,
-                           check_mode_oracle, emit_tables, run_suite,
-                           suite_rows)
+from voxfact.suite import (SUITE_LABELS, _density_case, check_mode_oracle,
+                           emit_tables, run_suite, suite_rows)
 
 
 PRESETS = ("heisenberg", "virasoro", "affine_sl2")
@@ -20,7 +19,7 @@ PER_PRESET = [label for label in SUITE_LABELS if label not in PRESET_FREE]
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_suite(SuiteConfig(presets=PRESETS, mode_degree=2))
+    return run_suite(presets=PRESETS, mode_degree=2)
 
 
 def test_all_labels_covered(rows):
@@ -34,17 +33,28 @@ def test_all_pass(rows):
 
 
 def test_only_filter():
-    cfg = SuiteConfig(presets=("heisenberg",), mode_degree=2,
-                      only=("insertion_at_zero",))
-    out = run_suite(cfg)
+    out = run_suite(presets=("heisenberg",), mode_degree=2,
+                    only=("insertion_at_zero",))
     assert {label for label, _, _, _ in out} == {"insertion_at_zero"}
+
+
+def test_unknown_label_is_refused():
+    with pytest.raises(ValueError, match=r"unknown suite labels: \['typo'\]"):
+        run_suite(only=("insertion_at_zero", "typo"))
+
+
+def test_negative_mode_degree_is_refused():
+    # degree -1 has no basis state, so its rows would pass over nothing
+    with pytest.raises(ValueError, match="mode degree -1 is negative"):
+        run_suite(presets=("heisenberg",), mode_degree=-1,
+                  only=("mode_iterate_matches_oracle",))
 
 
 def test_rows_cover_each_preset_once():
     # 15 labels per preset, then the 3 preset-free rows
     assert len(PER_PRESET) == 15
-    out = run_suite(SuiteConfig(presets=PRESETS, mode_degree=2,
-                                only=("insertion_at_zero", *PRESET_FREE)))
+    out = run_suite(presets=PRESETS, mode_degree=2,
+                    only=("insertion_at_zero", *PRESET_FREE))
     assert [(label, p) for label, p, _, _ in out] == [
         *(("insertion_at_zero", p) for p in PRESETS),
         *((label, "") for label in PRESET_FREE)]
@@ -60,9 +70,8 @@ def test_label_passes_on_every_preset(rows, label, preset):
 def test_preset_rows_do_not_depend_on_the_presets_before():
     # each preset draws its inputs from its own stream, and a row names
     # only a preset it was given
-    alone = run_suite(SuiteConfig(presets=("virasoro",), mode_degree=2))
-    after = run_suite(SuiteConfig(presets=("heisenberg", "virasoro"),
-                                  mode_degree=2))
+    alone = run_suite(presets=("virasoro",), mode_degree=2)
+    after = run_suite(presets=("heisenberg", "virasoro"), mode_degree=2)
     assert {p for _, p, _, _ in alone} == {"virasoro", ""}
     assert {p for _, p, _, _ in after} == {"heisenberg", "virasoro", ""}
     reports = lambda rows: [(l, rep.to_obj()) for l, p, rep, _ in rows
@@ -72,10 +81,10 @@ def test_preset_rows_do_not_depend_on_the_presets_before():
 
 
 def test_deterministic_reports():
-    cfg = SuiteConfig(presets=("heisenberg",), mode_degree=2,
-                      only=("equivariance_exact", "relation_kernel_exact"))
-    r1 = run_suite(cfg)
-    r2 = run_suite(cfg)
+    cfg = dict(presets=("heisenberg",), mode_degree=2,
+               only=("equivariance_exact", "relation_kernel_exact"))
+    r1 = run_suite(**cfg)
+    r2 = run_suite(**cfg)
     strip = lambda rows: [(l, p, rep.to_obj()) for l, p, rep, _ in rows]
     assert strip(r1) == strip(r2)
 
